@@ -1,7 +1,9 @@
 """Galois ring arithmetic, character sums, and low-correlation codebooks."""
 
 from .errors import (
+    BadEnvironment,
     BadLevel,
+    CodebookError,
     DegenerateDimensions,
     GaloisSumsError,
     InvalidModulus,

@@ -8,7 +8,9 @@ roots of unity until a summation kernel converts them to complex doubles.
 The unit-group basis is computed generically: the Teichmuller generator xi
 spans the T* factor and the p-group 1 + M is decomposed into cyclic factors
 by a recursive maximal-order search with explicit quotient cosets.  The full
-discrete-log table over R* is built once per ring and cached on the ring.
+discrete-log table over R* is built once per ring and cached on the ring,
+and dlog_matrix lays it out as a numpy array over element indices for the
+vectorized kernels.
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import RingMismatch
 from .ring import GaloisRing, RingElement
@@ -219,6 +223,22 @@ def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
     )
     ring._cache["unit_basis"] = basis
     return basis
+
+
+def dlog_matrix(ring: GaloisRing) -> np.ndarray:
+    """Read-only (q^n x r) dlog exponents indexed like ring.coord_array().
+
+    Row i is basis.dlog of element i for a unit and zeros otherwise (mask
+    with ring.unit_mask()).  Built on first use and cached on the ring.
+    """
+    if "dlog_matrix" not in ring._cache:
+        basis = decompose_unit_group(ring)
+        units = np.flatnonzero(ring.unit_mask())
+        table = np.zeros((ring.element_count, len(basis.orders)), dtype=np.int64)
+        table[units] = [basis.dlog[u.coords] for u in ring.units()]
+        table.flags.writeable = False
+        ring._cache["dlog_matrix"] = table
+    return ring._cache["dlog_matrix"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,29 +20,53 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
 from .characters import (
     MultCharacter,
+    RootOfUnity,
+    decompose_unit_group,
+    dlog_matrix,
     enumerate_characters,
     extend_phi,
     lift_character,
 )
-from .errors import DegenerateDimensions, NotAUnit, NotPrimePower, TooLarge
+from .errors import (
+    BadEnvironment,
+    CodebookError,
+    DegenerateDimensions,
+    NotAUnit,
+    NotPrimePower,
+    TooLarge,
+)
 from .ring import GaloisRing, RingElement, factorize
 from .sums import s_cardinality, s_cardinality_qn
 
 DEFAULT_ENTRY_CAP = 10 ** 8
 DEFAULT_PAIR_BUDGET = 10 ** 9
+# rows per block in build, scan and export: temporaries stay O(block x K),
+# and being fixed, the block split never depends on the thread count
+BLOCK = 256
+# pairs this close to the peak count as attaining it when naming the witness
+WITNESS_TIE = 1e-12
 
 
 def worker_count() -> int:
-    """Worker bound from GALOIS_SUMS_THREADS (default 1)."""
+    """Worker bound from GALOIS_SUMS_THREADS (default 1).
+
+    A value that is not an integer >= 1 raises BadEnvironment rather than
+    silently falling back to one worker.
+    """
+    raw = os.environ.get("GALOIS_SUMS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GALOIS_SUMS_THREADS", "1")))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise BadEnvironment(f"GALOIS_SUMS_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
 @dataclass
@@ -131,21 +155,28 @@ def _row_characters(params: CodebookParams):
             yield label, chars
 
 
+def s_indices(params: CodebookParams) -> np.ndarray:
+    """The domain S in lexicographic order, as a (|S| x m) array of element indices.
+
+    The free block (k units, then m - 1 - k arbitrary elements) runs in
+    itertools.product order over elements(); the last coordinate is solved
+    as a - sum on the coordinate arrays mod p^n.
+    """
+    ring, m, k = params.ring, params.m, params.k
+    domains = [np.flatnonzero(ring.unit_mask())] * k + [
+        np.arange(ring.element_count)
+    ] * (m - 1 - k)
+    grids = np.meshgrid(*domains, indexing="ij")
+    free = np.stack([g.ravel() for g in grids], axis=1)
+    coords = ring.coord_array()
+    last = (np.array(params.a.coords) - coords[free].sum(axis=1)) % ring.pn
+    return np.column_stack([free, ring.index_of(last)])
+
+
 def s_tuples(params: CodebookParams) -> list[tuple[tuple[int, ...], ...]]:
     """The domain S in lexicographic order, as full coordinate m-tuples."""
-    ring, m, k = params.ring, params.m, params.k
-    units = [u.coords for u in ring.units()]
-    everything = [x.coords for x in ring.elements()]
-    domains = [units] * k + [everything] * (m - 1 - k)
-    out = []
-    ac = params.a.coords
-    sub = ring._sub
-    for combo in itertools.product(*domains):
-        rem = ac
-        for x in combo:
-            rem = sub(rem, x)
-        out.append(combo + (rem,))
-    return out
+    coords = params.ring.coord_array()[s_indices(params)].tolist()
+    return [tuple(map(tuple, tup)) for tup in coords]
 
 
 def build_codebook(
@@ -158,6 +189,13 @@ def build_codebook(
     The main optimality statement requires a unit twist a; passing a in the
     maximal ideal is allowed only with allow_nonunit_a=True and emits a
     warning since those parameter choices carry no optimality guarantee.
+
+    A structured entry is the product of the row's extended characters over
+    its m-tuple of S.  With every exponent scaled to the common order L, its
+    exponent is sum_i X_i . dlog(x_i) mod L, exact in integers; the entry is
+    zero when some nontrivial character meets a non-unit coordinate, and
+    otherwise the single rounded root of unity exp(2 pi i j / L) (one
+    cmath evaluation per j) divided by sqrt(support) in float64.
     """
     ring = params.ring
     if not params.a.is_unit:
@@ -167,48 +205,58 @@ def build_codebook(
             "twist a lies in the maximal ideal: the optimality guarantees do not apply",
             stacklevel=2,
         )
-    q, n, m, k = ring.q, ring.n, params.m, params.k
+    q, m, k = ring.q, params.m, params.k
     K = s_cardinality(ring, m, k)
     f_count = q * ring.unit_count ** (m - 1)
     N = f_count + K
     if N * K > entry_cap:
         raise TooLarge(f"{N} x {K} entries exceeds cap {entry_cap}")
 
-    columns = s_tuples(params)
-    assert len(columns) == K
+    columns = s_indices(params)
+    if len(columns) != K:
+        raise CodebookError(f"enumerated |S| = {len(columns)}, the formula gives {K}")
+    dlog = dlog_matrix(ring)[columns]  # K x m x r
+    on_ideal = ~ring.unit_mask()[columns]  # K x m
 
-    unit_set = {u.coords for u in ring.units()}
-    rows = np.zeros((N, K), dtype=np.complex128)
+    basis = decompose_unit_group(ring)
+    L = basis.lcm_order
     labels: list = []
-    supports = np.zeros(N, dtype=np.int64)
-    for r_idx, (label, chars) in enumerate(_row_characters(params)):
-        tables = []
-        nontrivial = []
-        for c in chars:
-            tables.append({u: c.eval_unit(params.ring.element(u)).to_complex() for u in unit_set})
-            nontrivial.append(not c.is_trivial)
-        row = np.zeros(K, dtype=np.complex128)
-        support = 0
-        for col, tup in enumerate(columns):
-            v = 1 + 0j
-            dead = False
-            for i, x in enumerate(tup):
-                if x in unit_set:
-                    v *= tables[i][x]
-                elif nontrivial[i]:
-                    dead = True
-                    break
-            if not dead:
-                row[col] = v
-                support += 1
-        assert support > 0
-        rows[r_idx] = row / math.sqrt(support)
-        supports[r_idx] = support
+    exps = []
+    for label, chars in _row_characters(params):
         labels.append(("F",) + label)
-    for j in range(K):
-        rows[f_count + j, j] = 1.0
-        supports[f_count + j] = 1
-        labels.append(("E", j))
+        exps.append([c.exponents for c in chars])
+    X = np.array(exps, dtype=np.int64)  # F x m x r
+    nontrivial = X.any(axis=2)
+    X *= L // np.array(basis.orders, dtype=np.int64)
+    # row L is the structural zero
+    roots = np.array(
+        [RootOfUnity(j, L).to_complex() for j in range(L)] + [0j]
+    ).view(np.float64).reshape(L + 1, 2)
+
+    rows = np.zeros((N, K), dtype=np.complex128)
+    parts = rows.view(np.float64).reshape(N, K, 2)
+    supports = np.ones(N, dtype=np.int64)
+    for f0 in range(0, f_count, BLOCK):
+        f1 = min(f_count, f0 + BLOCK)
+        expo = np.zeros((f1 - f0, K), dtype=np.int64)
+        dead = np.zeros((f1 - f0, K), dtype=bool)
+        for i in range(m):
+            expo += X[f0:f1, i] @ dlog[:, i].T
+            dead |= nontrivial[f0:f1, i, None] & on_ideal[None, :, i]
+        expo %= L
+        expo[dead] = L
+        support = K - np.count_nonzero(dead, axis=1)
+        if not support.all():
+            row = f0 + int(np.argmin(support))
+            raise CodebookError(
+                f"row {row} {labels[row]} is zero on all of S: each tuple meets a "
+                "nontrivial character on the maximal ideal"
+            )
+        supports[f0:f1] = support
+        parts[f0:f1] = roots[expo] / np.sqrt(support)[:, None, None]
+    diag = np.arange(K)
+    rows[f_count + diag, diag] = 1.0
+    labels.extend(("E", j) for j in range(K))
     return Codebook(
         params=params,
         rows=rows,
@@ -229,42 +277,49 @@ def imax_exhaustive(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     threads: int | None = None,
 ) -> EvalReport:
-    """Maximum |c_i c_j^H| over all unordered pairs, with deterministic argmax.
+    """Maximum |c_i c_j^H| over all unordered pairs i < j, with a stable witness.
 
-    The scan is blocked over rows; blocks may be dispatched to a thread pool
-    (bounded by GALOIS_SUMS_THREADS) but results are combined in block order,
-    so the reported maximum and its smallest-index witness never depend on
-    scheduling.
+    Each block of rows is multiplied only against itself and the rows after
+    it (the upper triangle).  Blocks may be dispatched to a thread pool
+    (bounded by GALOIS_SUMS_THREADS) and are combined in block order.  Many
+    pairs attain the peak exactly, so an argmax would be picked by rounding
+    noise; the witness is instead the lexicographically smallest pair (i, j)
+    with |c_i c_j^H| >= peak - WITNESS_TIE, found by recomputing the first
+    block that reaches that threshold.  Neither the peak nor the witness
+    depends on scheduling or on the thread count.
     """
     N, K = cb.N, cb.K
     if N * (N - 1) // 2 * K > pair_budget:
         raise TooLarge("pair scan exceeds budget")
     threads = worker_count() if threads is None else max(1, threads)
     rows = cb.rows
-    conj = rows.conj().T
-    block = 256  # fixed, so the block split never depends on the thread count
 
-    def scan(i0: int) -> tuple[float, tuple[int, int]]:
-        i1 = min(N, i0 + block)
-        g = np.abs(rows[i0:i1] @ conj)
-        cols = np.arange(N)[None, :]
-        idx = np.arange(i0, i1)[:, None]
-        g[cols <= idx] = -1.0
-        flat = int(np.argmax(g))
-        r, c = divmod(flat, N)
-        return float(g[r, c]), (i0 + r, c)
+    def upper(i0: int) -> np.ndarray:
+        """|c_i c_j^H| for i in the block and j >= i0, with -1 where j <= i."""
+        i1 = min(N, i0 + BLOCK)
+        g = np.abs(rows[i0:i1].conj() @ rows[i0:].T)
+        g[np.tril_indices(i1 - i0, m=N - i0)] = -1.0
+        return g
 
-    starts = list(range(0, N, block))
+    def block_max(i0: int) -> float:
+        return float(upper(i0).max())
+
+    starts = list(range(0, N, BLOCK))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, starts))
+            maxima = list(pool.map(block_max, starts))
     else:
-        results = [scan(i0) for i0 in starts]
+        maxima = [block_max(i0) for i0 in starts]
 
-    best_val, best_pair = -1.0, (0, 0)
-    for val, pair in results:
-        if val > best_val:
-            best_val, best_pair = val, pair
+    best_val = max(maxima, default=-1.0)
+    best_pair = (0, 0)
+    for i0, val in zip(starts, maxima):
+        if val >= best_val - WITNESS_TIE:
+            hits = np.flatnonzero(upper(i0) >= best_val - WITNESS_TIE)
+            if hits.size:
+                r, c = divmod(int(hits[0]), N - i0)
+                best_pair = (i0 + r, i0 + c)
+                break
     p = cb.params
     formula = imax_formula(p.ring.q, p.ring.n, p.m)
     welch = welch_bound(N, K)
@@ -386,29 +441,51 @@ def table2(q_list=None, n: int = 2, m: int = 3, k: int = 1) -> list[Table2Row]:
 # export / import
 
 
+def _row_texts(rows: np.ndarray, fmt, sep: bytes):
+    """Yield each row's interleaved re, im values formatted by fmt, sep-joined.
+
+    Works a block of rows at a time and formats every distinct float64 bit
+    pattern of the block once (the uint64 view keeps -0.0 apart from 0.0).
+    """
+    flat = np.ascontiguousarray(rows).view(np.float64)
+    for r0 in range(0, len(flat), BLOCK):
+        block = flat[r0:r0 + BLOCK]
+        bits, where = np.unique(block.view(np.uint64), return_inverse=True)
+        words = [fmt(v).encode() for v in bits.view(np.float64).tolist()]
+        for row in where.reshape(block.shape):
+            yield sep.join(itemgetter(*row.tolist())(words))
+
+
 def export_codebook(cb: Codebook, fmt: str = "csv") -> bytes:
-    """CSV (interleaved re,im at 17 significant digits) or JSON with params."""
+    """CSV (interleaved re,im at 17 significant digits) or JSON with params.
+
+    The text is that of formatting each value with f"{v:.17g}" (CSV) or
+    json.dumps (JSON) and joining, as a per-value loop would.
+    """
+    buf = io.BytesIO()
     if fmt == "csv":
-        buf = io.StringIO()
-        for row in cb.rows:
-            buf.write(
-                ",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row)
-            )
-            buf.write("\n")
-        return buf.getvalue().encode()
+        for text in _row_texts(cb.rows, lambda v: format(v, ".17g"), b","):
+            buf.write(text)
+            buf.write(b"\n")
+        return buf.getvalue()
     if fmt == "json":
-        payload = {
-            "params": cb.to_json_params(),
-            "rows": [
-                [x for v in row for x in (v.real, v.imag)] for row in cb.rows
-            ],
-        }
-        return json.dumps(payload).encode()
+        head = json.dumps({"params": cb.to_json_params(), "rows": []})
+        buf.write(head[:-2].encode())  # ends in '"rows": ['
+        for i, text in enumerate(_row_texts(cb.rows, json.dumps, b", ")):
+            buf.write(b", [" if i else b"[")
+            buf.write(text)
+            buf.write(b"]")
+        buf.write(b"]}")
+        return buf.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def import_codebook(data: bytes) -> Codebook:
-    """Rebuild a codebook from its JSON export; round-trips bit-exactly."""
+    """Rebuild a codebook from its JSON export; round-trips bit-exactly.
+
+    Raises CodebookError when N and K disagree with the parameters or the
+    rows are not N rows of 2K numbers.
+    """
     payload = json.loads(data.decode())
     meta = payload["params"]
     ring = GaloisRing.from_json(meta["ring"])
@@ -420,19 +497,22 @@ def import_codebook(data: bytes) -> Codebook:
         psi0=MultCharacter(ring.reduced(1), tuple(meta["psi0"])),
         section=meta["section"],
     )
-    raw = payload["rows"]
-    rows = np.array(
-        [[complex(r[i], r[i + 1]) for i in range(0, len(r), 2)] for r in raw],
-        dtype=np.complex128,
-    )
-    supports = np.array([int(np.count_nonzero(row)) for row in rows], dtype=np.int64)
-    K = meta["K"]
-    N = meta["N"]
+    N, K = meta["N"], meta["K"]
+    size = codebook_size(ring.q, ring.n, params.m, params.k)
+    if (N, K) != size:
+        raise CodebookError(f"(N, K) = {(N, K)}, but the parameters give {size}")
+    try:
+        raw = np.array(payload.pop("rows", None))
+    except ValueError as exc:  # ragged nesting
+        raise CodebookError(f"rows are not a rectangular array: {exc}") from None
+    if raw.dtype.kind not in "fi" or raw.shape != (N, 2 * K):
+        raise CodebookError(f"rows must be {N} rows of {2 * K} numbers, got {raw.dtype} {raw.shape}")
+    rows = raw.astype(np.float64, copy=False).view(np.complex128)
     return Codebook(
         params=params,
         rows=rows,
         row_labels=[None] * N,
-        support_sizes=supports,
+        support_sizes=np.count_nonzero(rows, axis=1).astype(np.int64),
         N=N,
         K=K,
         f_count=N - K,

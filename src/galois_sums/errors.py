@@ -39,3 +39,11 @@ class DegenerateDimensions(GaloisSumsError):
 
 class NotPrimePower(GaloisSumsError):
     """The given alphabet size is not a prime power."""
+
+
+class CodebookError(GaloisSumsError):
+    """A codebook or its export is inconsistent with its own parameters."""
+
+
+class BadEnvironment(GaloisSumsError):
+    """An environment variable holds a value the package cannot use."""

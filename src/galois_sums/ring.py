@@ -10,14 +10,18 @@ is the unique Teichmuller generator of the (p-1)-torsion.
 Structural tables (Teichmuller set, discrete logs against xi, the Frobenius
 coordinate map) are built eagerly and every invariant (order of xi, t^q = t,
 exact divisibility of x^(q-1) - 1 by the modulus) is checked at build time;
-failures raise InvalidModulus.  Derived tables are cached lazily, but each
-cache entry is a deterministic function of the ring alone, so rings are safe
-to share across threads: a racing recomputation writes the same value.
+failures raise InvalidModulus.  Derived tables, among them the numpy index
+tables that vectorized kernels use (element index = position in elements()),
+are cached lazily, but each cache entry is a deterministic function of the
+ring alone, so rings are safe to share across threads: a racing
+recomputation writes the same value.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BadLevel, InvalidModulus, NotAUnit, NotInBaseRing, SizeLimit
 
@@ -468,6 +472,34 @@ class GaloisRing:
                 for c in itertools.product(range(self.pn), repeat=self.s)
             ]
         return self._cache["elements"]
+
+    def coord_array(self) -> np.ndarray:
+        """Read-only (q^n x s) coordinates of every element, in elements() order.
+
+        Row i holds the digits of i in base p^n, most significant first, so
+        index_of inverts it.
+        """
+        if "coord_array" not in self._cache:
+            idx = np.arange(self.element_count, dtype=np.int64)
+            coords = (idx[:, None] // self._radix()) % self.pn
+            coords.flags.writeable = False
+            self._cache["coord_array"] = coords
+        return self._cache["coord_array"]
+
+    def unit_mask(self) -> np.ndarray:
+        """Read-only boolean mask of the units, indexed like coord_array."""
+        if "unit_mask" not in self._cache:
+            mask = (self.coord_array() % self.p != 0).any(axis=1)
+            mask.flags.writeable = False
+            self._cache["unit_mask"] = mask
+        return self._cache["unit_mask"]
+
+    def index_of(self, coords: np.ndarray) -> np.ndarray:
+        """Element indices of reduced coordinate rows (last axis of length s)."""
+        return coords @ self._radix()
+
+    def _radix(self) -> np.ndarray:
+        return self.pn ** np.arange(self.s - 1, -1, -1, dtype=np.int64)
 
     def units(self) -> list[RingElement]:
         if "units" not in self._cache:

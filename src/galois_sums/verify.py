@@ -2,8 +2,9 @@
 
 Each suite returns a SuiteResult whose checks carry a label, a boolean, and
 a short detail string.  The suites are what the command-line `verify`
-subcommand runs and what the acceptance tests assert, so any label that can
-fail explains itself.
+subcommand runs and what the acceptance tests run; those tests assert every
+check except the pinned published constants below.  Any label that can fail
+explains itself.
 
 Three checks in these suites pin reference constants that brute force
 refutes; they are kept as stated rather than patched to pass.  Each such

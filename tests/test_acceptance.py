@@ -224,8 +224,8 @@ def test_criterion_8_degenerate_twists():
     """Both degenerate twists at q = 3 peak at exactly 1, not 0.6 or sqrt(27)/10.
 
     With the twist a in pR (a = 0 or a = p), the q = 3 build contains unit-norm
-    rows equal up to phase: (7, 93) for the zero twist and (7, 28) for the
-    ideal twist.  By Cauchy-Schwarz |<r_i, r_j>| <= 1, with equality exactly
+    rows equal up to phase; the witness (the smallest pair attaining the
+    peak) is (7, 28) for both twists.  By Cauchy-Schwarz |<r_i, r_j>| <= 1, with equality exactly
     when r_i = c r_j, |c| = 1, so both peaks are 1.  For the ideal-twist
     witness the rows differ only in lifted quotient characters, with ratio
     tuple (1, eta, eta), eta the quadratic character of F_3.  Over F_3 every

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 
 from galois_sums.cli import main
 
@@ -114,6 +115,22 @@ def test_codebook_command(capsys, tmp_path):
     assert abs(payload["imax_measured"] - payload["imax_formula"]) < 1e-9
     assert out_file.exists()
     assert len(out_file.read_text().splitlines()) == 162
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("GALOIS_SUMS_THREADS", value)
+    code, _, err = run(
+        capsys, "codebook", "-p", "3", "-n", "2", "-s", "1", "-m", "3", "-k", "1"
+    )
+    assert code == 2
+    assert "GALOIS_SUMS_THREADS" in err and repr(value) in err
+
+
+def test_codebook_without_support_exits_2(capsys):
+    code, _, err = run(capsys, "codebook", "-p", "2", "-n", "2", "-s", "1", "-m", "2", "-k", "1")
+    assert code == 2
+    assert "zero on all of S" in err
 
 
 def test_table2_command(capsys):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import io
 import itertools
+import json
 import math
 import warnings
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 from galois_sums import (
+    CodebookError,
     CodebookParams,
     DegenerateDimensions,
     NotAUnit,
@@ -27,6 +31,8 @@ from galois_sums import (
     table2,
     welch_bound,
 )
+from galois_sums import codebook as codebook_module
+from galois_sums.codebook import _row_characters
 
 from conftest import ring
 
@@ -234,3 +240,164 @@ def test_threaded_scan_matches_serial(monkeypatch):
     monkeypatch.setenv("GALOIS_SUMS_THREADS", "3")
     env_scan = imax_exhaustive(cb)
     assert env_scan.pair_argmax == serial.pair_argmax
+
+
+# ---------------------------------------------------------------------------
+# the vectorized kernels against per-entry references
+
+
+def reference_build(params):
+    """Per-entry loop: each entry is the product of extended_eval over an S tuple.
+
+    S is enumerated here with ring arithmetic, independently of s_indices.
+    Returns (rows, supports, labels) as the construction defines them.
+    """
+    r, m, k = params.ring, params.m, params.k
+    domains = [r.units()] * k + [r.elements()] * (m - 1 - k)
+    columns = []
+    for free in itertools.product(*domains):
+        last = params.a
+        for x in free:
+            last = last - x
+        columns.append(free + (last,))
+    tables = {}
+    rows, supports, labels = [], [], []
+    for label, chars in _row_characters(params):
+        row = []
+        for tup in columns:
+            v = 1 + 0j
+            for c, x in zip(chars, tup):
+                if c.exponents not in tables:
+                    tables[c.exponents] = {y.coords: c.extended_eval(y) for y in r.elements()}
+                v *= tables[c.exponents][x.coords]
+            row.append(v)
+        row = np.array(row)
+        support = int(np.count_nonzero(row))
+        rows.append(row / math.sqrt(support))
+        supports.append(support)
+        labels.append(("F",) + label)
+    K = len(columns)
+    rows.extend(np.eye(K, dtype=np.complex128))
+    supports.extend([1] * K)
+    labels.extend(("E", j) for j in range(K))
+    return np.array(rows), np.array(supports), labels
+
+
+@pytest.mark.parametrize(
+    "key, m, k, a_mode",
+    [
+        ((3, 2, 1), 3, 1, "unit"),
+        ((3, 2, 1), 3, 1, "zero"),
+        ((3, 2, 1), 3, 1, "ideal"),
+        ((2, 2, 2), 3, 1, "unit"),
+        ((3, 2, 1), 2, 1, "unit"),
+        ((3, 2, 1), 4, 2, "unit"),
+    ],
+)
+def test_build_matches_per_entry_reference(key, m, k, a_mode):
+    cb = build(key, m=m, k=k, a_mode=a_mode)
+    rows, supports, labels = reference_build(cb.params)
+    assert cb.row_labels == labels
+    assert np.array_equal(cb.support_sizes, supports)
+    assert np.array_equal(cb.rows == 0, rows == 0)  # structural zeros only
+    assert float(np.max(np.abs(cb.rows - rows))) <= 1e-15
+
+
+def old_csv(rows):
+    buf = io.StringIO()
+    for row in rows:
+        buf.write(",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row))
+        buf.write("\n")
+    return buf.getvalue().encode()
+
+
+def old_json(cb):
+    payload = {
+        "params": cb.to_json_params(),
+        "rows": [[x for v in row for x in (v.real, v.imag)] for row in cb.rows],
+    }
+    return json.dumps(payload).encode()
+
+
+def test_export_bytes_match_per_value_formatters():
+    cb = build((3, 2, 1), m=2, k=1)
+    rows = cb.rows.copy()
+    rows[0, 0] = complex(-0.0, 0.0)
+    rows[0, 1] = complex(5e-324, -0.0)  # smallest subnormal
+    rows[1, 2] = complex(1e300, -1e300)
+    rows[2] = np.exp(1j * np.arange(cb.K)) / 3
+    odd = dataclasses.replace(cb, rows=rows)
+    for c in (cb, odd):
+        assert export_codebook(c, fmt="csv") == old_csv(c.rows)
+        blob = export_codebook(c, fmt="json")
+        assert blob == old_json(c)
+        back = import_codebook(blob)
+        assert np.array_equal(back.rows.view(np.uint64), c.rows.view(np.uint64))
+    assert b"-0," in export_codebook(odd, fmt="csv").split(b"\n")[0]
+
+
+def test_import_rejects_malformed_payloads():
+    cb = build((3, 2, 1), m=2, k=1)
+    good = json.loads(export_codebook(cb, fmt="json"))
+
+    def variant(edit):
+        payload = json.loads(json.dumps(good))
+        edit(payload)
+        return json.dumps(payload).encode()
+
+    bad = [
+        lambda d: d["rows"][3].pop(),  # ragged
+        lambda d: d["rows"].pop(),  # N - 1 rows
+        lambda d: [row.extend([0.0, 0.0]) for row in d["rows"]],  # 2K + 2 numbers
+        lambda d: d["rows"][0].__setitem__(0, "0.5"),  # not a number
+        lambda d: d["params"].update(N=cb.N + 1),  # N disagrees with the rows
+        # rows match N and K, which disagree with the params
+        lambda d: (d["rows"].pop(), d["params"].update(N=cb.N - 1)),
+        lambda d: (
+            [row.__delitem__(slice(-2, None)) for row in d["rows"]],
+            d["rows"].pop(),
+            d["params"].update(K=cb.K - 1, N=cb.N - 1),
+        ),
+    ]
+    for edit in bad:
+        with pytest.raises(CodebookError):
+            import_codebook(variant(edit))
+
+
+def test_enumerated_s_must_match_formula(monkeypatch):
+    r = ring(3, 2, 1)
+    real = codebook_module.s_cardinality
+    monkeypatch.setattr(codebook_module, "s_cardinality", lambda *a: real(*a) + 1)
+    with pytest.raises(CodebookError, match="enumerated"):
+        build_codebook(CodebookParams(ring=r, m=3, k=1, a=r.one))
+
+
+def test_row_without_support_raises():
+    # over Z/4 with m = 2, k = 1, a = 1 the last coordinate 1 - x_1 is never a
+    # unit, so rows nontrivial there vanish on all of S
+    r = ring(2, 2, 1)
+    with pytest.raises(CodebookError, match="zero on all of S"):
+        build_codebook(CodebookParams(ring=r, m=2, k=1, a=r.one))
+
+
+def smallest_tied_pair(cb):
+    gram = np.abs(cb.rows @ cb.rows.conj().T)
+    gram[np.tril_indices(cb.N)] = -1.0
+    peak = gram.max()
+    i, j = np.argwhere(gram >= peak - 1e-12)[0]
+    return peak, (int(i), int(j))
+
+
+@pytest.mark.parametrize("key, a_mode", [((3, 2, 1), "unit"), ((3, 2, 1), "zero"), ((2, 2, 2), "unit")])
+def test_witness_is_smallest_tied_pair_and_stable(key, a_mode):
+    cb = build(key, a_mode=a_mode)
+    rep = imax_exhaustive(cb, threads=1)
+    peak, pair = smallest_tied_pair(cb)
+    assert abs(rep.imax_measured - peak) <= 1e-12
+    assert rep.pair_argmax == pair
+    # one unit phase on every row moves last bits, not exact magnitudes
+    turned = dataclasses.replace(cb, rows=cb.rows * np.exp(0.7j))
+    assert imax_exhaustive(turned).pair_argmax == pair
+    threaded = imax_exhaustive(cb, threads=4)
+    assert threaded.pair_argmax == pair
+    assert threaded.imax_measured == rep.imax_measured
