@@ -3,10 +3,10 @@ orthogonality, and the section extending the deep-subgroup characters.
 """
 from galois_sums import (
     AdditiveCharacter,
+    SubgroupCharacter,
     decompose_unit_group,
     enumerate_characters,
     extend_phi,
-    phi_a,
     build_ring,
 )
 
@@ -37,7 +37,7 @@ print()
 print("characters of the subgroup 1 + 3 Z_9 and their chosen extensions:")
 field = z9.residue_field()
 for a in field.elements():
-    pa = phi_a(z9, a)
+    pa = SubgroupCharacter(z9, a)
     ext = extend_phi(z9, a)
     vals = [str(pa.eval(w)) for w in z9.one_plus_ideal(1)]
     print(f"  a = {a.coords[0]}: restriction values {vals}, extension exponents {ext.exponents}")

@@ -1,7 +1,6 @@
 """Galois ring arithmetic, character sums, and low-correlation codebooks."""
 
 from .errors import (
-    BadEnvironment,
     BadLevel,
     CodebookError,
     DegenerateDimensions,
@@ -28,16 +27,11 @@ from .characters import (
     RootOfUnity,
     SubgroupCharacter,
     UnitGroupBasis,
-    additive_char_eval,
-    char_inv,
-    char_mul,
     character_table_json,
-    classify,
     decompose_unit_group,
     enumerate_characters,
     extend_phi,
     lift_character,
-    phi_a,
     product_character,
     project_character,
     section_json,

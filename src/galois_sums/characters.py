@@ -15,6 +15,7 @@ vectorized kernels.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,6 +73,16 @@ class RootOfUnity:
         return f"e(2pi*{r.numerator}/{r.order})"
 
 
+@functools.lru_cache(maxsize=None)
+def root_table(order: int) -> tuple[complex, ...]:
+    """exp(2 pi i j / order) for j = 0..order-1, one cmath evaluation each.
+
+    The one table the summation kernels and the codebook build convert exact
+    exponents with, so equal exponents always give equal floats.
+    """
+    return tuple(RootOfUnity(j, order).to_complex() for j in range(order))
+
+
 class AdditiveCharacter:
     """lambda_b : x -> exp(2 pi i tr(bx) / p^n)."""
 
@@ -94,10 +105,6 @@ class AdditiveCharacter:
 
     def __hash__(self) -> int:
         return hash(("add", self.b.coords))
-
-
-def additive_char_eval(ring: GaloisRing, b: RingElement, x: RingElement) -> RootOfUnity:
-    return AdditiveCharacter(ring, b).eval(x)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +289,6 @@ class MultCharacter:
             return self.eval_unit(x).to_complex()
         return complex(1.0) if self.is_trivial else complex(0.0)
 
-    def value_table(self) -> dict[tuple[int, ...], complex]:
-        """Extended values on every element, keyed by coordinates."""
-        table = {}
-        on_ideal = complex(1.0) if self.is_trivial else complex(0.0)
-        for x in self.ring.elements():
-            if x.coords in self.basis.dlog:
-                table[x.coords] = self.eval_unit(x).to_complex()
-            else:
-                table[x.coords] = on_ideal
-        return table
-
     def trivial_on_subgroup(self, k: int) -> bool:
         """Trivial on 1 + p^k R; k = 0 is read as the whole unit group."""
         if k <= 0:
@@ -360,18 +356,6 @@ def enumerate_characters(ring: GaloisRing) -> list[MultCharacter]:
     return ring._cache[key]
 
 
-def classify(chi: MultCharacter) -> int:
-    return chi.level
-
-
-def char_mul(a: MultCharacter, b: MultCharacter) -> MultCharacter:
-    return a * b
-
-
-def char_inv(chi: MultCharacter) -> MultCharacter:
-    return chi.inverse()
-
-
 def product_character(chars) -> MultCharacter:
     chars = list(chars)
     out = chars[0]
@@ -406,10 +390,6 @@ class SubgroupCharacter:
         assert all(c % pk == 0 for c in diff), "element not in 1 + p^(n-1) R"
         x = self.field.element(tuple((c // pk) % self.ring.p for c in diff))
         return RootOfUnity.make(self.field.trace(self.a * x), self.ring.p)
-
-
-def phi_a(ring: GaloisRing, a: RingElement) -> SubgroupCharacter:
-    return SubgroupCharacter(ring, a)
 
 
 def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCharacter]:

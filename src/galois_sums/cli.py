@@ -28,11 +28,9 @@ from .codebook import (
 from .errors import GaloisSumsError, NotPrimePower, SizeLimit, TooLarge
 from .ring import GaloisRing, Polynomial, RingElement, build_ring
 from .sums import (
-    canonicalize,
+    SumValue,
     gauss_sum,
-    jacobi_brute,
-    jacobi_expected,
-    term_tolerance,
+    jacobi,
     tilde_jacobi_brute,
     tilde_jacobi_classify,
 )
@@ -159,34 +157,30 @@ def cmd_gauss(args) -> int:
     return EXIT_OK if agree else EXIT_VERIFY
 
 
+def _sum_payload(ring: GaloisRing, sv: SumValue, agree: bool) -> dict:
+    return {
+        "ring": ring.to_json(),
+        "value": [sv.value.real, sv.value.imag],
+        "expected": sv.expected.to_json(),
+        "lemma": sv.expected.lemma,
+        "terms": sv.terms,
+        "agree": agree,
+    }
+
+
 def cmd_jacobi(args) -> int:
     ring = _build_ring(args)
     chars = _parse_chars(ring, args.chars)
     a = _parse_element(ring, args.a)
-    brute = jacobi_brute(chars, a, cap=args.cap_terms)
-    canon, scalar = canonicalize(chars, a)
-    base = jacobi_expected(chars, canon, cap=args.cap_terms)
-    expected = base.rotated(scalar, base.lemma)
+    sv = jacobi(chars, a, cap=args.cap_terms)
     if args.inject_disagreement:
-        brute.value += 1.0
-    tol = max(args.tol, term_tolerance(brute.terms))
-    mag = expected.magnitude(ring.q)
-    agree = mag is not None and abs(abs(brute.value) - mag) <= tol
-    if agree and expected.value is not None:
-        agree = abs(brute.value - expected.value) <= tol
-    payload = {
-        "ring": ring.to_json(),
-        "value": [brute.value.real, brute.value.imag],
-        "expected": expected.to_json(),
-        "lemma": expected.lemma,
-        "terms": brute.terms,
-        "agree": agree,
-    }
+        sv.value += 1.0
+    agree = sv.agrees(ring.q, max(args.tol, sv.tolerance))
     text = (
-        f"J = {brute.value:.12g}  expected {expected.kind} ({expected.lemma})  "
-        f"terms {brute.terms}  agree: {agree}"
+        f"J = {sv.value:.12g}  expected {sv.expected.kind} ({sv.expected.lemma})  "
+        f"terms {sv.terms}  agree: {agree}"
     )
-    _emit(args, payload, text)
+    _emit(args, _sum_payload(ring, sv, agree), text)
     return EXIT_OK if agree else EXIT_VERIFY
 
 
@@ -196,23 +190,12 @@ def cmd_tilde_jacobi(args) -> int:
     a = _parse_element(ring, args.a)
     brute = tilde_jacobi_brute(chars, args.k, a, cap=args.cap_terms)
     expected = tilde_jacobi_classify(chars, args.k, a, cap=args.cap_terms)
-    tol = max(args.tol, term_tolerance(brute.terms))
-    mag = expected.magnitude(ring.q)
-    agree = mag is not None and abs(abs(brute.value) - mag) <= tol
-    if agree and expected.value is not None:
-        agree = abs(brute.value - expected.value) <= tol
-    payload = {
-        "ring": ring.to_json(),
-        "value": [brute.value.real, brute.value.imag],
-        "expected": expected.to_json(),
-        "lemma": expected.lemma,
-        "terms": brute.terms,
-        "agree": agree,
-    }
+    sv = SumValue(brute.value, expected, brute.terms)
+    agree = sv.agrees(ring.q, max(args.tol, sv.tolerance))
     text = (
-        f"J~ = {brute.value:.12g}  expected {expected.kind} ({expected.lemma})  agree: {agree}"
+        f"J~ = {sv.value:.12g}  expected {expected.kind} ({expected.lemma})  agree: {agree}"
     )
-    _emit(args, payload, text)
+    _emit(args, _sum_payload(ring, sv, agree), text)
     return EXIT_OK if agree else EXIT_VERIFY
 
 

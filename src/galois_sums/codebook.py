@@ -15,9 +15,7 @@ import io
 import itertools
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -26,15 +24,14 @@ import numpy as np
 
 from .characters import (
     MultCharacter,
-    RootOfUnity,
     decompose_unit_group,
     dlog_matrix,
     enumerate_characters,
     extend_phi,
     lift_character,
+    root_table,
 )
 from .errors import (
-    BadEnvironment,
     CodebookError,
     DegenerateDimensions,
     NotAUnit,
@@ -42,31 +39,14 @@ from .errors import (
     TooLarge,
 )
 from .ring import GaloisRing, RingElement, factorize
-from .sums import s_cardinality, s_cardinality_qn
+from .sums import s_cardinality, s_cardinality_qn, solved_domain
 
 DEFAULT_ENTRY_CAP = 10 ** 8
 DEFAULT_PAIR_BUDGET = 10 ** 9
-# rows per block in build, scan and export: temporaries stay O(block x K),
-# and being fixed, the block split never depends on the thread count
+# rows per block in build, scan and export: temporaries stay O(block x K)
 BLOCK = 256
 # pairs this close to the peak count as attaining it when naming the witness
 WITNESS_TIE = 1e-12
-
-
-def worker_count() -> int:
-    """Worker bound from GALOIS_SUMS_THREADS (default 1).
-
-    A value that is not an integer >= 1 raises BadEnvironment rather than
-    silently falling back to one worker.
-    """
-    raw = os.environ.get("GALOIS_SUMS_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise BadEnvironment(f"GALOIS_SUMS_THREADS must be an integer >= 1, got {raw!r}")
-    return count
 
 
 @dataclass
@@ -156,27 +136,8 @@ def _row_characters(params: CodebookParams):
 
 
 def s_indices(params: CodebookParams) -> np.ndarray:
-    """The domain S in lexicographic order, as a (|S| x m) array of element indices.
-
-    The free block (k units, then m - 1 - k arbitrary elements) runs in
-    itertools.product order over elements(); the last coordinate is solved
-    as a - sum on the coordinate arrays mod p^n.
-    """
-    ring, m, k = params.ring, params.m, params.k
-    domains = [np.flatnonzero(ring.unit_mask())] * k + [
-        np.arange(ring.element_count)
-    ] * (m - 1 - k)
-    grids = np.meshgrid(*domains, indexing="ij")
-    free = np.stack([g.ravel() for g in grids], axis=1)
-    coords = ring.coord_array()
-    last = (np.array(params.a.coords) - coords[free].sum(axis=1)) % ring.pn
-    return np.column_stack([free, ring.index_of(last)])
-
-
-def s_tuples(params: CodebookParams) -> list[tuple[tuple[int, ...], ...]]:
-    """The domain S in lexicographic order, as full coordinate m-tuples."""
-    coords = params.ring.coord_array()[s_indices(params)].tolist()
-    return [tuple(map(tuple, tup)) for tup in coords]
+    """The domain S in lexicographic order, as a (|S| x m) array of element indices."""
+    return solved_domain(params.ring, params.m, params.k, params.a)
 
 
 def build_codebook(
@@ -229,9 +190,7 @@ def build_codebook(
     nontrivial = X.any(axis=2)
     X *= L // np.array(basis.orders, dtype=np.int64)
     # row L is the structural zero
-    roots = np.array(
-        [RootOfUnity(j, L).to_complex() for j in range(L)] + [0j]
-    ).view(np.float64).reshape(L + 1, 2)
+    roots = np.array(root_table(L) + (0j,)).view(np.float64).reshape(L + 1, 2)
 
     rows = np.zeros((N, K), dtype=np.complex128)
     parts = rows.view(np.float64).reshape(N, K, 2)
@@ -272,26 +231,19 @@ def build_codebook(
 # evaluation
 
 
-def imax_exhaustive(
-    cb: Codebook,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    threads: int | None = None,
-) -> EvalReport:
+def imax_exhaustive(cb: Codebook, pair_budget: int = DEFAULT_PAIR_BUDGET) -> EvalReport:
     """Maximum |c_i c_j^H| over all unordered pairs i < j, with a stable witness.
 
     Each block of rows is multiplied only against itself and the rows after
-    it (the upper triangle).  Blocks may be dispatched to a thread pool
-    (bounded by GALOIS_SUMS_THREADS) and are combined in block order.  Many
-    pairs attain the peak exactly, so an argmax would be picked by rounding
-    noise; the witness is instead the lexicographically smallest pair (i, j)
-    with |c_i c_j^H| >= peak - WITNESS_TIE, found by recomputing the first
-    block that reaches that threshold.  Neither the peak nor the witness
-    depends on scheduling or on the thread count.
+    it (the upper triangle), block by block in row order.  Many pairs attain
+    the peak exactly, so an argmax would be picked by rounding noise; the
+    witness is instead the lexicographically smallest pair (i, j) with
+    |c_i c_j^H| >= peak - WITNESS_TIE, found by recomputing the first block
+    that reaches that threshold.
     """
     N, K = cb.N, cb.K
     if N * (N - 1) // 2 * K > pair_budget:
         raise TooLarge("pair scan exceeds budget")
-    threads = worker_count() if threads is None else max(1, threads)
     rows = cb.rows
 
     def upper(i0: int) -> np.ndarray:
@@ -301,15 +253,8 @@ def imax_exhaustive(
         g[np.tril_indices(i1 - i0, m=N - i0)] = -1.0
         return g
 
-    def block_max(i0: int) -> float:
-        return float(upper(i0).max())
-
     starts = list(range(0, N, BLOCK))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            maxima = list(pool.map(block_max, starts))
-    else:
-        maxima = [block_max(i0) for i0 in starts]
+    maxima = [float(upper(i0).max()) for i0 in starts]
 
     best_val = max(maxima, default=-1.0)
     best_pair = (0, 0)

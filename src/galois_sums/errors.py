@@ -43,7 +43,3 @@ class NotPrimePower(GaloisSumsError):
 
 class CodebookError(GaloisSumsError):
     """A codebook or its export is inconsistent with its own parameters."""
-
-
-class BadEnvironment(GaloisSumsError):
-    """An environment variable holds a value the package cannot use."""

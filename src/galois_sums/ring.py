@@ -449,21 +449,6 @@ class GaloisRing:
             raise ValueError(f"k must be in [0, {self.n}]")
         return self.scalar(self.p ** k) if k < self.n else self.zero
 
-    def add(self, x: RingElement, y: RingElement) -> RingElement:
-        return x + y
-
-    def mul(self, x: RingElement, y: RingElement) -> RingElement:
-        return x * y
-
-    def neg(self, x: RingElement) -> RingElement:
-        return -x
-
-    def inv(self, x: RingElement) -> RingElement:
-        return x.inv()
-
-    def is_unit(self, x: RingElement) -> bool:
-        return x.is_unit
-
     def elements(self) -> list[RingElement]:
         """All q^n elements in lexicographic coordinate order."""
         if "elements" not in self._cache:

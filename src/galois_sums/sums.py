@@ -1,12 +1,12 @@
 """Gauss sums, Jacobi sums, and modified Jacobi sums over a Galois ring.
 
-Every sum has two routes: a brute-force summation in a fixed lexicographic
-term order, and a closed-form expectation assembled from the magnitude laws
-of the theory.  The expectation carries a tagged magnitude (zero, a power of
-q, an explicit integer, or an exact complex value) together with a short
-provenance token naming the law that produced it.  Verification suites check
-the two routes against each other; the closed forms are never fed back into
-the brute-force side.
+Every sum has two routes: a brute-force summation that counts its terms
+exactly per root of unity (so its value depends on no term order), and a
+closed-form expectation assembled from the magnitude laws of the theory.
+The expectation carries a tagged magnitude (zero, a power of q, an explicit integer, or an exact
+complex value) together with a short provenance token naming the law that
+produced it.  Verification suites check the two routes against each other;
+the closed forms are never fed back into the brute-force side.
 
 Closed-form dispatch, in order:
 
@@ -23,21 +23,27 @@ Closed-form dispatch, in order:
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .characters import (
-    AdditiveCharacter,
     MultCharacter,
     RootOfUnity,
+    decompose_unit_group,
+    dlog_matrix,
     product_character,
     project_character,
+    root_table,
 )
 from .errors import RingMismatch, TooLarge
 from .ring import GaloisRing, RingElement
 
 DEFAULT_TERM_CAP = 10 ** 7
+# rows per block of the brute-force kernel: temporaries stay O(BLOCK x m)
+BLOCK = 4096
 
 
 def term_tolerance(terms: int) -> float:
@@ -153,9 +159,13 @@ class SumValue:
         return term_tolerance(self.terms)
 
     def agrees(self, q: int, tol: float | None = None) -> bool:
+        """Within tol of the expected magnitude and, when pinned, the value.
+
+        An unclassified expectation predicts nothing, so it never agrees.
+        """
         tol = self.tolerance if tol is None else tol
         mag = self.expected.magnitude(q)
-        if mag is not None and abs(abs(self.value) - mag) > tol:
+        if mag is None or abs(abs(self.value) - mag) > tol:
             return False
         if self.expected.value is not None and abs(self.value - self.expected.value) > tol:
             return False
@@ -173,20 +183,106 @@ class SumValue:
 
 
 # ---------------------------------------------------------------------------
+# the brute-force kernel
+
+
+def solved_domain(
+    ring: GaloisRing, m: int, k: int, a: RingElement, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Rows [start, stop) of the solved domain, as an (rows x m) element-index array.
+
+    The domain is {x : x_1..x_k units, x_{k+1}..x_{m-1} arbitrary,
+    x_m = a - sum}; with k >= m - 1 the whole free block is units.  The free
+    block runs in itertools.product order over elements(), and x_m is solved
+    on the coordinate arrays mod p^n.  stop=None means the end of the domain.
+    """
+    units = min(k, m - 1)
+    domains = [np.flatnonzero(ring.unit_mask())] * units + [
+        np.arange(ring.element_count)
+    ] * (m - 1 - units)
+    sizes = [len(d) for d in domains]
+    rows = np.arange(start, math.prod(sizes) if stop is None else stop)
+    free = [d[i] for d, i in zip(domains, np.unravel_index(rows, sizes))]
+    coords = ring.coord_array()
+    last = (np.array(a.coords) - sum(coords[x] for x in free)) % ring.pn
+    return np.column_stack(free + [ring.index_of(last)])
+
+
+def _root_sum(ring: GaloisRing, chars, rows_at, total: int, units: int, b=None):
+    """Exact brute-force sum of prod_i chi_i(x_i) over rows of element indices.
+
+    rows_at(start, stop) gives rows [start, stop) of the domain as an
+    (rows x m) index array, taken BLOCK rows at a time up to total.  A row
+    is dropped when one of its first `units` coordinates is not a unit.  On
+    the other coordinates a nontrivial character on a non-unit kills the row
+    and a trivial one contributes 1, its extension by 1 to the maximal
+    ideal.  With a twist b (m = 1), lambda_b(x_1) is multiplied in.
+
+    Each term is exp(2 pi i j / M), with j = sum_i X_i . dlog(x_i) mod L for
+    the exponents X_i scaled to L = lcm of the unit-group orders, plus the
+    additive exponent tr(b x_1) mod p^n scaled to M = lcm(L, p^n).  The terms
+    per j are counted exactly with bincount, and the counts become complex
+    once, over ascending j.  Returns (value, rows kept).
+    """
+    basis = decompose_unit_group(ring)
+    L = M = basis.lcm_order
+    X = np.array([c.exponents for c in chars], dtype=np.int64)
+    X *= L // np.array(basis.orders, dtype=np.int64)
+    nontrivial = X.any(axis=1)
+    if b is not None:
+        M = math.lcm(L, ring.pn)
+        # tr(b x) = sum_i x_i tr(b xi^i) over the polynomial-basis coordinates
+        w = np.array([ring.trace(b * ring.element(e)) for e in np.eye(ring.s, dtype=np.int64)])
+    dlog, unit = dlog_matrix(ring), ring.unit_mask()
+    counts = np.zeros(M, dtype=np.int64)
+    kept = 0
+    for start in range(0, total, BLOCK):
+        rows = rows_at(start, min(start + BLOCK, total))
+        on_unit = unit[rows]
+        keep = on_unit[:, :units].all(axis=1)
+        kept += int(np.count_nonzero(keep))
+        rows = rows[keep & ~(nontrivial & ~on_unit).any(axis=1)]
+        expo = np.zeros(len(rows), dtype=np.int64)
+        for i, x in enumerate(X):
+            expo += dlog[rows[:, i]] @ x
+        expo %= L
+        if b is not None:
+            additive = ring.coord_array()[rows[:, 0]] @ w % ring.pn
+            expo = expo * (M // L) + additive * (M // ring.pn)
+            expo %= M
+        counts += np.bincount(expo, minlength=M)
+    roots = root_table(M)
+    value = 0j
+    for j in np.flatnonzero(counts).tolist():
+        value += int(counts[j]) * roots[j]
+    return value, kept
+
+
+def _domain_sum(chars, k: int, a: RingElement, cap: int) -> tuple[SumValue, int]:
+    """The kernel over the solved domain for k: the sum and the rows kept."""
+    ring = _check_chars(chars)
+    ring._check_same(a)
+    m, units = len(chars), min(k, len(chars) - 1)
+    terms = ring.unit_count ** units * ring.element_count ** (m - 1 - units)
+    if terms > cap:
+        raise TooLarge(f"{terms} tuples exceeds cap {cap}")
+    value, kept = _root_sum(
+        ring, chars, lambda i, j: solved_domain(ring, m, k, a, i, j), terms, min(k, m)
+    )
+    return SumValue(value=value, expected=Expected.unclassified(), terms=terms), kept
+
+
+# ---------------------------------------------------------------------------
 # Gauss sums
 
 
 def _gauss_value(chi: MultCharacter, b: RingElement) -> complex:
     ring = chi.ring
     key = ("gauss", chi.exponents, b.coords)
-    if key in ring._cache:
-        return ring._cache[key]
-    lam = AdditiveCharacter(ring, b)
-    total = 0j
-    for u in ring.units():
-        total += (chi.eval_unit(u) * lam.eval(u)).to_complex()
-    ring._cache[key] = total
-    return total
+    if key not in ring._cache:
+        units = np.flatnonzero(ring.unit_mask())[:, None]
+        ring._cache[key] = _root_sum(ring, [chi], lambda i, j: units[i:j], len(units), 1, b)[0]
+    return ring._cache[key]
 
 
 def expected_gauss(chi: MultCharacter, b: RingElement) -> Expected:
@@ -242,17 +338,8 @@ def count_unit_solutions(ring: GaloisRing, m: int, a: RingElement) -> int:
 def count_unit_solutions_brute(
     ring: GaloisRing, m: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
 ) -> int:
-    units = ring.units()
-    if len(units) ** (m - 1) > cap:
-        raise TooLarge(f"{len(units) ** (m - 1)} tuples exceeds cap {cap}")
-    unit_set = {u.coords for u in units}
-
-    def walk(rem: tuple[int, ...], left: int) -> int:
-        if left == 0:
-            return 1 if rem in unit_set else 0
-        return sum(walk(ring._sub(rem, u.coords), left - 1) for u in units)
-
-    return walk(a.coords, m - 1)
+    """Number of unit m-tuples summing to a, by enumerating the solved domain."""
+    return _domain_sum([MultCharacter.trivial(ring)] * m, m, a, cap)[1]
 
 
 def s_cardinality_qn(q: int, n: int, m: int, k: int) -> int:
@@ -286,53 +373,11 @@ def _check_chars(chars) -> GaloisRing:
 def jacobi_brute(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> SumValue:
     """Direct sum over unit tuples with the given coordinate sum.
 
-    Iterates (x_1, ..., x_{m-1}) over units in lexicographic order and solves
-    for x_m, skipping tuples whose final coordinate is not a unit.
+    Enumerates (x_1, ..., x_{m-1}) over units and solves for x_m, dropping
+    tuples whose final coordinate is not a unit.
     """
     chars = list(chars)
-    ring = _check_chars(chars)
-    ring._check_same(a)
-    m = len(chars)
-    units = [u.coords for u in ring.units()]
-    n_terms = len(units) ** (m - 1)
-    if n_terms > cap:
-        raise TooLarge(f"{n_terms} tuples exceeds cap {cap}")
-    tables = [
-        {u.coords: chars[i].eval_unit(u).to_complex() for u in ring.units()}
-        for i in range(m)
-    ]
-    last = tables[m - 1]
-    sub = ring._sub
-    total = 0j
-    if m == 2:
-        t0 = tables[0]
-        ac = a.coords
-        for x in units:
-            c = last.get(sub(ac, x))
-            if c is not None:
-                total += t0[x] * c
-    elif m == 3:
-        t0, t1 = tables[0], tables[1]
-        ac = a.coords
-        for x1 in units:
-            r1 = sub(ac, x1)
-            v1 = t0[x1]
-            for x2 in units:
-                c = last.get(sub(r1, x2))
-                if c is not None:
-                    total += v1 * t1[x2] * c
-    else:
-        ac = a.coords
-        for combo in itertools.product(units, repeat=m - 1):
-            rem = ac
-            v = 1 + 0j
-            for i, x in enumerate(combo):
-                rem = sub(rem, x)
-                v *= tables[i][x]
-            c = last.get(rem)
-            if c is not None:
-                total += v * c
-    return SumValue(value=total, expected=Expected.unclassified(), terms=n_terms)
+    return _domain_sum(chars, len(chars), a, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -564,32 +609,9 @@ def tilde_jacobi_brute(
 ) -> SumValue:
     """Sum of extended character products over the mixed domain S."""
     chars = list(chars)
-    ring = _check_chars(chars)
-    ring._check_same(a)
-    m = len(chars)
-    if not 1 <= k <= m - 1:
+    if not 1 <= k <= len(chars) - 1:
         raise ValueError("need 1 <= k <= m - 1")
-    units = [u.coords for u in ring.units()]
-    everything = [x.coords for x in ring.elements()]
-    n_terms = len(units) ** k * len(everything) ** (m - 1 - k)
-    if n_terms > cap:
-        raise TooLarge(f"{n_terms} tuples exceeds cap {cap}")
-    tables = [c.value_table() for c in chars]
-    last = tables[m - 1]
-    sub = ring._sub
-    domains = [units] * k + [everything] * (m - 1 - k)
-    total = 0j
-    ac = a.coords
-    for combo in itertools.product(*domains):
-        rem = ac
-        v = 1 + 0j
-        for i, x in enumerate(combo):
-            rem = sub(rem, x)
-            if v:
-                v *= tables[i][x]
-        if v:
-            total += v * last[rem]
-    return SumValue(value=total, expected=Expected.unclassified(), terms=n_terms)
+    return _domain_sum(chars, k, a, cap)[0]
 
 
 def tilde_jacobi_classify(

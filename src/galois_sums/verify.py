@@ -39,11 +39,12 @@ from .codebook import (
     imax_exhaustive,
     imax_formula,
     imax_remark,
-    s_tuples,
+    s_indices,
     table2,
 )
 from .ring import GaloisRing, build_ring
 from .sums import (
+    SumValue,
     canonical_twists,
     count_unit_solutions,
     count_unit_solutions_brute,
@@ -132,12 +133,10 @@ def _jacobi_case_ok(ring: GaloisRing, chars, a, tol: float) -> tuple[bool, str]:
     if e.kind == "unclassified":
         return False, "unclassified"
     b = jacobi_brute(chars, a)
-    mag = e.magnitude(ring.q)
-    if abs(abs(b.value) - mag) > tol:
-        return False, f"|brute|={abs(b.value):.6g} expected {mag:.6g} ({e.lemma})"
-    if e.value is not None and abs(b.value - e.value) > tol:
-        return False, f"brute={b.value:.6g} expected {e.value:.6g} ({e.lemma})"
-    return True, ""
+    if SumValue(b.value, e, b.terms).agrees(ring.q, tol):
+        return True, ""
+    value = "" if e.value is None else f" = {e.value:.6g}"
+    return False, f"brute={b.value:.6g} expected |J| = {e.magnitude(ring.q):.6g}{value} ({e.lemma})"
 
 
 def verify_jacobi_pairs(tol: float = 1e-6) -> SuiteResult:
@@ -256,7 +255,7 @@ def verify_counting() -> SuiteResult:
                 )
         for m, k in [(2, 1), (3, 1), (3, 2)]:
             params = CodebookParams(ring=ring, m=m, k=k, a=ring.one)
-            enumerated = len(s_tuples(params))
+            enumerated = len(s_indices(params))
             formula = s_cardinality(ring, m, k)
             result.add(
                 f"{ring} |S| m={m} k={k}",
@@ -398,11 +397,7 @@ def verify_tilde_cases(seed: int = 1, trials: int = 500, tol: float = 1e-6) -> S
         expected = tilde_jacobi_classify(tup, k, a)
         cases[expected.lemma] = cases.get(expected.lemma, 0) + 1
         brute = tilde_jacobi_brute(tup, k, a)
-        mag = expected.magnitude(ring.q)
-        ok = mag is not None and abs(abs(brute.value) - mag) <= tol
-        if ok and expected.value is not None:
-            ok = abs(brute.value - expected.value) <= tol
-        if not ok:
+        if not SumValue(brute.value, expected, brute.terms).agrees(ring.q, tol):
             bad += 1
             if not witness:
                 witness = (

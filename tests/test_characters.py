@@ -10,16 +10,12 @@ from galois_sums import (
     AdditiveCharacter,
     RingMismatch,
     RootOfUnity,
-    additive_char_eval,
-    char_inv,
-    char_mul,
+    SubgroupCharacter,
     character_table_json,
-    classify,
     decompose_unit_group,
     enumerate_characters,
     extend_phi,
     lift_character,
-    phi_a,
     product_character,
     project_character,
     section_json,
@@ -41,8 +37,8 @@ def test_additive_character_basics(z9, gr4_16):
     for r in (z9, gr4_16):
         lam0 = AdditiveCharacter(r, r.zero)
         assert all(lam0.eval(x).is_one for x in r.elements())
-    assert additive_char_eval(z9, z9.one, z9.one) == RootOfUnity.make(1, 9)
-    assert additive_char_eval(gr4_16, gr4_16.one, gr4_16.xi) == RootOfUnity.make(3, 4)
+    assert AdditiveCharacter(z9, z9.one).eval(z9.one) == RootOfUnity.make(1, 9)
+    assert AdditiveCharacter(gr4_16, gr4_16.one).eval(gr4_16.xi) == RootOfUnity.make(3, 4)
 
 
 def test_additive_dual_is_complete(z9):
@@ -98,14 +94,14 @@ def test_dlog_covers_group_structure(gr8_64):
 
 def test_classify_examples(z9):
     chars = enumerate_characters(z9)
-    assert classify(chars[0]) == 0
+    assert chars[0].level == 0
     two = z9.scalar(2)
     by_value = {}
     for c in chars:
         v = c.eval_unit(two).reduced()
         by_value[(v.numerator, v.order)] = c
-    assert classify(by_value[(1, 6)]) == 2  # full-order value at a generator
-    assert classify(by_value[(1, 2)]) == 1  # order-2 value: trivial on 1 + 3R
+    assert by_value[(1, 6)].level == 2  # full-order value at a generator
+    assert by_value[(1, 2)].level == 1  # order-2 value: trivial on 1 + 3R
 
 
 def test_classify_partition_sizes():
@@ -120,16 +116,16 @@ def test_classify_partition_sizes():
 def test_char_group_operations(z9):
     chars = enumerate_characters(z9)
     for c in chars:
-        assert char_mul(c, char_inv(c)).is_trivial
-        assert char_mul(chars[0], c) == c
+        assert (c * c.inverse()).is_trivial
+        assert chars[0] * c == c
     lows = [c for c in chars if c.level <= 1]
     for c1, c2 in itertools.product(lows, repeat=2):
-        assert char_mul(c1, c2).level <= 1
+        assert (c1 * c2).level <= 1
 
 
 def test_char_mul_ring_mismatch(z9, gr4_16):
     with pytest.raises(RingMismatch):
-        char_mul(enumerate_characters(z9)[0], enumerate_characters(gr4_16)[0])
+        enumerate_characters(z9)[0] * enumerate_characters(gr4_16)[0]
 
 
 def test_orthogonality():
@@ -161,12 +157,12 @@ def test_extended_eval(z9):
 
 def test_phi_a(z9):
     field = z9.residue_field()
-    assert all(phi_a(z9, field.zero).eval(w).is_one for w in z9.one_plus_ideal(1))
-    assert phi_a(z9, field.scalar(1)).eval(z9.scalar(4)) == RootOfUnity.make(1, 3)
+    assert all(SubgroupCharacter(z9, field.zero).eval(w).is_one for w in z9.one_plus_ideal(1))
+    assert SubgroupCharacter(z9, field.scalar(1)).eval(z9.scalar(4)) == RootOfUnity.make(1, 3)
     # distinctness: the q subgroup characters are pairwise different
     sigs = set()
     for a in field.elements():
-        pa = phi_a(z9, a)
+        pa = SubgroupCharacter(z9, a)
         sigs.add(tuple(pa.eval(w).numerator for w in z9.one_plus_ideal(1)))
     assert len(sigs) == z9.q
 
@@ -178,7 +174,7 @@ def test_extend_phi_restriction(key):
     pk = r.p ** (r.n - 1)
     for a in field.elements():
         chi = extend_phi(r, a)
-        pa = phi_a(r, a)
+        pa = SubgroupCharacter(r, a)
         for x in field.elements():
             lifted = r.element(tuple(c % r.pn for c in x.coords))
             w = r.one + r.scalar(pk) * lifted
@@ -191,7 +187,7 @@ def test_extend_phi_section_properties(z9):
     sections = [extend_phi(z9, a) for a in field.elements()]
     assert len({s.exponents for s in sections}) == z9.q
     for a, b in itertools.permutations(field.elements(), 2):
-        quot = char_mul(extend_phi(z9, a), char_inv(extend_phi(z9, b)))
+        quot = extend_phi(z9, a) * extend_phi(z9, b).inverse()
         assert quot.is_primitive
 
 

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from galois_sums.cli import main
 
 
@@ -115,16 +113,6 @@ def test_codebook_command(capsys, tmp_path):
     assert abs(payload["imax_measured"] - payload["imax_formula"]) < 1e-9
     assert out_file.exists()
     assert len(out_file.read_text().splitlines()) == 162
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_thread_count_exits_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("GALOIS_SUMS_THREADS", value)
-    code, _, err = run(
-        capsys, "codebook", "-p", "3", "-n", "2", "-s", "1", "-m", "3", "-k", "1"
-    )
-    assert code == 2
-    assert "GALOIS_SUMS_THREADS" in err and repr(value) in err
 
 
 def test_codebook_without_support_exits_2(capsys):

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
+import galois_sums.sums as sums_module
 from galois_sums import (
     AdditiveCharacter,
+    Expected,
     RingMismatch,
+    SumValue,
     TooLarge,
+    build_ring,
     canonical_twists,
     canonicalize,
-    char_inv,
-    char_mul,
     count_unit_solutions,
     count_unit_solutions_brute,
     enumerate_characters,
@@ -25,6 +27,7 @@ from galois_sums import (
     project_character,
     s_cardinality,
     s_cardinality_qn,
+    term_tolerance,
     tilde_jacobi_brute,
     tilde_jacobi_classify,
 )
@@ -72,7 +75,7 @@ def test_gauss_conjugation_symmetry():
         for _ in range(25):
             chi = rng.choice(chars)
             b = rng.choice(r.elements())
-            lhs = gauss_sum(char_inv(chi), -b).value
+            lhs = gauss_sum(chi.inverse(), -b).value
             rhs = gauss_sum(chi, b).value.conjugate()
             assert abs(lhs - rhs) < 1e-9
 
@@ -107,7 +110,7 @@ def test_jacobi_primitive_pair_magnitude(z9):
         (c1, c2)
         for c1 in chars
         for c2 in chars
-        if c1.is_primitive and c2.is_primitive and char_mul(c1, c2).is_primitive
+        if c1.is_primitive and c2.is_primitive and (c1 * c2).is_primitive
     )
     sv = jacobi(list(pair), z9.one)
     assert abs(abs(sv.value) - 3.0) < 1e-6
@@ -128,7 +131,7 @@ def test_jacobi_ideal_twist_gauss_quotient(z9):
     chars = enumerate_characters(z9)
     found = None
     for c1, c2 in itertools.product(chars, repeat=2):
-        if c2.is_primitive and not c1.is_trivial and char_mul(c1, c2).level == 1:
+        if c2.is_primitive and not c1.is_trivial and (c1 * c2).level == 1:
             found = (c1, c2)
             break
     sv = jacobi(list(found), z9.scalar(3))
@@ -220,7 +223,7 @@ def test_gauss_quotient_identity(z9, gr4_16):
         for c1, c2 in itertools.product(chars, repeat=2):
             if not c2.is_primitive:
                 continue
-            prod = char_mul(c1, c2)
+            prod = c1 * c2
             t = prod.level
             if not 1 <= t <= n - 1:
                 continue
@@ -330,3 +333,104 @@ def test_expected_gauss_field_case(f4):
     e = expected_gauss(nontriv, f4.one)
     assert e.kind == "power_of_q" and float(e.exponent) == 0.5
     assert abs(abs(gauss_sum(nontriv, f4.one).value) - 2.0) < 1e-9
+
+
+def test_unclassified_expectation_never_agrees():
+    sv = SumValue(0j, Expected.unclassified(), terms=6)
+    assert not sv.agrees(3)
+    assert not sv.agrees(3, tol=1e9)
+
+
+# ---------------------------------------------------------------------------
+# the root-count kernel against a per-term reference
+
+
+def reference_domain_sum(chars, k, a):
+    """Per-term sum over the solved domain, and the number of rows kept.
+
+    x_1..x_min(k, m-1) run over units and the rest of the free block over
+    all elements, in itertools.product order; x_m = a - sum by ring
+    subtraction.  A row is kept when its first min(k, m) coordinates are
+    units, and adds the product of the characters' extended values on it.
+    """
+    r, m = chars[0].ring, len(chars)
+    head = min(k, m - 1)
+    total, kept = 0j, 0
+    for free in itertools.product(*([r.units()] * head + [r.elements()] * (m - 1 - head))):
+        last = a
+        for x in free:
+            last = last - x
+        row = free + (last,)
+        if not all(x.is_unit for x in row[: min(k, m)]):
+            continue
+        kept += 1
+        term = 1 + 0j
+        for c, x in zip(chars, row):
+            term *= c.extended_eval(x)
+        total += term
+    return total, kept
+
+
+@pytest.mark.parametrize(
+    "key, m", [((3, 2, 1), 2), ((2, 2, 2), 2), ((3, 2, 1), 3), ((2, 2, 2), 3), ((3, 3, 1), 4)]
+)
+def test_jacobi_brute_matches_reference(key, m):
+    # GR(3^3, 3^3) with m = 4 has 18^3 = 5832 rows, more than one kernel block
+    r = ring(*key)
+    chars = enumerate_characters(r)
+    rng = random.Random(11)
+    for _ in range(3 if m == 4 else 8):
+        tup = [rng.choice(chars) for _ in range(m)]
+        a = rng.choice(r.elements())
+        want, kept = reference_domain_sum(tup, m, a)
+        sv = jacobi_brute(tup, a)
+        assert sv.terms == r.unit_count ** (m - 1)
+        assert abs(sv.value - want) <= term_tolerance(sv.terms)
+        assert count_unit_solutions_brute(r, m, a) == kept
+
+
+@pytest.mark.parametrize("key, m", [((3, 2, 1), 3), ((2, 2, 2), 3), ((3, 2, 1), 4)])
+def test_tilde_brute_matches_reference(key, m):
+    r = ring(*key)
+    chars = enumerate_characters(r)
+    rng = random.Random(12)
+    for k in range(1, m):
+        for _ in range(4):
+            # one trivial character, so terms with a non-unit there survive
+            tup = [rng.choice(chars) for _ in range(m - 1)] + [chars[0]]
+            rng.shuffle(tup)
+            a = rng.choice(r.elements())
+            want, _ = reference_domain_sum(tup, k, a)
+            sv = tilde_jacobi_brute(tup, k, a)
+            assert sv.terms == r.unit_count ** k * r.element_count ** (m - 1 - k)
+            assert abs(sv.value - want) <= term_tolerance(sv.terms)
+
+
+@pytest.mark.parametrize("key", [(3, 2, 2), (2, 2, 2)])
+def test_gauss_sum_matches_reference(key):
+    # s = 2: the additive exponent runs through both trace weights tr(b xi^i)
+    r = ring(*key)
+    rng = random.Random(13)
+    twists = canonical_twists(r) + [rng.choice(r.elements()) for _ in range(3)]
+    for chi in rng.sample(enumerate_characters(r), 12):
+        for b in twists:
+            sv = gauss_sum(chi, b)
+            assert abs(sv.value - brute_gauss(r, chi, b)) <= term_tolerance(sv.terms)
+
+
+def test_brute_sums_independent_of_block_size(monkeypatch):
+    """Exact root counts: the values are bit-identical for any block size."""
+
+    def sums():
+        z27, gr9 = build_ring(3, 3, 1), build_ring(3, 2, 2)  # fresh Gauss caches
+        c27, c9 = enumerate_characters(z27), enumerate_characters(gr9)
+        return [
+            jacobi_brute([c27[1], c27[5], c27[7], c27[16]], z27.scalar(3)).value,
+            tilde_jacobi_brute([c27[4], c27[0], c27[9]], 1, z27.scalar(2)).value,
+            gauss_sum(c9[29], gr9.element((4, 7))).value,
+            count_unit_solutions_brute(z27, 4, z27.scalar(9)),
+        ]
+
+    default = sums()
+    monkeypatch.setattr(sums_module, "BLOCK", 7)
+    assert sums() == default
