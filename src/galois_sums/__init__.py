@@ -2,12 +2,14 @@
 
 from .errors import (
     BadLevel,
+    BrokenInvariant,
     CodebookError,
     DegenerateDimensions,
     GaloisSumsError,
     InvalidModulus,
     NotAUnit,
     NotInBaseRing,
+    NotInSubgroup,
     NotPrimePower,
     RingMismatch,
     SizeLimit,
@@ -27,6 +29,7 @@ from .characters import (
     RootOfUnity,
     SubgroupCharacter,
     UnitGroupBasis,
+    character_levels,
     character_table_json,
     decompose_unit_group,
     enumerate_characters,

@@ -5,12 +5,15 @@ canonical character.  Multiplicative characters are stored as exponent tuples
 against a fixed basis of the unit group R* = T* x (1 + M); values are exact
 roots of unity until a summation kernel converts them to complex doubles.
 
-The unit-group basis is computed generically: the Teichmuller generator xi
-spans the T* factor and the p-group 1 + M is decomposed into cyclic factors
-by a recursive maximal-order search with explicit quotient cosets.  The full
-discrete-log table over R* is built once per ring and cached on the ring,
-and dlog_matrix lays it out as a numpy array over element indices for the
-vectorized kernels.
+The structural tables are whole-array passes over element indices, each
+built once per ring and cached on it.  The Teichmuller generator xi spans the
+T* factor; the p-group 1 + M is split into cyclic factors over its index
+array (element orders by repeated p-th powers, coset representatives as the
+least list position of each orbit), making the same choices as the
+per-element definition.  dlog_matrix (elements x r) comes from multiplying
+out every exponent tuple, character_levels holds the triviality level of
+every character, and the section map and the character table are read from
+the exponent and dlog arrays.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RingMismatch
+from .errors import BrokenInvariant, NotInSubgroup, RingMismatch
 from .ring import GaloisRing, RingElement
 
 
@@ -110,6 +113,11 @@ class AdditiveCharacter:
 # ---------------------------------------------------------------------------
 # unit-group basis
 
+# characters per block of the level and section scans, and the first block of
+# subgroup rows a level scan checks them on (later blocks double in size)
+CHAR_BLOCK = 2048
+ROW_BLOCK = 8
+
 
 @dataclass
 class UnitGroupBasis:
@@ -127,99 +135,130 @@ class UnitGroupBasis:
     lcm_order: int
 
 
-def _group_order(mul, one, g, bound: int) -> int:
-    acc = g
-    for k in range(1, bound + 1):
-        if acc == one:
-            return k
-        acc = mul(acc, g)
-    raise AssertionError("order exceeds group size")
-
-
-def _abelian_basis(elems: list, mul, one) -> list[tuple[object, int]]:
-    """Direct-product basis of a finite abelian group given as an element list.
-
-    Picks a maximal-order element g (first in list order), forms the quotient
-    by <g> with canonical coset representatives, recurses, then adjusts each
-    lifted generator k by a power of g so that its true order matches its
-    quotient order.  The classical divisibility argument guarantees the
-    adjustment exponent is integral.
-    """
-    if len(elems) == 1:
-        return []
-    bound = len(elems)
-    orders = {e: _group_order(mul, one, e, bound) for e in elems}
-    d = max(orders.values())
-    g = next(e for e in elems if orders[e] == d)
-    gpow = [one]
-    for _ in range(d - 1):
-        gpow.append(mul(gpow[-1], g))
-    dlog_g = {e: j for j, e in enumerate(gpow)}
-    if d == bound:
-        return [(g, d)]
-
-    rep_of: dict = {}
-    reps = []
-    for e in elems:
-        if e in rep_of:
-            continue
-        reps.append(e)
-        for gj in gpow:
-            rep_of[mul(e, gj)] = e
-
-    def qmul(a, b):
-        return rep_of[mul(a, b)]
-
-    qone = rep_of[one]
-    sub = _abelian_basis(reps, qmul, qone)
-    out = [(g, d)]
-    for k, e in sub:
-        acc = k
-        for _ in range(e - 1):
-            acc = mul(acc, k)
-        c = dlog_g[acc]  # k^e lands in <g>
-        assert c % e == 0
-        shift = gpow[(d - c // e) % d]
-        out.append((mul(k, shift), e))
+def _powers(ring: GaloisRing, g: np.ndarray, d: int) -> np.ndarray:
+    """Coordinates of g^0, ..., g^(d-1), one row each, by doubling."""
+    out = np.empty((d, ring.s), dtype=np.int64)
+    out[0] = ring.one.coords
+    k, step = 1, g
+    while k < d:
+        m = min(k, d - k)
+        out[k : k + m] = ring.mul_array(out[:m], step)
+        step = ring.mul_array(step, step)
+        k *= 2
     return out
 
 
+def _abelian_basis(
+    ring: GaloisRing, elems: np.ndarray, position, rep: np.ndarray
+) -> list[tuple[int, int]]:
+    """Direct-product basis of the quotient of the p-group 1 + M named by rep.
+
+    elems holds the coordinates of 1 + M in list order (the identity first),
+    position maps coordinate rows back to list positions, and rep[i] is the
+    least position in the coset of element i, so the quotient's elements are
+    the positions with rep[i] == i, in order of first appearance.  Picks the
+    first element g of maximal quotient order d (orders by repeated p-th
+    powers), takes the coset representatives of <g> as the least position
+    over each orbit e * g^j, recurses on that quotient, then adjusts each
+    lifted generator k of quotient order e by a power of g so that its order
+    here is e.  The classical divisibility argument guarantees the
+    adjustment exponent is integral.  Returns (position, order) pairs.
+    """
+    reps = np.flatnonzero(rep == np.arange(len(rep)))
+    if len(reps) == 1:
+        return []
+    p = ring.p
+    order = np.ones(len(reps), dtype=np.int64)
+    cur = elems[reps]
+    alive = rep[position(cur)] != 0
+    while alive.any():
+        order[alive] *= p
+        cur = ring.pow_array(cur, p)
+        alive = rep[position(cur)] != 0
+    d = int(order.max())
+    g = int(reps[np.argmax(order)])
+    if d == len(reps):
+        return [(g, d)]
+
+    gpow = _powers(ring, elems[g], d)
+    gdlog = np.full(len(rep), -1, dtype=np.int64)
+    gdlog[rep[position(gpow)]] = np.arange(d)
+
+    # least position over each orbit of x -> x * g on the quotient, by doubling
+    slot = np.full(len(rep), -1, dtype=np.int64)
+    slot[reps] = np.arange(len(reps))
+    step = slot[rep[position(ring.mul_array(elems[reps], elems[g]))]]
+    low = reps.copy()
+    span = 1
+    while span < d:
+        low = np.minimum(low, low[step])
+        step = step[step]
+        span *= 2
+    sub = _abelian_basis(ring, elems, position, low[slot[rep]])
+
+    out = [(g, d)]
+    for k, e in sub:
+        c = int(gdlog[rep[position(ring.pow_array(elems[k], e))]])
+        if c < 0 or c % e:
+            raise BrokenInvariant(f"generator power lands at {c}, not a multiple of {e} in <g>")
+        shift = gpow[(d - c // e) % d]
+        out.append((int(rep[position(ring.mul_array(elems[k], shift))]), e))
+    return out
+
+
+def _one_plus_ideal_coords(ring: GaloisRing, k: int) -> np.ndarray:
+    """Coordinates of 1 + p^k R in one_plus_ideal(k) order, one row each."""
+    m = ring.p ** (ring.n - k)
+    radix = m ** np.arange(ring.s - 1, -1, -1, dtype=np.int64)
+    coords = ring.p ** k * ((np.arange(m ** ring.s, dtype=np.int64)[:, None] // radix) % m)
+    coords[:, 0] += 1
+    return coords
+
+
 def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
-    """Basis of R* = T* x (1 + M) with a complete dlog table, cached per ring."""
+    """Basis of R* = T* x (1 + M) with a complete dlog table, cached per ring.
+
+    The dlog table comes from generation: prod g_i^(e_i) over every exponent
+    tuple, in lex order, must hit each unit exactly once.
+    """
     if "unit_basis" in ring._cache:
         return ring._cache["unit_basis"]
 
-    one = ring.one
-    h_elems = ring.one_plus_ideal(1) if ring.n > 1 else [one]
+    p = ring.p
+    radix = (ring.pn // p) ** np.arange(ring.s - 1, -1, -1, dtype=np.int64)
+    e1 = np.array(ring.one.coords, dtype=np.int64)
 
-    def mul(a: RingElement, b: RingElement) -> RingElement:
-        return a * b
+    def position(coords: np.ndarray) -> np.ndarray:
+        return ((coords - e1) // p) @ radix
 
-    h_basis = _abelian_basis(h_elems, mul, one)
+    if ring.n > 1:
+        elems = _one_plus_ideal_coords(ring, 1)
+        h_basis = _abelian_basis(ring, elems, position, np.arange(len(elems)))
+    else:
+        elems, h_basis = None, []
 
-    h_dlog: dict[tuple[int, ...], tuple[int, ...]] = {one.coords: ()}
-    for g, d in h_basis:
-        new = {}
-        for coords, t in h_dlog.items():
-            acc = RingElement(ring, coords)
-            for j in range(d):
-                new[acc.coords] = t + (j,)
-                acc = acc * g
-        h_dlog = new
-    assert len(h_dlog) == len(h_elems)
-
-    generators = (ring.xi,) + tuple(g for g, _ in h_basis)
+    generators = (ring.xi,) + tuple(
+        RingElement(ring, tuple(elems[g].tolist())) for g, _ in h_basis
+    )
     orders = (ring.q - 1,) + tuple(d for _, d in h_basis)
+    if math.prod(orders) != ring.unit_count:
+        raise BrokenInvariant(f"generator orders {orders} do not multiply to {ring.unit_count}")
 
-    dlog: dict[tuple[int, ...], tuple[int, ...]] = {}
-    q1 = ring.q - 1
-    for u in ring.units():
-        c0 = ring.teich_lift(u)
-        i = ring.dlog_T[c0.coords]
-        c0_inv = ring.xi_powers[(q1 - i) % q1]
-        v = u * c0_inv
-        dlog[u.coords] = (i,) + h_dlog[v.coords]
-    assert len(dlog) == ring.unit_count
+    exps = np.unravel_index(np.arange(ring.unit_count), orders)
+    coords = None
+    for g, d, e in zip(generators, orders, exps):
+        factor = _powers(ring, np.array(g.coords, dtype=np.int64), d)[e]
+        coords = factor if coords is None else ring.mul_array(coords, factor)
+    idx = ring.index_of(coords)
+    if not np.array_equal(np.bincount(idx, minlength=ring.element_count), ring.unit_mask()):
+        raise BrokenInvariant("the generators do not factor every unit exactly once")
+    table = np.zeros((ring.element_count, len(orders)), dtype=np.int64)
+    table[idx] = np.stack(exps, axis=1)
+    table.flags.writeable = False
+
+    units = np.flatnonzero(ring.unit_mask())
+    columns = [table[units, j].tolist() for j in range(len(orders))]
+    dlog = dict(zip((u.coords for u in ring.units()), zip(*columns)))
 
     basis = UnitGroupBasis(
         ring=ring,
@@ -228,6 +267,7 @@ def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
         dlog=dlog,
         lcm_order=math.lcm(*orders),
     )
+    ring._cache["dlog_matrix"] = table
     ring._cache["unit_basis"] = basis
     return basis
 
@@ -236,16 +276,68 @@ def dlog_matrix(ring: GaloisRing) -> np.ndarray:
     """Read-only (q^n x r) dlog exponents indexed like ring.coord_array().
 
     Row i is basis.dlog of element i for a unit and zeros otherwise (mask
-    with ring.unit_mask()).  Built on first use and cached on the ring.
+    with ring.unit_mask()).  Built with the basis and cached on the ring.
     """
-    if "dlog_matrix" not in ring._cache:
-        basis = decompose_unit_group(ring)
-        units = np.flatnonzero(ring.unit_mask())
-        table = np.zeros((ring.element_count, len(basis.orders)), dtype=np.int64)
-        table[units] = [basis.dlog[u.coords] for u in ring.units()]
-        table.flags.writeable = False
-        ring._cache["dlog_matrix"] = table
+    decompose_unit_group(ring)
     return ring._cache["dlog_matrix"]
+
+
+def _scaled_exponents(basis: UnitGroupBasis, start: int, stop: int) -> np.ndarray:
+    """X_i = e_i * (L / d_i) for characters [start, stop) in enumerate_characters order.
+
+    A character's value at a unit w is exp(2 pi i (X . dlog(w)) / L).
+    """
+    exps = np.stack(np.unravel_index(np.arange(start, stop), basis.orders), axis=1)
+    return exps * (basis.lcm_order // np.array(basis.orders, dtype=np.int64))
+
+
+def _trivial_on(x: np.ndarray, rows: np.ndarray, L: int) -> np.ndarray:
+    """Mask of the characters (rows of x) trivial at every dlog row of rows.
+
+    Rows are checked in blocks that double from ROW_BLOCK; only characters
+    trivial on every block so far meet the next one, so the survivors were
+    checked on every row.
+    """
+    alive = np.arange(len(x))
+    start, size = 0, ROW_BLOCK
+    while start < len(rows) and len(alive):
+        vals = (x[alive] @ rows[start : start + size].T) % L
+        alive = alive[~vals.any(axis=1)]
+        start += size
+        size *= 2
+    mask = np.zeros(len(x), dtype=bool)
+    mask[alive] = True
+    return mask
+
+
+def character_levels(ring: GaloisRing) -> np.ndarray:
+    """Read-only int8 triviality levels of every character, in enumerate_characters order.
+
+    The level is the least k with the character trivial on 1 + p^k R; k = 0
+    is read as the whole unit group, so only the trivial character has level
+    0, and every character is trivial on 1 + p^n R = {1}.  Cached per ring.
+    """
+    if "character_levels" not in ring._cache:
+        basis = decompose_unit_group(ring)
+        table = dlog_matrix(ring)
+        subgroups = [
+            table[ring.index_of(_one_plus_ideal_coords(ring, k))] for k in range(1, ring.n)
+        ]
+        count = math.prod(basis.orders)
+        levels = np.full(count, ring.n, dtype=np.int8)
+        for start in range(0, count, CHAR_BLOCK):
+            x = _scaled_exponents(basis, start, min(start + CHAR_BLOCK, count))
+            block = levels[start : start + len(x)]
+            nontrivial = x.any(axis=1)
+            block[~nontrivial] = 0
+            pending = np.flatnonzero(nontrivial)
+            for k, rows in enumerate(subgroups, start=1):
+                hit = _trivial_on(x[pending], rows, basis.lcm_order)
+                block[pending[hit]] = k
+                pending = pending[~hit]
+        levels.flags.writeable = False
+        ring._cache["character_levels"] = levels
+    return ring._cache["character_levels"]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +347,7 @@ def dlog_matrix(ring: GaloisRing) -> np.ndarray:
 class MultCharacter:
     """A multiplicative character of R*, stored as exponents against the basis."""
 
-    __slots__ = ("ring", "basis", "exponents", "_level")
+    __slots__ = ("ring", "basis", "exponents")
 
     def __init__(self, ring: GaloisRing, exponents):
         self.ring = ring
@@ -264,7 +356,6 @@ class MultCharacter:
         if len(exps) != len(self.basis.orders):
             raise ValueError("exponent tuple has wrong length")
         self.exponents = exps
-        self._level: int | None = None
 
     @classmethod
     def trivial(cls, ring: GaloisRing) -> MultCharacter:
@@ -290,24 +381,24 @@ class MultCharacter:
         return complex(1.0) if self.is_trivial else complex(0.0)
 
     def trivial_on_subgroup(self, k: int) -> bool:
-        """Trivial on 1 + p^k R; k = 0 is read as the whole unit group."""
-        if k <= 0:
-            return self.is_trivial
-        if k >= self.ring.n:
-            return True
-        return all(self.eval_unit(w).is_one for w in self.ring.one_plus_ideal(k))
+        """Trivial on 1 + p^k R; k = 0 is read as the whole unit group.
+
+        The subgroups shrink as k grows, so by minimality of the level this
+        holds exactly when level <= k.
+        """
+        return self.level <= max(k, 0)
 
     @property
     def level(self) -> int:
-        """Triviality level in {0..n}: least k with chi trivial on 1 + p^k R."""
-        if self._level is None:
-            lvl = self.ring.n
-            for k in range(self.ring.n + 1):
-                if self.trivial_on_subgroup(k):
-                    lvl = k
-                    break
-            self._level = lvl
-        return self._level
+        """Triviality level in {0..n}: least k with chi trivial on 1 + p^k R.
+
+        Looked up in character_levels by the mixed-radix index of the
+        exponents.
+        """
+        index = 0
+        for e, d in zip(self.exponents, self.basis.orders):
+            index = index * d + e
+        return int(character_levels(self.ring)[index])
 
     @property
     def is_primitive(self) -> bool:
@@ -326,7 +417,8 @@ class MultCharacter:
     def sign_at_minus_one(self) -> int:
         """chi(-1), always +1 or -1."""
         v = self.eval_unit(-self.ring.one)
-        assert 2 * v.numerator % v.order == 0
+        if 2 * v.numerator % v.order:
+            raise BrokenInvariant(f"chi(-1) = {v} is not a sign")
         return 1 if v.is_one else -1
 
     def __eq__(self, other: object) -> bool:
@@ -387,7 +479,8 @@ class SubgroupCharacter:
     def eval(self, w: RingElement) -> RootOfUnity:
         pk = self.ring.p ** (self.ring.n - 1)
         diff = (w - self.ring.one).coords
-        assert all(c % pk == 0 for c in diff), "element not in 1 + p^(n-1) R"
+        if any(c % pk for c in diff):
+            raise NotInSubgroup(f"{w} is not in 1 + p^{self.ring.n - 1} R")
         x = self.field.element(tuple((c // pk) % self.ring.p for c in diff))
         return RootOfUnity.make(self.field.trace(self.a * x), self.ring.p)
 
@@ -398,46 +491,51 @@ def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCh
     section = "lex-min" picks the lexicographically smallest exponent tuple
     with the right restriction (so the a = 0 section is the trivial
     character); "lex-max" picks the largest and exists to demonstrate that
-    downstream quantities do not depend on the choice.
+    downstream quantities do not depend on the choice.  Restriction
+    signatures over the q points 1 + p^(n-1) x come from the exponent and
+    dlog arrays, in blocks of characters scanned from the chosen end until
+    all q signatures are seen.
     """
     key = ("section", section)
     if key in ring._cache:
         return ring._cache[key]
     if section not in ("lex-min", "lex-max"):
         raise ValueError(f"unknown section {section!r}")
+    if ring.n < 2:
+        raise ValueError("phi_a needs characteristic exponent n >= 2")
+    basis = decompose_unit_group(ring)
     field = ring.residue_field()
-    p = ring.p
-    pk = p ** (ring.n - 1)
-    ws = []
-    for x in field.elements():
-        lifted = ring.element(tuple(c % ring.pn for c in x.coords))
-        ws.append(ring.one + ring.scalar(pk) * lifted)
+    p, L = ring.p, basis.lcm_order
+    points = p ** (ring.n - 1) * field.coord_array()
+    points[:, 0] += 1
+    w = dlog_matrix(ring)[ring.index_of(points)].T
 
-    def restriction_sig(chi: MultCharacter) -> tuple[int, ...]:
-        sig = []
-        for w in ws:
-            v = chi.eval_unit(w)
-            num = v.numerator * p
-            assert num % v.order == 0
-            sig.append((num // v.order) % p)
-        return tuple(sig)
-
-    chars = enumerate_characters(ring)
+    count = math.prod(basis.orders)
+    starts = range(0, count, CHAR_BLOCK)
     if section == "lex-max":
-        chars = list(reversed(chars))
-    by_sig: dict[tuple[int, ...], MultCharacter] = {}
-    for chi in chars:
-        sig = restriction_sig(chi)
-        if sig not in by_sig:
-            by_sig[sig] = chi
+        starts = reversed(starts)
+    by_sig: dict[tuple[int, ...], int] = {}
+    for start in starts:
+        stop = min(start + CHAR_BLOCK, count)
+        num = (_scaled_exponents(basis, start, stop) @ w) % L
+        if (num * p % L).any():
+            raise BrokenInvariant("a character takes a non-p-th root of unity on 1 + p^(n-1) R")
+        sig = num * p // L
+        if section == "lex-max":
+            sig = sig[::-1]
+        rows, first = np.unique(sig, axis=0, return_index=True)
+        for row, i in zip(rows.tolist(), first.tolist()):
+            by_sig.setdefault(tuple(row), start + i if section == "lex-min" else stop - 1 - i)
+        if len(by_sig) == ring.q:
+            break
 
     out: dict[tuple[int, ...], MultCharacter] = {}
     for a in field.elements():
-        target = tuple(
-            field.trace(a * x) % p for x in field.elements()
-        )
-        out[a.coords] = by_sig[target]
-    assert len(out) == ring.q
+        target = tuple(field.trace(a * x) % p for x in field.elements())
+        if target not in by_sig:
+            raise BrokenInvariant(f"no character of R* restricts to phi_{a.coords}")
+        exps = np.unravel_index(by_sig[target], basis.orders)
+        out[a.coords] = MultCharacter(ring, tuple(int(e) for e in exps))
     ring._cache[key] = out
     return out
 
@@ -463,7 +561,8 @@ def lift_character(psi: MultCharacter, ring: GaloisRing) -> MultCharacter:
     for g, d in zip(basis.generators, basis.orders):
         v = psi.eval_unit(ring.reduce(g, k))
         num = v.numerator * d
-        assert num % v.order == 0
+        if num % v.order:
+            raise BrokenInvariant(f"psi at the image of a generator has order beyond {d}")
         exps.append((num // v.order) % d)
     return MultCharacter(ring, tuple(exps))
 
@@ -480,7 +579,8 @@ def project_character(chi: MultCharacter, k: int) -> MultCharacter:
         lifted = ring.element(tuple(c % ring.pn for c in g.coords))
         v = chi.eval_unit(lifted)
         num = v.numerator * d
-        assert num % v.order == 0
+        if num % v.order:
+            raise BrokenInvariant(f"chi at a lifted generator has order beyond {d}")
         exps.append((num // v.order) % d)
     return MultCharacter(target, tuple(exps))
 
@@ -490,9 +590,14 @@ def project_character(chi: MultCharacter, k: int) -> MultCharacter:
 
 
 def character_table_json(ring: GaloisRing) -> list[dict]:
+    """Exponents and level of every character, from the exponent and level arrays."""
+    basis = decompose_unit_group(ring)
+    columns = [
+        c.tolist() for c in np.unravel_index(np.arange(math.prod(basis.orders)), basis.orders)
+    ]
+    levels = character_levels(ring).tolist()
     return [
-        {"exponents": list(chi.exponents), "triviality_level": chi.level}
-        for chi in enumerate_characters(ring)
+        {"exponents": list(e), "triviality_level": lv} for e, lv in zip(zip(*columns), levels)
     ]
 
 

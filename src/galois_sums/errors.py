@@ -43,3 +43,11 @@ class NotPrimePower(GaloisSumsError):
 
 class CodebookError(GaloisSumsError):
     """A codebook or its export is inconsistent with its own parameters."""
+
+
+class BrokenInvariant(GaloisSumsError):
+    """An identity the algebra guarantees failed, indicating an arithmetic bug."""
+
+
+class NotInSubgroup(GaloisSumsError):
+    """An element lies outside the subgroup a character is defined on."""

@@ -7,14 +7,19 @@ x^(p^s - 1) - 1 over Z_{p^n}.  Elements are stored in the polynomial basis
 multiplicative order p^s - 1.  For s = 1 the ring is Z_{p^n} itself and xi
 is the unique Teichmuller generator of the (p-1)-torsion.
 
-Structural tables (Teichmuller set, discrete logs against xi, the Frobenius
-coordinate map) are built eagerly and every invariant (order of xi, t^q = t,
-exact divisibility of x^(q-1) - 1 by the modulus) is checked at build time;
-failures raise InvalidModulus.  Derived tables, among them the numpy index
-tables that vectorized kernels use (element index = position in elements()),
-are cached lazily, but each cache entry is a deterministic function of the
-ring alone, so rings are safe to share across threads: a racing
-recomputation writes the same value.
+Structural tables are built eagerly and every invariant is checked at build
+time (order of xi, t^q = t, distinct Teichmuller residues, exact divisibility
+of x^(q-1) - 1 by the modulus); failures raise InvalidModulus.  They are the
+Teichmuller set with its discrete logs against xi, a lookup from residues
+mod p to Teichmuller representatives (teich_lift and the digits of
+teichmuller_decompose are lookups, equal to x^(q^(n-1)) on every element),
+the Frobenius coordinate map, and the trace as a linear form: the weights
+tr(xi^i), each computed once as a Frobenius sum.  Derived tables, among them
+the numpy index tables that vectorized kernels use (element index = position
+in elements(); mul_array multiplies coordinate arrays row-wise), are cached
+lazily, but each cache entry is a deterministic function of the ring alone,
+so rings are safe to share across threads: a racing recomputation writes the
+same value.
 """
 from __future__ import annotations
 
@@ -23,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLevel, InvalidModulus, NotAUnit, NotInBaseRing, SizeLimit
+from .errors import (
+    BadLevel,
+    BrokenInvariant,
+    InvalidModulus,
+    NotAUnit,
+    NotInBaseRing,
+    SizeLimit,
+)
 
 DEFAULT_ELEMENT_CAP = 1 << 20
 
@@ -361,6 +373,10 @@ class GaloisRing:
             if self._pow(t.coords, self.q) != t.coords:
                 raise InvalidModulus("Teichmuller element fails t^q = t")
         self.dlog_T = {c: i for i, c in enumerate(powers)}
+        p = self.p
+        self._teich_of = {tuple(c % p for c in t.coords): t.coords for t in self.teich_set}
+        if len(self._teich_of) != self.q:
+            raise InvalidModulus("Teichmuller residues mod p are not distinct")
 
     def _build_frobenius(self) -> None:
         # phi maps sum a_i xi^i to sum a_i xi^(i p); rows give xi^(i p) coords
@@ -368,6 +384,19 @@ class GaloisRing:
         for i in range(self.s):
             rows.append(self.xi_powers[(i * self.p) % (self.q - 1)].coords)
         self._frob_rows = rows
+        self.trace_weights = tuple(
+            self._frobenius_trace(t.coords) for t in self.xi_powers[: self.s]
+        )
+
+    def _frobenius_trace(self, coords: tuple[int, ...]) -> int:
+        """tr(x) = x + phi(x) + ... + phi^(s-1)(x), which must land in Z_{p^n}."""
+        acc = cur = RingElement(self, coords)
+        for _ in range(self.s - 1):
+            cur = self.frobenius(cur)
+            acc = acc + cur
+        if any(c != 0 for c in acc.coords[1:]):
+            raise NotInBaseRing(f"trace of {coords} is {acc}, not a scalar")
+        return acc.coords[0]
 
     # -- tuple-level arithmetic (performance kernels use these directly) ------
 
@@ -409,6 +438,40 @@ class GaloisRing:
             for j, hj in enumerate(low):
                 conv[base + j] -= c * hj
         return tuple(conv[i] % pn for i in range(s))
+
+    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-wise products of reduced int64 coordinate arrays (last axis s).
+
+        a and b broadcast against each other.  Each convolution column is
+        reduced mod p^n before the modulus is folded in, so with p^n <= 2^20
+        no intermediate comes near 2^63.
+        """
+        s, pn = self.s, self.pn
+        if s == 1:
+            return (a * b) % pn
+        a, b = np.broadcast_arrays(a, b)
+        conv = [
+            sum(a[..., i] * b[..., d - i] for i in range(max(0, d - s + 1), min(d, s - 1) + 1)) % pn
+            for d in range(2 * s - 1)
+        ]
+        for d in range(2 * s - 2, s - 1, -1):
+            c = conv[d]
+            for j, hj in enumerate(self._mod_low):
+                if hj:
+                    conv[d - s + j] = (conv[d - s + j] - c * hj) % pn
+        return np.stack(conv[:s], axis=-1)
+
+    def pow_array(self, a: np.ndarray, e: int) -> np.ndarray:
+        """Row-wise e-th powers of a coordinate array, by square and multiply."""
+        result = np.broadcast_to(np.array(self.one.coords, dtype=np.int64), a.shape)
+        acc = a
+        while e > 0:
+            if e & 1:
+                result = self.mul_array(result, acc)
+            e >>= 1
+            if e:
+                acc = self.mul_array(acc, acc)
+        return np.ascontiguousarray(result)
 
     def _pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
         result = self.one.coords
@@ -514,19 +577,26 @@ class GaloisRing:
     # -- Teichmuller structure --------------------------------------------------
 
     def teich_lift(self, x: RingElement) -> RingElement:
-        """The unique t in T with t = x mod p, computed as x^(q^(n-1))."""
-        return RingElement(self, self._pow(x.coords, self.q ** (self.n - 1)))
+        """The unique t in T with t = x mod p, looked up by residue.
+
+        Equal to x^(q^(n-1)) on every element: units lose their 1 + M part,
+        and the power is 0 on pR.
+        """
+        p = self.p
+        return RingElement(self, self._teich_of[tuple(c % p for c in x.coords)])
 
     def teichmuller_decompose(self, x: RingElement) -> tuple[RingElement, ...]:
         """Digits (c_0, ..., c_{n-1}) in T with x = sum p^i c_i."""
+        p, teich_of = self.p, self._teich_of
         digits = []
         r = x.coords
         for _ in range(self.n):
-            c = self._pow(r, self.q ** (self.n - 1))
+            c = teich_of[tuple(v % p for v in r)]
             digits.append(RingElement(self, c))
             diff = self._sub(r, c)
-            assert all(d % self.p == 0 for d in diff)
-            r = tuple(d // self.p for d in diff)
+            if any(d % p for d in diff):
+                raise BrokenInvariant(f"{r} minus its Teichmuller digit {c} is not in pR")
+            r = tuple(d // p for d in diff)
         return tuple(digits)
 
     def teich_recompose(self, digits) -> RingElement:
@@ -567,15 +637,12 @@ class GaloisRing:
         return RingElement(self, out)
 
     def trace(self, x: RingElement) -> int:
-        """Generalized trace tr_n(x) = x + phi(x) + ... + phi^(s-1)(x) in Z_{p^n}."""
-        acc = x
-        cur = x
-        for _ in range(self.s - 1):
-            cur = self.frobenius(cur)
-            acc = acc + cur
-        if any(c != 0 for c in acc.coords[1:]):
-            raise NotInBaseRing(f"trace of {x} is {acc}, not a scalar")
-        return acc.coords[0]
+        """Generalized trace tr_n(x) = x + phi(x) + ... + phi^(s-1)(x) in Z_{p^n}.
+
+        Linear over Z_{p^n}, so it is sum_i x_i tr(xi^i) with the weights
+        tr(xi^i) fixed at build time.
+        """
+        return sum(c * w for c, w in zip(x.coords, self.trace_weights)) % self.pn
 
     def reduced(self, k: int) -> GaloisRing:
         """The quotient ring GR(p^(n-k), p^((n-k)s)), cached per level."""

@@ -44,6 +44,7 @@ from .codebook import (
 )
 from .ring import GaloisRing, build_ring
 from .sums import (
+    Expected,
     SumValue,
     canonical_twists,
     count_unit_solutions,
@@ -128,8 +129,7 @@ def verify_gauss_laws(seed: int = 0, tol: float = 1e-6) -> SuiteResult:
     return result
 
 
-def _jacobi_case_ok(ring: GaloisRing, chars, a, tol: float) -> tuple[bool, str]:
-    e = jacobi_expected(chars, a)
+def _jacobi_case_ok(ring: GaloisRing, chars, a, e: Expected, tol: float) -> tuple[bool, str]:
     if e.kind == "unclassified":
         return False, "unclassified"
     b = jacobi_brute(chars, a)
@@ -151,7 +151,8 @@ def verify_jacobi_pairs(tol: float = 1e-6) -> SuiteResult:
         for pair in itertools.product(chars, repeat=2):
             for a in canonical_twists(ring):
                 total += 1
-                ok, msg = _jacobi_case_ok(ring, list(pair), a, tol)
+                case = list(pair)
+                ok, msg = _jacobi_case_ok(ring, case, a, jacobi_expected(case, a), tol)
                 if not ok:
                     bad += 1
                     worst = msg
@@ -172,11 +173,12 @@ def verify_jacobi_triples(tol: float = 1e-6) -> SuiteResult:
         for triple in itertools.product(chars, repeat=3):
             for a in canonical_twists(ring):
                 total += 1
-                e = jacobi_expected(list(triple), a)
+                case = list(triple)
+                e = jacobi_expected(case, a)
                 if e.kind == "unclassified":
                     unclassified += 1
                     continue
-                ok, msg = _jacobi_case_ok(ring, list(triple), a, tol)
+                ok, msg = _jacobi_case_ok(ring, case, a, e, tol)
                 if not ok:
                     bad += 1
                     worst = msg

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,8 @@ from galois_sums import (
     RingMismatch,
     RootOfUnity,
     SubgroupCharacter,
+    build_ring,
+    character_levels,
     character_table_json,
     decompose_unit_group,
     enumerate_characters,
@@ -20,6 +27,8 @@ from galois_sums import (
     project_character,
     section_json,
 )
+from galois_sums import characters
+from galois_sums.characters import dlog_matrix
 
 from conftest import ring
 
@@ -225,3 +234,191 @@ def test_json_exports(z9):
     sec = section_json(z9)
     assert len(sec) == 3
     json.dumps(table), json.dumps(sec)  # serializable
+
+
+# ---------------------------------------------------------------------------
+# structural tables against per-element definitions
+
+# GR(3^2,3^2), GR(2^3,2^3), GR(2^2,2^4), GR(3,3^2), GR(2^4,2^12), GR(5^2,5^2)
+REFERENCE_RINGS = [(3, 2, 1), (2, 3, 1), (2, 2, 2), (3, 1, 2), (2, 4, 3), (5, 2, 1)]
+
+
+def reference_basis(elems, mul, one):
+    """Per-element direct-product basis of a finite abelian group.
+
+    The first element of maximal order g, coset representatives of <g> in
+    order of first appearance, recursion on the quotient, then each lifted
+    generator k of quotient order e times the power of g that gives it order e.
+    """
+    if len(elems) == 1:
+        return []
+
+    def order(e):
+        acc, k = e, 1
+        while acc != one:
+            acc, k = mul(acc, e), k + 1
+        return k
+
+    orders = [order(e) for e in elems]
+    d = max(orders)
+    g = elems[orders.index(d)]
+    if d == len(elems):
+        return [(g, d)]
+    gpow = [one]
+    for _ in range(d - 1):
+        gpow.append(mul(gpow[-1], g))
+    rep_of, reps = {}, []
+    for e in elems:
+        if e not in rep_of:
+            reps.append(e)
+            for gj in gpow:
+                rep_of[mul(e, gj)] = e
+    out = [(g, d)]
+    for k, e in reference_basis(reps, lambda a, b: rep_of[mul(a, b)], one):
+        acc = k
+        for _ in range(e - 1):
+            acc = mul(acc, k)
+        c = gpow.index(acc)
+        assert c % e == 0
+        out.append((mul(k, gpow[(d - c // e) % d]), e))
+    return out
+
+
+def reference_level(chi):
+    """Least k with chi trivial on every element of 1 + p^k R (k = 0: on R*)."""
+    r = chi.ring
+    if chi.is_trivial:
+        return 0
+    for k in range(1, r.n):
+        if all(chi.eval_unit(w).is_one for w in r.one_plus_ideal(k)):
+            return k
+    return r.n
+
+
+@pytest.mark.parametrize("key", REFERENCE_RINGS)
+def test_basis_matches_per_element_choices(key):
+    r = ring(*key)
+    basis = decompose_unit_group(r)
+    h_elems = r.one_plus_ideal(1) if r.n > 1 else [r.one]
+    want = [(r.xi, r.q - 1)] + reference_basis(h_elems, lambda a, b: a * b, r.one)
+    assert [(g.coords, d) for g, d in zip(basis.generators, basis.orders)] == [
+        (g.coords, d) for g, d in want
+    ]
+
+
+@pytest.mark.parametrize("key", REFERENCE_RINGS)
+def test_every_unit_is_the_product_of_its_dlog_powers(key):
+    r = ring(*key)
+    basis = decompose_unit_group(r)
+    table = dlog_matrix(r)
+    assert list(basis.dlog) == [u.coords for u in r.units()]
+    for x, row in zip(r.elements(), table.tolist()):
+        if not x.is_unit:
+            assert not any(row)
+            continue
+        assert tuple(row) == basis.dlog[x.coords]
+        prod = r.one
+        for g, e in zip(basis.generators, row):
+            prod = prod * g ** e
+        assert prod == x
+
+
+@pytest.mark.parametrize("key", REFERENCE_RINGS)
+def test_levels_match_per_element_definition(key):
+    r = ring(*key)
+    chars = enumerate_characters(r)
+    levels = character_levels(r)
+    table = character_table_json(r)
+    assert len(levels) == len(table) == len(chars)
+    for chi, lv, row in zip(chars, levels.tolist(), table):
+        want = reference_level(chi)
+        assert chi.level == lv == row["triviality_level"] == want
+        assert row["exponents"] == list(chi.exponents)
+        for k in range(-1, r.n + 2):
+            assert chi.trivial_on_subgroup(k) == (k >= r.n or want <= max(k, 0))
+
+
+@pytest.mark.parametrize("key", [k for k in REFERENCE_RINGS if k[1] >= 2])
+@pytest.mark.parametrize("section", ["lex-min", "lex-max"])
+def test_sections_are_the_first_restriction_in_scan_order(key, section):
+    r = ring(*key)
+    field = r.residue_field()
+    pk = r.p ** (r.n - 1)
+    ws = [r.one + r.scalar(pk) * r.element(x.coords) for x in field.elements()]
+    chars = enumerate_characters(r)
+    if section == "lex-max":
+        chars = chars[::-1]
+    for a in field.elements():
+        pa = SubgroupCharacter(r, a)
+        want = next(
+            chi
+            for chi in chars
+            if all((chi.eval_unit(w) * pa.eval(w).conjugate()).is_one for w in ws)
+        )
+        assert extend_phi(r, a, section) == want
+
+
+def test_tables_do_not_depend_on_block_sizes(monkeypatch):
+    fresh = build_ring(2, 3, 2)
+    levels = character_levels(fresh).tolist()
+    sections = [section_json(fresh, sec) for sec in ("lex-min", "lex-max")]
+    monkeypatch.setattr(characters, "CHAR_BLOCK", 5)
+    monkeypatch.setattr(characters, "ROW_BLOCK", 1)
+    small = build_ring(2, 3, 2)
+    assert character_levels(small).tolist() == levels
+    assert [section_json(small, sec) for sec in ("lex-min", "lex-max")] == sections
+
+
+def test_character_table_does_not_enumerate_characters():
+    fresh = build_ring(5, 2, 1)
+    character_table_json(fresh)
+    assert "all_characters" not in fresh._cache
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "key,table,lex_min,lex_max",
+    [
+        ((2, 5, 3), "f1ffa2398eceaa7e", "b925b680aa6744f7", "c9e59580a472e99d"),
+        ((5, 3, 2), "e58bb1bb793e618b", "dfc17481749c1532", "e890aa0f9ced538a"),
+        ((2, 4, 3), "8b8a82ad4b6bf7f8", None, "1f57cc45ddd1ba0f"),
+    ],
+)
+def test_structural_exports_are_pinned(key, table, lex_min, lex_max):
+    r = ring(*key)
+    assert digest(character_table_json(r)) == table
+    if lex_min is not None:
+        assert digest(section_json(r)) == lex_min
+    assert digest(section_json(r, "lex-max")) == lex_max
+
+
+def test_generators_are_pinned():
+    basis = decompose_unit_group(ring(2, 5, 3))
+    assert [g.coords for g in basis.generators] == [
+        (0, 1, 0), (1, 0, 2), (1, 2, 0), (5, 12, 8), (15, 0, 16)
+    ]
+    assert basis.orders == (7, 16, 16, 8, 2)
+
+
+def test_subgroup_character_rejects_outsiders_under_python_O():
+    code = (
+        "from galois_sums import NotInSubgroup, SubgroupCharacter, build_ring\n"
+        "z9 = build_ring(3, 2, 1)\n"
+        "phi = SubgroupCharacter(z9, z9.residue_field().one)\n"
+        "try:\n"
+        "    phi.eval(z9.scalar(2))\n"
+        "except NotInSubgroup:\n"
+        "    print('NotInSubgroup')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "NotInSubgroup"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from galois_sums import (
@@ -213,3 +214,44 @@ def test_serialization_round_trip(gr4_16):
     assert data == {"p": 2, "n": 2, "s": 2, "modulus": [1, 1, 1]}
     clone = GaloisRing.from_json(data)
     assert clone.key == gr4_16.key
+
+
+# the rings on which the structural tables are checked against per-element
+# definitions: GR(3^2,3^2), GR(2^3,2^3), GR(2^2,2^4), GR(3,3^2), GR(2^4,2^12), GR(5^2,5^2)
+REFERENCE_RINGS = [(3, 2, 1), (2, 3, 1), (2, 2, 2), (3, 1, 2), (2, 4, 3), (5, 2, 1)]
+
+
+@pytest.mark.parametrize("p,n,s", REFERENCE_RINGS)
+def test_mul_array_matches_scalar_products(p, n, s):
+    r = ring(p, n, s)
+    rng = random.Random(5)
+    xs = [rng.choice(r.elements()) for _ in range(200)]
+    ys = [rng.choice(r.elements()) for _ in range(200)]
+    a = np.array([x.coords for x in xs], dtype=np.int64)
+    b = np.array([y.coords for y in ys], dtype=np.int64)
+    assert r.mul_array(a, b).tolist() == [list((x * y).coords) for x, y in zip(xs, ys)]
+    # one row broadcast against many, and a power table
+    assert r.mul_array(a, b[0]).tolist() == [list((x * ys[0]).coords) for x in xs]
+    assert r.pow_array(a, 5).tolist() == [list((x ** 5).coords) for x in xs]
+
+
+@pytest.mark.parametrize("p,n,s", REFERENCE_RINGS)
+def test_trace_equals_frobenius_sum_everywhere(p, n, s):
+    r = ring(p, n, s)
+    for x in r.elements():
+        acc = cur = x
+        for _ in range(s - 1):
+            cur = r.frobenius(cur)
+            acc = acc + cur
+        assert acc.coords[1:] == (0,) * (s - 1)
+        assert r.trace(x) == acc.coords[0]
+
+
+@pytest.mark.parametrize("p,n,s", REFERENCE_RINGS)
+def test_teich_lift_equals_power_map_everywhere(p, n, s):
+    r = ring(p, n, s)
+    e = r.q ** (n - 1)
+    for x in r.elements():
+        assert r.teich_lift(x) == x ** e
+        assert r.teichmuller_decompose(x)[0] == x ** e
+
