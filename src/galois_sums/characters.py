@@ -256,7 +256,7 @@ def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
     table[idx] = np.stack(exps, axis=1)
     table.flags.writeable = False
 
-    units = np.flatnonzero(ring.unit_mask())
+    units = ring.unit_indices()
     columns = [table[units, j].tolist() for j in range(len(orders))]
     dlog = dict(zip((u.coords for u in ring.units()), zip(*columns)))
 

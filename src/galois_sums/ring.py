@@ -233,7 +233,8 @@ def find_basic_primitive_poly(p: int, n: int, s: int) -> Polynomial:
         if _is_primitive(cand, p):
             f = cand
             break
-    assert f is not None  # a primitive polynomial of every degree exists
+    if f is None:
+        raise BrokenInvariant(f"no primitive polynomial of degree {s} over F_{p}")
     if n == 1:
         return Polynomial(tuple(f))
     step = p ** (n - 1)
@@ -541,6 +542,13 @@ class GaloisRing:
             mask.flags.writeable = False
             self._cache["unit_mask"] = mask
         return self._cache["unit_mask"]
+
+    def unit_indices(self) -> np.ndarray:
+        """Read-only ascending element indices of the units."""
+        if "unit_indices" not in self._cache:
+            self._cache["unit_indices"] = np.flatnonzero(self.unit_mask())
+            self._cache["unit_indices"].flags.writeable = False
+        return self._cache["unit_indices"]
 
     def index_of(self, coords: np.ndarray) -> np.ndarray:
         """Element indices of reduced coordinate rows (last axis of length s)."""

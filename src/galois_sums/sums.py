@@ -8,6 +8,12 @@ complex value) together with a short provenance token naming the law that
 produced it.  Verification suites check the two routes against each other;
 the closed forms are never fed back into the brute-force side.
 
+The brute-force kernel sums C character tuples over one domain at once into
+a (C x M) integer count matrix: row c counts, per j, the terms of tuple c
+equal to exp(2 pi i j / M).  Every row becomes complex the same way, over
+ascending j, so a sum in a table (jacobi_brute_table, gauss_table) is
+bit-identical to the same sum computed alone.
+
 Closed-form dispatch, in order:
 
 * base ring is a field (n = 1): evaluated by brute force;
@@ -38,12 +44,13 @@ from .characters import (
     project_character,
     root_table,
 )
-from .errors import RingMismatch, TooLarge
+from .errors import BrokenInvariant, RingMismatch, TooLarge
 from .ring import GaloisRing, RingElement
 
 DEFAULT_TERM_CAP = 10 ** 7
-# rows per block of the brute-force kernel: temporaries stay O(BLOCK x m)
-BLOCK = 4096
+# rows and character tuples per block of the brute-force kernel: temporaries
+# hold at most BLOCK x max(m, r, CHAR_BLOCK) entries
+BLOCK, CHAR_BLOCK = 4096, 64
 
 
 def term_tolerance(terms: int) -> float:
@@ -197,92 +204,124 @@ def solved_domain(
     on the coordinate arrays mod p^n.  stop=None means the end of the domain.
     """
     units = min(k, m - 1)
-    domains = [np.flatnonzero(ring.unit_mask())] * units + [
-        np.arange(ring.element_count)
-    ] * (m - 1 - units)
+    domains = [ring.unit_indices()] * units + [np.arange(ring.element_count)] * (m - 1 - units)
     sizes = [len(d) for d in domains]
     rows = np.arange(start, math.prod(sizes) if stop is None else stop)
-    free = [d[i] for d, i in zip(domains, np.unravel_index(rows, sizes))]
+    free = [d.take(i) for d, i in zip(domains, np.unravel_index(rows, sizes))]
     coords = ring.coord_array()
-    last = (np.array(a.coords) - sum(coords[x] for x in free)) % ring.pn
+    last = (np.array(a.coords) - sum(coords.take(x, axis=0) for x in free)) % ring.pn
     return np.column_stack(free + [ring.index_of(last)])
 
 
-def _root_sum(ring: GaloisRing, chars, rows_at, total: int, units: int, b=None):
-    """Exact brute-force sum of prod_i chi_i(x_i) over rows of element indices.
+def _root_counts(ring: GaloisRing, X, rows_at, total: int, units: int, b=None):
+    """Exact root counts of the C exponent tuples of X (C x m x r): (counts, rows kept).
 
     rows_at(start, stop) gives rows [start, stop) of the domain as an
-    (rows x m) index array, taken BLOCK rows at a time up to total.  A row
-    is dropped when one of its first `units` coordinates is not a unit.  On
-    the other coordinates a nontrivial character on a non-unit kills the row
-    and a trivial one contributes 1, its extension by 1 to the maximal
-    ideal.  With a twist b (m = 1), lambda_b(x_1) is multiplied in.
+    (rows x m) index array, taken BLOCK rows (and CHAR_BLOCK tuples) at a
+    time up to total.  A row is dropped when one of its first `units`
+    coordinates is not a unit.  On the others a nontrivial character on a
+    non-unit kills the row for that tuple, and a trivial one contributes 1,
+    its extension by 1 to the maximal ideal.  With a twist b (m = 1),
+    lambda_b(x_1) is multiplied in.
 
     Each term is exp(2 pi i j / M), with j = sum_i X_i . dlog(x_i) mod L for
     the exponents X_i scaled to L = lcm of the unit-group orders, plus the
-    additive exponent tr(b x_1) mod p^n scaled to M = lcm(L, p^n).  The terms
-    per j are counted exactly with bincount, and the counts become complex
-    once, over ascending j.  Returns (value, rows kept).
+    additive exponent tr(b x_1) mod p^n scaled to M = lcm(L, p^n).  Row c of
+    the (C x M) int64 matrix counts the terms of tuple c per j, by one
+    bincount per block over j + c M: the same row whether c is alone or not.
     """
     basis = decompose_unit_group(ring)
     L = M = basis.lcm_order
-    X = np.array([c.exponents for c in chars], dtype=np.int64)
-    X *= L // np.array(basis.orders, dtype=np.int64)
-    nontrivial = X.any(axis=1)
+    X = np.asarray(X, dtype=np.int64) * (L // np.array(basis.orders, dtype=np.int64))
+    nontrivial = X.any(axis=2)
     if b is not None:
         M = math.lcm(L, ring.pn)
         # tr(b x) = sum_i x_i tr(b xi^i) over the polynomial-basis coordinates
         w = np.array([ring.trace(b * ring.element(e)) for e in np.eye(ring.s, dtype=np.int64)])
     dlog, unit = dlog_matrix(ring), ring.unit_mask()
-    counts = np.zeros(M, dtype=np.int64)
+    counts = np.zeros((len(X), M), dtype=np.int64)
     kept = 0
     for start in range(0, total, BLOCK):
         rows = rows_at(start, min(start + BLOCK, total))
-        on_unit = unit[rows]
+        on_unit = unit.take(rows)
         keep = on_unit[:, :units].all(axis=1)
         kept += int(np.count_nonzero(keep))
-        rows = rows[keep & ~(nontrivial & ~on_unit).any(axis=1)]
-        expo = np.zeros(len(rows), dtype=np.int64)
-        for i, x in enumerate(X):
-            expo += dlog[rows[:, i]] @ x
-        expo %= L
+        # compress and take are numpy's fast paths for these selections
+        rows, off_unit = rows.compress(keep, axis=0), ~on_unit.compress(keep, axis=0)
         if b is not None:
-            additive = ring.coord_array()[rows[:, 0]] @ w % ring.pn
-            expo = expo * (M // L) + additive * (M // ring.pn)
-            expo %= M
-        counts += np.bincount(expo, minlength=M)
-    roots = root_table(M)
-    value = 0j
-    for j in np.flatnonzero(counts).tolist():
-        value += int(counts[j]) * roots[j]
-    return value, kept
+            additive = (ring.coord_array()[rows[:, 0]] @ w % ring.pn * (M // ring.pn))[:, None]
+        for c in range(0, len(X), CHAR_BLOCK):
+            nb = min(CHAR_BLOCK, len(X) - c)
+            expo = sum(dlog.take(x, axis=0) @ X[c : c + nb, i].T for i, x in enumerate(rows.T)) % L
+            if b is not None:
+                expo = (expo * (M // L) + additive) % M
+            expo += M * np.arange(nb)
+            if units < nontrivial.shape[1]:  # else no kept row has a non-unit
+                expo = expo.compress(((off_unit @ nontrivial[c : c + nb].T) == 0).ravel())
+            counts[c : c + nb] += np.bincount(expo.ravel(), minlength=nb * M).reshape(nb, M)
+    return counts, kept
 
 
-def _domain_sum(chars, k: int, a: RingElement, cap: int) -> tuple[SumValue, int]:
-    """The kernel over the solved domain for k: the sum and the rows kept."""
-    ring = _check_chars(chars)
+def _complex_rows(counts: np.ndarray) -> list[complex]:
+    """sum_j counts[c, j] exp(2 pi i j / M) per row c, accumulated over ascending j."""
+    roots = root_table(counts.shape[1])
+    values = [0j] * len(counts)
+    rows, cols = np.nonzero(counts)
+    for c, j, n in zip(rows.tolist(), cols.tolist(), counts[rows, cols].tolist()):
+        values[c] += n * roots[j]
+    return values
+
+
+def _domain_sums(ring: GaloisRing, X, k: int, a: RingElement, cap: int):
+    """The kernel over the solved domain for k: (values, rows kept, terms per sum)."""
     ring._check_same(a)
-    m, units = len(chars), min(k, len(chars) - 1)
+    m, units = len(X[0]), min(k, len(X[0]) - 1)
     terms = ring.unit_count ** units * ring.element_count ** (m - 1 - units)
     if terms > cap:
         raise TooLarge(f"{terms} tuples exceeds cap {cap}")
-    value, kept = _root_sum(
-        ring, chars, lambda i, j: solved_domain(ring, m, k, a, i, j), terms, min(k, m)
+    counts, kept = _root_counts(
+        ring, X, lambda i, j: solved_domain(ring, m, k, a, i, j), terms, min(k, m)
     )
-    return SumValue(value=value, expected=Expected.unclassified(), terms=terms), kept
+    return _complex_rows(counts), kept, terms
+
+
+def _domain_sum(chars, k: int, a: RingElement, cap: int) -> tuple[SumValue, int]:
+    """One character tuple (C = 1) over the solved domain: the sum and the rows kept."""
+    ring = _check_chars(chars)
+    values, kept, terms = _domain_sums(ring, [[c.exponents for c in chars]], k, a, cap)
+    return SumValue(value=values[0], expected=Expected.unclassified(), terms=terms), kept
+
+
+def jacobi_brute_table(ring: GaloisRing, X, a: RingElement, cap: int = DEFAULT_TERM_CAP):
+    """J_a for each (m x r) exponent tuple of X, over one domain; bit-identical to jacobi_brute."""
+    return np.array(_domain_sums(ring, X, len(X[0]), a, cap)[0])
 
 
 # ---------------------------------------------------------------------------
 # Gauss sums
 
 
+def _gauss_values(ring: GaloisRing, X, b: RingElement) -> list[complex]:
+    """G(chi, lambda_b) for each (1 x r) exponent tuple of X, in one kernel call."""
+    units = ring.unit_indices()[:, None]
+    return _complex_rows(_root_counts(ring, X, lambda i, j: units[i:j], len(units), 1, b)[0])
+
+
 def _gauss_value(chi: MultCharacter, b: RingElement) -> complex:
     ring = chi.ring
     key = ("gauss", chi.exponents, b.coords)
     if key not in ring._cache:
-        units = np.flatnonzero(ring.unit_mask())[:, None]
-        ring._cache[key] = _root_sum(ring, [chi], lambda i, j: units[i:j], len(units), 1, b)[0]
+        ring._cache[key] = _gauss_values(ring, [[chi.exponents]], b)[0]
     return ring._cache[key]
+
+
+def gauss_table(ring: GaloisRing, b: RingElement) -> None:
+    """Fill the Gauss-value cache at b for every character still missing, in one kernel call."""
+    ring._check_same(b)
+    keys = (("gauss", e, b.coords) for e in np.ndindex(*decompose_unit_group(ring).orders))
+    missing = [key for key in keys if key not in ring._cache]
+    if missing:
+        ring._cache.update(zip(missing, _gauss_values(ring, [[key[1]] for key in missing], b)))
 
 
 def expected_gauss(chi: MultCharacter, b: RingElement) -> Expected:
@@ -331,7 +370,8 @@ def count_unit_solutions(ring: GaloisRing, m: int, a: RingElement) -> int:
     else:
         body = (q - 1) ** m + (-1) ** m * (q - 1)
     val = Fraction(q) ** (n * m - m - n) * body
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise BrokenInvariant(f"unit-solution count {val} is not an integer")
     return int(val)
 
 
@@ -346,9 +386,7 @@ def s_cardinality_qn(q: int, n: int, m: int, k: int) -> int:
     """|S| for the mixed domain (R*)^k x R^(m-k) with a fixed coordinate sum."""
     if not 1 <= k <= m - 1:
         raise ValueError("need 1 <= k <= m - 1")
-    val = Fraction((q ** n - q ** (n - 1)) ** k * (q ** n) ** (m - k), q ** n)
-    assert val.denominator == 1
-    return int(val)
+    return (q ** n - q ** (n - 1)) ** k * q ** (n * (m - k - 1))
 
 
 def s_cardinality(ring: GaloisRing, m: int, k: int) -> int:
@@ -438,7 +476,8 @@ def _gauss_quotient(
     for c in chars:
         num *= _gauss_value(c, c.ring.one)
     den = _gauss_value(prod, twist)
-    assert abs(den) > 1e-6, "denominator Gauss sum vanished unexpectedly"
+    if abs(den) <= 1e-6:
+        raise BrokenInvariant("denominator Gauss sum vanished unexpectedly")
     return scale * num / den
 
 
@@ -582,7 +621,8 @@ def _expected_reduction(chars, a, ring, m, q, n, cap) -> Expected:
     constraint removes one factor.
     """
     k = n - max(c.level for c in chars)
-    assert 1 <= k <= n - 1
+    if not 1 <= k <= n - 1:
+        raise BrokenInvariant(f"reduction level {k} not in [1, {n - 1}]")
     target = ring.reduced(k)
     projected = [project_character(c, k) for c in chars]
     a_red = ring.reduce(a, k)

@@ -50,7 +50,8 @@ from .sums import (
     count_unit_solutions,
     count_unit_solutions_brute,
     gauss_sum,
-    jacobi_brute,
+    gauss_table,
+    jacobi_brute_table,
     jacobi_expected,
     s_cardinality,
     tilde_jacobi_brute,
@@ -118,6 +119,8 @@ def verify_gauss_laws(seed: int = 0, tol: float = 1e-6) -> SuiteResult:
         for b in canonical_twists(ring):
             twists.append(b)
             twists.append(b * rng.choice(units))
+        for b in twists:
+            gauss_table(ring, b)
         bad = 0
         total = 0
         for chi in enumerate_characters(ring):
@@ -129,14 +132,19 @@ def verify_gauss_laws(seed: int = 0, tol: float = 1e-6) -> SuiteResult:
     return result
 
 
-def _jacobi_case_ok(ring: GaloisRing, chars, a, e: Expected, tol: float) -> tuple[bool, str]:
+def _brute_tables(chars, m: int, twists) -> list[np.ndarray]:
+    """Brute J_a of every m-tuple of chars, in itertools.product order, per twist a."""
+    X = np.array([[c.exponents for c in t] for t in itertools.product(chars, repeat=m)])
+    return [jacobi_brute_table(chars[0].ring, X, a) for a in twists]
+
+
+def _jacobi_case_ok(ring: GaloisRing, brute: complex, e: Expected, tol: float) -> tuple[bool, str]:
     if e.kind == "unclassified":
         return False, "unclassified"
-    b = jacobi_brute(chars, a)
-    if SumValue(b.value, e, b.terms).agrees(ring.q, tol):
+    if SumValue(brute, e, terms=0).agrees(ring.q, tol):  # tol is explicit: terms unused
         return True, ""
     value = "" if e.value is None else f" = {e.value:.6g}"
-    return False, f"brute={b.value:.6g} expected |J| = {e.magnitude(ring.q):.6g}{value} ({e.lemma})"
+    return False, f"brute={brute:.6g} expected |J| = {e.magnitude(ring.q):.6g}{value} ({e.lemma})"
 
 
 def verify_jacobi_pairs(tol: float = 1e-6) -> SuiteResult:
@@ -145,14 +153,16 @@ def verify_jacobi_pairs(tol: float = 1e-6) -> SuiteResult:
     for p, n, s in SMALL_RINGS:
         ring = cached_ring(p, n, s)
         chars = enumerate_characters(ring)
+        twists = canonical_twists(ring)
+        tables = _brute_tables(chars, 2, twists)
         bad = 0
         total = 0
         worst = ""
-        for pair in itertools.product(chars, repeat=2):
-            for a in canonical_twists(ring):
+        for c, pair in enumerate(itertools.product(chars, repeat=2)):
+            for a, table in zip(twists, tables):
                 total += 1
                 case = list(pair)
-                ok, msg = _jacobi_case_ok(ring, case, a, jacobi_expected(case, a), tol)
+                ok, msg = _jacobi_case_ok(ring, complex(table[c]), jacobi_expected(case, a), tol)
                 if not ok:
                     bad += 1
                     worst = msg
@@ -166,19 +176,21 @@ def verify_jacobi_triples(tol: float = 1e-6) -> SuiteResult:
     for p, n, s in SMALL_RINGS:
         ring = cached_ring(p, n, s)
         chars = enumerate_characters(ring)
+        twists = canonical_twists(ring)
+        tables = _brute_tables(chars, 3, twists)
         bad = 0
         unclassified = 0
         total = 0
         worst = ""
-        for triple in itertools.product(chars, repeat=3):
-            for a in canonical_twists(ring):
+        for c, triple in enumerate(itertools.product(chars, repeat=3)):
+            for a, table in zip(twists, tables):
                 total += 1
                 case = list(triple)
                 e = jacobi_expected(case, a)
                 if e.kind == "unclassified":
                     unclassified += 1
                     continue
-                ok, msg = _jacobi_case_ok(ring, case, a, e, tol)
+                ok, msg = _jacobi_case_ok(ring, complex(table[c]), e, tol)
                 if not ok:
                     bad += 1
                     worst = msg
@@ -206,19 +218,18 @@ def verify_recursion(tol: float = 1e-6) -> SuiteResult:
             if k > n - 1:
                 continue
             eligible = [c for c in chars if c.trivial_on_subgroup(n - k)]
-            twists = [ring.zero, ring.one] + [
-                ring.p_power(j) for j in range(1, n)
-            ]
+            twists = canonical_twists(ring)
+            lhs_tables = _brute_tables(eligible, 2, twists)
+            projected = [project_character(c, k) for c in eligible]
+            rhs_tables = _brute_tables(projected, 2, [ring.reduce(a, k) for a in twists])
             stated_bad = 0
             corrected_bad = 0
             total = 0
             witness = ""
-            for pair in itertools.product(eligible, repeat=2):
-                projected = [project_character(c, k) for c in pair]
-                for a in twists:
+            for c, pair in enumerate(itertools.product(eligible, repeat=2)):
+                for lhs_table, rhs_table, a in zip(lhs_tables, rhs_tables, twists):
                     total += 1
-                    lhs = jacobi_brute(list(pair), a).value
-                    rhs = jacobi_brute(projected, ring.reduce(a, k)).value
+                    lhs, rhs = complex(lhs_table[c]), complex(rhs_table[c])
                     if abs(lhs - q ** (m * k) * rhs) > tol:
                         stated_bad += 1
                         if not witness:

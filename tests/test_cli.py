@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from galois_sums.cli import main
 
@@ -158,3 +165,21 @@ def test_output_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["element_count"] == 9
+
+
+@pytest.mark.parametrize(
+    "extra, digest", [((), "51165c58480e3550"), (("--seed", "3"), "46ef16983d595eef")]
+)
+def test_verify_all_json_is_pinned(extra, digest):
+    """`verify all --json` output, byte for byte: the 7 deliberate reds, exit 4.
+
+    A change to the output on purpose updates these digests and says so.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "galois_sums.cli", "verify", "all", "--json", *extra],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+    )
+    assert out.returncode == 4
+    assert hashlib.sha256(out.stdout).hexdigest()[:16] == digest

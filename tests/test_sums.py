@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import galois_sums.sums as sums_module
@@ -434,3 +439,157 @@ def test_brute_sums_independent_of_block_size(monkeypatch):
     default = sums()
     monkeypatch.setattr(sums_module, "BLOCK", 7)
     assert sums() == default
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel: one (C x M) count matrix per domain
+
+
+def bits(values):
+    """The IEEE bit patterns of complex values, as uint64 pairs."""
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+def tuple_exponents(tuples):
+    return np.array([[c.exponents for c in t] for t in tuples], dtype=np.int64)
+
+
+@pytest.mark.parametrize("key", [(3, 2, 1), (2, 2, 2)])
+@pytest.mark.parametrize("m", [2, 3])
+def test_jacobi_brute_table_is_bitwise_jacobi_brute(key, m):
+    r = ring(*key)
+    tuples = list(itertools.product(enumerate_characters(r), repeat=m))
+    X = tuple_exponents(tuples)
+    for a in canonical_twists(r):
+        table = sums_module.jacobi_brute_table(r, X, a)
+        single = [jacobi_brute(list(t), a).value for t in tuples]
+        assert table.dtype == np.complex128
+        assert np.array_equal(bits(table), bits(single))
+
+
+def test_jacobi_brute_table_is_bitwise_jacobi_brute_m4():
+    # GR(3^3, 3^3), m = 4: 5832 rows per sum, two row blocks
+    r = ring(3, 3, 1)
+    chars = enumerate_characters(r)
+    rng = random.Random(14)
+    tuples = [[rng.choice(chars) for _ in range(4)] for _ in range(24)]
+    X = tuple_exponents(tuples)
+    for a in canonical_twists(r):
+        table = sums_module.jacobi_brute_table(r, X, a)
+        assert np.array_equal(bits(table), bits([jacobi_brute(t, a).value for t in tuples]))
+
+
+def gauss_table_values(r, twists):
+    """gauss_table at each twist on ring r, read back through gauss_sum."""
+    chars = enumerate_characters(r)
+    for b in twists:
+        sums_module.gauss_table(r, b)
+    n_cached = sum(1 for key in r._cache if key[0] == "gauss")
+    values = [gauss_sum(chi, b).value for b in twists for chi in chars]
+    assert sum(1 for key in r._cache if key[0] == "gauss") == n_cached  # all were hits
+    return values
+
+
+def test_gauss_table_is_bitwise_gauss_value():
+    def twists(r):  # a unit, an ideal element and zero
+        return [r.element((2, 1)), r.scalar(3), r.zero]
+
+    r = build_ring(3, 2, 2)  # fresh: no Gauss value cached
+    table = gauss_table_values(r, twists(r))
+    fresh = build_ring(3, 2, 2)
+    chars = enumerate_characters(fresh)
+    single = [sums_module._gauss_value(chi, b) for b in twists(fresh) for chi in chars]
+    assert np.array_equal(bits(table), bits(single))
+    for (b, chi), value in zip(itertools.product(twists(r), enumerate_characters(r)), table):
+        assert abs(value - brute_gauss(r, chi, b)) <= term_tolerance(r.unit_count)
+
+
+def test_gauss_sum_fills_only_its_own_entry():
+    r = build_ring(2, 2, 2)
+    chi = enumerate_characters(r)[5]
+    gauss_sum(chi, r.one)
+    assert [key for key in r._cache if key[0] == "gauss"] == [("gauss", chi.exponents, r.one.coords)]
+
+
+@pytest.mark.parametrize("key, m, k", [((3, 2, 1), 3, 1), ((2, 2, 2), 3, 2), ((3, 2, 1), 4, 2)])
+def test_root_counts_mixed_domain(key, m, k):
+    """Trivial and nontrivial characters in one batch over (R*)^k x R^(m-k)."""
+    r = ring(*key)
+    chars = enumerate_characters(r)
+    rng = random.Random(15)
+    tuples = [[chars[0]] * m, [chars[1]] * m]
+    tuples += [[rng.choice(chars[:3]) for _ in range(m)] for _ in range(30)]
+    X = tuple_exponents(tuples)
+    a = r.element((1,) * r.s)
+    total = r.unit_count ** k * r.element_count ** (m - 1 - k)
+    counts, kept = sums_module._root_counts(
+        r, X, lambda i, j: sums_module.solved_domain(r, m, k, a, i, j), total, k
+    )
+    assert counts.shape[0] == len(tuples) and counts.dtype == np.int64
+    values = sums_module._complex_rows(counts)
+    single = [tilde_jacobi_brute(t, k, a).value for t in tuples]
+    assert np.array_equal(bits(values), bits(single))
+    for t, value in zip(tuples[:6], values):
+        want, want_kept = reference_domain_sum(t, k, a)
+        assert abs(value - want) <= term_tolerance(total)
+        assert kept == want_kept
+
+
+def test_tables_independent_of_block_sizes(monkeypatch):
+    def tables():
+        z27, gr9 = build_ring(3, 3, 1), build_ring(3, 2, 2)
+        c27 = enumerate_characters(z27)
+        X = tuple_exponents(itertools.product(c27[:5], repeat=3))
+        tilde = sums_module._root_counts(
+            z27, X, lambda i, j: sums_module.solved_domain(z27, 3, 1, z27.one, i, j), 18 * 27, 1
+        )[0]
+        twists = [gr9.element((4, 7)), gr9.scalar(3)]
+        return [
+            sums_module.jacobi_brute_table(z27, X, z27.scalar(3)),
+            sums_module._complex_rows(tilde),
+            gauss_table_values(gr9, twists),
+        ]
+
+    default = tables()
+    monkeypatch.setattr(sums_module, "BLOCK", 7)
+    monkeypatch.setattr(sums_module, "CHAR_BLOCK", 3)
+    for got, want in zip(tables(), default):
+        assert np.array_equal(bits(got), bits(want))
+
+
+def test_jacobi_brute_table_cap_before_allocation(monkeypatch):
+    r = ring(2, 2, 2)
+    X = np.zeros((2, 3, len(enumerate_characters(r)[0].exponents)), dtype=np.int64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the domain was enumerated")
+
+    monkeypatch.setattr(sums_module, "_root_counts", refuse)
+    monkeypatch.setattr(sums_module, "solved_domain", refuse)
+    with pytest.raises(TooLarge):
+        sums_module.jacobi_brute_table(r, X, r.one, cap=r.unit_count ** 2 - 1)
+    with pytest.raises(TooLarge):  # 12^19 terms per sum
+        sums_module.jacobi_brute_table(r, np.zeros((1, 20, X.shape[2]), dtype=np.int64), r.one)
+
+
+def test_gauss_quotient_vanishing_denominator_under_python_O():
+    # G(chi, lambda_0) = 0 for nontrivial chi, so the quotient has no value
+    code = (
+        "from galois_sums import BrokenInvariant, build_ring, enumerate_characters\n"
+        "from galois_sums.sums import _gauss_quotient\n"
+        "z9 = build_ring(3, 2, 1)\n"
+        "chi = enumerate_characters(z9)[1]\n"
+        "try:\n"
+        "    _gauss_quotient([chi, chi], chi * chi, z9.zero, 1)\n"
+        "except BrokenInvariant:\n"
+        "    print('BrokenInvariant')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "BrokenInvariant"
