@@ -114,25 +114,31 @@ class EvalReport:
         }
 
 
-def _row_characters(params: CodebookParams):
-    """Yield (label, chars) for every row of the structured part, in lex order."""
+def _row_exponents(params: CodebookParams) -> tuple[list, np.ndarray]:
+    """Labels and the (F x m x r) exponent array of the structured rows, in lex order.
+
+    A row's characters are lift(psi0) * section(a_1), then lift(psi_i) *
+    section(a_i) for the m - 1 tail factors, in itertools.product order; a
+    product of characters adds exponents mod the generator orders.
+    """
     ring = params.ring
-    red = ring.reduced(1)
-    field = ring.residue_field()
-    red_chars = enumerate_characters(red)
-    fq = field.elements()
-    lift_cache = {psi.exponents: lift_character(psi, ring) for psi in red_chars}
-    section = {a.coords: extend_phi(ring, a, params.section) for a in fq}
-    psi0_lift = lift_cache[params.psi0.exponents]
-    tail_space = list(itertools.product(red_chars, fq))
-    for a1 in fq:
-        head = psi0_lift * section[a1.coords]
-        for combo in itertools.product(tail_space, repeat=params.m - 1):
-            chars = [head] + [lift_cache[psi.exponents] * section[ai.coords] for psi, ai in combo]
-            label = (a1.coords,) + tuple(
-                (psi.exponents, ai.coords) for psi, ai in combo
-            )
-            yield label, chars
+    orders = np.array(decompose_unit_group(ring).orders, dtype=np.int64)
+    red_chars = enumerate_characters(ring.reduced(1))
+    fq = ring.residue_field().elements()
+    lifts = np.array([lift_character(psi, ring).exponents for psi in red_chars], dtype=np.int64)
+    sects = np.array([extend_phi(ring, a, params.section).exponents for a in fq], dtype=np.int64)
+    head = sects + lift_character(params.psi0, ring).exponents
+    tail = (lifts[:, None] + sects[None]).reshape(-1, len(orders))
+    shape = (len(head),) + (len(tail),) * (params.m - 1)
+    at = np.unravel_index(np.arange(math.prod(shape)), shape)
+    X = np.stack([head[at[0]]] + [tail[i] for i in at[1:]], axis=1) % orders
+    tail_labels = [(psi.exponents, a.coords) for psi in red_chars for a in fq]
+    labels = [
+        ("F", a.coords) + combo
+        for a in fq
+        for combo in itertools.product(tail_labels, repeat=params.m - 1)
+    ]
+    return labels, X
 
 
 def s_indices(params: CodebookParams) -> np.ndarray:
@@ -181,12 +187,7 @@ def build_codebook(
 
     basis = decompose_unit_group(ring)
     L = basis.lcm_order
-    labels: list = []
-    exps = []
-    for label, chars in _row_characters(params):
-        labels.append(("F",) + label)
-        exps.append([c.exponents for c in chars])
-    X = np.array(exps, dtype=np.int64)  # F x m x r
+    labels, X = _row_exponents(params)  # X is F x m x r
     nontrivial = X.any(axis=2)
     X *= L // np.array(basis.orders, dtype=np.int64)
     # row L is the structural zero
@@ -425,24 +426,38 @@ def export_codebook(cb: Codebook, fmt: str = "csv") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+class _ParsedFloats(dict):
+    """float(text) per distinct number text, parsed on first sight and shared."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def import_codebook(data: bytes) -> Codebook:
     """Rebuild a codebook from its JSON export; round-trips bit-exactly.
 
-    Raises CodebookError when N and K disagree with the parameters or the
-    rows are not N rows of 2K numbers.
+    Each distinct number text is parsed once, by float as json does by
+    default, and every occurrence shares that float.  Raises CodebookError
+    when the data is not a JSON object with the export's parameters, when N
+    and K disagree with the parameters, or when the rows are not N rows of
+    2K numbers.
     """
-    payload = json.loads(data.decode())
-    meta = payload["params"]
-    ring = GaloisRing.from_json(meta["ring"])
-    params = CodebookParams(
-        ring=ring,
-        m=meta["m"],
-        k=meta["k"],
-        a=ring.element(meta["a"]),
-        psi0=MultCharacter(ring.reduced(1), tuple(meta["psi0"])),
-        section=meta["section"],
-    )
-    N, K = meta["N"], meta["K"]
+    try:
+        payload = json.loads(data.decode(), parse_float=_ParsedFloats().__getitem__)
+        meta = payload["params"]
+        ring = GaloisRing.from_json(meta["ring"])
+        params = CodebookParams(
+            ring=ring,
+            m=meta["m"],
+            k=meta["k"],
+            a=ring.element(meta["a"]),
+            psi0=MultCharacter(ring.reduced(1), tuple(meta["psi0"])),
+            section=meta["section"],
+        )
+        N, K = meta["N"], meta["K"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CodebookError(f"not a codebook export: {exc!r}") from None
     size = codebook_size(ring.q, ring.n, params.m, params.k)
     if (N, K) != size:
         raise CodebookError(f"(N, K) = {(N, K)}, but the parameters give {size}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from galois_sums.characters import MultCharacter, project_character
-from galois_sums.codebook import _row_characters
+from galois_sums.codebook import _row_exponents
 from galois_sums.sums import count_unit_solutions, jacobi_brute
 from galois_sums.verify import (
     RECURSION_RINGS,
@@ -83,8 +83,8 @@ def _class_law(cb, pair):
     params = cb.params
     ring, m = params.ring, params.m
     i, j = pair
-    f_rows = [chars for _, chars in _row_characters(params)]
-    ratio = [x * y.inverse() for x, y in zip(f_rows[i], f_rows[j])]
+    _, X = _row_exponents(params)
+    ratio = [MultCharacter(ring, tuple(e)) for e in (X[i] - X[j]).tolist()]
     projected = [project_character(c, ring.n - 1) for c in ratio]
     j_field = jacobi_brute(projected, ring.reduce(params.a, ring.n - 1)).value
     support = count_unit_solutions(ring, m, params.a)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,7 +34,7 @@ from galois_sums import (
     welch_bound,
 )
 from galois_sums import codebook as codebook_module
-from galois_sums.codebook import _row_characters
+from galois_sums.characters import extend_phi, lift_character
 
 from conftest import ring
 
@@ -235,6 +237,23 @@ def test_export_import_round_trip():
 # the vectorized kernels against per-entry references
 
 
+def reference_row_characters(params):
+    """Yield (label, chars) for every structured row, one character product at a time."""
+    r = params.ring
+    red_chars = enumerate_characters(r.reduced(1))
+    fq = r.residue_field().elements()
+    lifts = {psi.exponents: lift_character(psi, r) for psi in red_chars}
+    section = {a.coords: extend_phi(r, a, params.section) for a in fq}
+    psi0_lift = lifts[params.psi0.exponents]
+    tail_space = list(itertools.product(red_chars, fq))
+    for a1 in fq:
+        head = psi0_lift * section[a1.coords]
+        for combo in itertools.product(tail_space, repeat=params.m - 1):
+            chars = [head] + [lifts[psi.exponents] * section[ai.coords] for psi, ai in combo]
+            label = (a1.coords,) + tuple((psi.exponents, ai.coords) for psi, ai in combo)
+            yield label, chars
+
+
 def reference_build(params):
     """Per-entry loop: each entry is the product of extended_eval over an S tuple.
 
@@ -251,7 +270,7 @@ def reference_build(params):
         columns.append(free + (last,))
     tables = {}
     rows, supports, labels = [], [], []
-    for label, chars in _row_characters(params):
+    for label, chars in reference_row_characters(params):
         row = []
         for tup in columns:
             v = 1 + 0j
@@ -347,10 +366,59 @@ def test_import_rejects_malformed_payloads():
             d["rows"].pop(),
             d["params"].update(K=cb.K - 1, N=cb.N - 1),
         ),
+        lambda d: d["params"].pop("ring"),
     ]
-    for edit in bad:
+    blobs = [variant(edit) for edit in bad] + [
+        json.dumps(good["rows"]).encode(),  # a list, not an object
+        json.dumps({"rows": good["rows"]}).encode(),  # no params
+        export_codebook(cb, fmt="json")[:-1],  # not JSON
+        b"\xff",  # not UTF-8
+    ]
+    for blob in blobs:
         with pytest.raises(CodebookError):
-            import_codebook(variant(edit))
+            import_codebook(blob)
+
+
+def test_import_parses_every_spelling_with_float():
+    cb = build((3, 2, 1), m=2, k=1)
+    spellings = ["1.0", "1e0", "10e-1", "1.00", "-0.0", "0.0", "-0.5", "5e-324", "-1E+2", "0.1"]
+    texts = [[spellings[(i + j) % 10] for j in range(2 * cb.K)] for i in range(cb.N)]
+    head = json.dumps({"params": cb.to_json_params(), "rows": []})[:-2]
+    body = ", ".join("[" + ", ".join(row) + "]" for row in texts)
+    back = import_codebook((head + body + "]}").encode())
+    want = np.array([[float(t) for t in row] for row in texts])
+    assert np.array_equal(back.rows.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(back.rows.view(np.float64)[0, 4]) and not np.signbit(want[0, 5])
+
+
+def test_import_memory_is_a_small_multiple_of_the_rows():
+    # one float object per number would cost 5.4x the array at this size
+    cb = build((2, 2, 2), m=3, k=1)
+    blob = export_codebook(cb, fmt="json")
+    tracemalloc.start()
+    try:
+        import_codebook(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * cb.rows.nbytes
+
+
+@pytest.mark.parametrize(
+    "key, m, k, csv_digest, json_digest",
+    [
+        ((3, 2, 1), 3, 1, "564d738fdea887e9", "14076fc01ae025bd"),
+        ((2, 2, 2), 3, 1, "a7d6f9895ba17a40", "3d58ea7789b67bf6"),
+        ((3, 2, 1), 4, 2, "9d695b434a2997a6", "f34c720991111acc"),
+    ],
+)
+def test_export_bytes_are_pinned(key, m, k, csv_digest, json_digest):
+    cb = build(key, m=m, k=k)
+    digest = {
+        fmt: hashlib.sha256(export_codebook(cb, fmt=fmt)).hexdigest()[:16]
+        for fmt in ("csv", "json")
+    }
+    assert digest == {"csv": csv_digest, "json": json_digest}
 
 
 def test_enumerated_s_must_match_formula(monkeypatch):
