@@ -134,6 +134,16 @@ class UnitGroupBasis:
     dlog: dict[tuple[int, ...], tuple[int, ...]]
     lcm_order: int
 
+    @functools.cached_property
+    def radix(self) -> np.ndarray:
+        """Place values of the exponents: exponents @ radix is the enumerate_characters index."""
+        return np.array([math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))])
+
+    @functools.cached_property
+    def scale(self) -> np.ndarray:
+        """L / d_i, which scales exponent e_i to the common order L."""
+        return self.lcm_order // np.array(self.orders, dtype=np.int64)
+
 
 def _powers(ring: GaloisRing, g: np.ndarray, d: int) -> np.ndarray:
     """Coordinates of g^0, ..., g^(d-1), one row each, by doubling."""
@@ -287,8 +297,7 @@ def _scaled_exponents(basis: UnitGroupBasis, start: int, stop: int) -> np.ndarra
 
     A character's value at a unit w is exp(2 pi i (X . dlog(w)) / L).
     """
-    exps = np.stack(np.unravel_index(np.arange(start, stop), basis.orders), axis=1)
-    return exps * (basis.lcm_order // np.array(basis.orders, dtype=np.int64))
+    return np.stack(np.unravel_index(np.arange(start, stop), basis.orders), axis=1) * basis.scale
 
 
 def _trivial_on(x: np.ndarray, rows: np.ndarray, L: int) -> np.ndarray:
@@ -340,6 +349,21 @@ def character_levels(ring: GaloisRing) -> np.ndarray:
     return ring._cache["character_levels"]
 
 
+def character_signs(ring: GaloisRing) -> np.ndarray:
+    """Read-only int8 chi(-1), +1 or -1, of every character, in enumerate_characters order.
+
+    Cached per ring.
+    """
+    if "character_signs" not in ring._cache:
+        num = character_numerators(ring, character_exponents(ring), -ring.one)
+        if (2 * num % decompose_unit_group(ring).lcm_order).any():
+            raise BrokenInvariant("a character takes a value other than +1 or -1 at -1")
+        signs = np.where(num == 0, 1, -1).astype(np.int8)
+        signs.flags.writeable = False
+        ring._cache["character_signs"] = signs
+    return ring._cache["character_signs"]
+
+
 # ---------------------------------------------------------------------------
 # multiplicative characters
 
@@ -389,16 +413,17 @@ class MultCharacter:
         return self.level <= max(k, 0)
 
     @property
-    def level(self) -> int:
-        """Triviality level in {0..n}: least k with chi trivial on 1 + p^k R.
-
-        Looked up in character_levels by the mixed-radix index of the
-        exponents.
-        """
+    def index(self) -> int:
+        """Position in enumerate_characters order: the mixed-radix value of the exponents."""
         index = 0
         for e, d in zip(self.exponents, self.basis.orders):
             index = index * d + e
-        return int(character_levels(self.ring)[index])
+        return index
+
+    @property
+    def level(self) -> int:
+        """Triviality level in {0..n}: least k with chi trivial on 1 + p^k R (character_levels)."""
+        return int(character_levels(self.ring)[self.index])
 
     @property
     def is_primitive(self) -> bool:
@@ -415,11 +440,8 @@ class MultCharacter:
         return MultCharacter(self.ring, tuple(-e for e in self.exponents))
 
     def sign_at_minus_one(self) -> int:
-        """chi(-1), always +1 or -1."""
-        v = self.eval_unit(-self.ring.one)
-        if 2 * v.numerator % v.order:
-            raise BrokenInvariant(f"chi(-1) = {v} is not a sign")
-        return 1 if v.is_one else -1
+        """chi(-1), always +1 or -1, from character_signs."""
+        return int(character_signs(self.ring)[self.index])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -454,6 +476,22 @@ def product_character(chars) -> MultCharacter:
     for c in chars[1:]:
         out = out * c
     return out
+
+
+# ---------------------------------------------------------------------------
+# characters as exponent arrays: the last axis of X holds one exponent tuple
+
+
+def character_exponents(ring: GaloisRing) -> np.ndarray:
+    """(count x r) exponents of every character, in enumerate_characters order."""
+    orders = decompose_unit_group(ring).orders
+    return np.stack(np.unravel_index(np.arange(math.prod(orders)), orders), axis=-1)
+
+
+def character_numerators(ring: GaloisRing, X, w: RingElement) -> np.ndarray:
+    """chi(w) = exp(2 pi i num / L) at a unit w for each exponent tuple of X: num mod L."""
+    basis = decompose_unit_group(ring)
+    return (X * basis.scale) @ np.array(basis.dlog[w.coords]) % basis.lcm_order
 
 
 # ---------------------------------------------------------------------------
@@ -567,22 +605,29 @@ def lift_character(psi: MultCharacter, ring: GaloisRing) -> MultCharacter:
     return MultCharacter(ring, tuple(exps))
 
 
+def project_exponents(ring: GaloisRing, X, k: int) -> np.ndarray:
+    """Exponents over ring.reduced(k) of the characters given by the exponent tuples of X.
+
+    Each character must be trivial on 1 + p^(n-k) R; its value at the lift of
+    each generator of the quotient's unit group fixes the exponent there.
+    """
+    basis = decompose_unit_group(ring)
+    X = np.asarray(X, dtype=np.int64) % basis.orders
+    if (character_levels(ring)[X @ basis.radix] > max(ring.n - k, 0)).any():
+        raise ValueError(f"character is not trivial on 1 + p^{ring.n - k} R")
+    target = decompose_unit_group(ring.reduced(k))
+    L, d = basis.lcm_order, np.array(target.orders, dtype=np.int64)
+    lifts = ring.index_of(np.array([g.coords for g in target.generators], dtype=np.int64))
+    num = (X * basis.scale) @ dlog_matrix(ring)[lifts].T % L * d
+    if (num % L).any():
+        raise BrokenInvariant(f"a character at a lifted generator has order beyond {d}")
+    return num // L % d
+
+
 def project_character(chi: MultCharacter, k: int) -> MultCharacter:
     """The character of the quotient ring induced by an (n-k)-or-less-trivial chi."""
-    ring = chi.ring
-    if not chi.trivial_on_subgroup(ring.n - k):
-        raise ValueError(f"character is not trivial on 1 + p^{ring.n - k} R")
-    target = ring.reduced(k)
-    basis = decompose_unit_group(target)
-    exps = []
-    for g, d in zip(basis.generators, basis.orders):
-        lifted = ring.element(tuple(c % ring.pn for c in g.coords))
-        v = chi.eval_unit(lifted)
-        num = v.numerator * d
-        if num % v.order:
-            raise BrokenInvariant(f"chi at a lifted generator has order beyond {d}")
-        exps.append((num // v.order) % d)
-    return MultCharacter(target, tuple(exps))
+    exps = project_exponents(chi.ring, [chi.exponents], k)[0]
+    return MultCharacter(chi.ring.reduced(k), tuple(exps.tolist()))
 
 
 # ---------------------------------------------------------------------------

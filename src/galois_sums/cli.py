@@ -53,13 +53,21 @@ def _add_ring_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cap-elements", type=int, default=1 << 20)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+# options a subcommand takes only when it reads them, so that an ignored
+# option is a usage error (exit 2) rather than silently dropped
+OPTIONS = {
+    "--cap-terms": dict(type=int, default=10 ** 7, help="term cap per brute-force sum"),
+    "--cap-pairs": dict(type=int, default=10 ** 9, help="pair budget of the correlation scan"),
+    "--tol": dict(type=float, default=1e-9, help="agreement tolerance"),
+    "--seed": dict(type=int, default=None, help="seed of the randomized suites"),
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *options: str) -> None:
     sub.add_argument("--json", action="store_true", help="emit JSON")
     sub.add_argument("--out", help="write output to this path")
-    sub.add_argument("--cap-terms", type=int, default=10 ** 7)
-    sub.add_argument("--cap-pairs", type=int, default=10 ** 9)
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--seed", type=int, default=None)
+    for name in options:
+        sub.add_argument(name, **OPTIONS[name])
 
 
 def _build_ring(args) -> GaloisRing:
@@ -275,14 +283,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("gauss", help="Gauss sum of a character and a twist")
     _add_ring_args(sp)
-    _add_common(sp)
+    _add_common(sp, "--tol")
     sp.add_argument("--char", required=True, help="exponent tuple, e.g. 1,0")
     sp.add_argument("--b", required=True, help="twist element")
     sp.set_defaults(fn=cmd_gauss)
 
     sp = subs.add_parser("jacobi", help="Jacobi sum of characters at a twist")
     _add_ring_args(sp)
-    _add_common(sp)
+    _add_common(sp, "--cap-terms", "--tol")
     sp.add_argument("--chars", required=True, help="semicolon-separated exponent tuples")
     sp.add_argument("--a", required=True, help="twist element")
     sp.add_argument("--inject-disagreement", action="store_true", help=argparse.SUPPRESS)
@@ -290,7 +298,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("tilde-jacobi", help="mixed-domain character sum")
     _add_ring_args(sp)
-    _add_common(sp)
+    _add_common(sp, "--cap-terms", "--tol")
     sp.add_argument("--chars", required=True)
     sp.add_argument("--a", required=True)
     sp.add_argument("-k", type=int, required=True, help="size of the unit block")
@@ -298,7 +306,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("codebook", help="build and evaluate a codebook")
     _add_ring_args(sp)
-    _add_common(sp)
+    _add_common(sp, "--cap-pairs")
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--a-mode", choices=["unit", "zero", "ideal"], default="unit")
@@ -315,7 +323,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=list(SUITES) + ["all"])
-    _add_common(sp)
+    _add_common(sp, "--seed")
     sp.set_defaults(fn=cmd_verify)
 
     return parser

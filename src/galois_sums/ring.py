@@ -34,6 +34,7 @@ from .errors import (
     InvalidModulus,
     NotAUnit,
     NotInBaseRing,
+    RingMismatch,
     SizeLimit,
 )
 
@@ -322,6 +323,7 @@ class GaloisRing:
             modulus = find_basic_primitive_poly(p, n, s)
         self._validate_modulus(modulus)
         self.modulus = modulus
+        self.key = (p, n, s, modulus.coeffs)  # equality, hashing and _check_same
         self._mod_low = modulus.coeffs[:-1]
 
         self.zero = RingElement(self, (0,) * s)
@@ -402,8 +404,6 @@ class GaloisRing:
     # -- tuple-level arithmetic (performance kernels use these directly) ------
 
     def _check_same(self, other) -> None:
-        from .errors import RingMismatch
-
         ring = other.ring if isinstance(other, RingElement) else other
         if ring.key != self.key:
             raise RingMismatch(f"{ring} is not {self}")
@@ -494,10 +494,6 @@ class GaloisRing:
         return self._pow(a, self.unit_count - 1)
 
     # -- public element API ----------------------------------------------------
-
-    @property
-    def key(self) -> tuple:
-        return (self.p, self.n, self.s, self.modulus.coeffs)
 
     def element(self, coords) -> RingElement:
         coords = tuple(int(c) % self.pn for c in coords)

@@ -14,7 +14,11 @@ equal to exp(2 pi i j / M).  Every row becomes complex the same way, over
 ascending j, so a sum in a table (jacobi_brute_table, gauss_table) is
 bit-identical to the same sum computed alone.
 
-Closed-form dispatch, in order:
+The closed form is dispatched over tables too: jacobi_expected_table takes
+C exponent tuples and one canonical twist, reads the per-tuple facts it
+branches on as arrays, and fills the Gauss sums its quotient laws need with
+one kernel call per twist; jacobi_expected is its C = 1 call.  Dispatch, in
+order:
 
 * base ring is a field (n = 1): evaluated by brute force;
 * all characters trivial: exact integer from the unit-solution count;
@@ -38,10 +42,12 @@ import numpy as np
 from .characters import (
     MultCharacter,
     RootOfUnity,
+    character_levels,
+    character_numerators,
+    character_signs,
     decompose_unit_group,
     dlog_matrix,
-    product_character,
-    project_character,
+    project_exponents,
     root_table,
 )
 from .errors import BrokenInvariant, RingMismatch, TooLarge
@@ -232,7 +238,7 @@ def _root_counts(ring: GaloisRing, X, rows_at, total: int, units: int, b=None):
     """
     basis = decompose_unit_group(ring)
     L = M = basis.lcm_order
-    X = np.asarray(X, dtype=np.int64) * (L // np.array(basis.orders, dtype=np.int64))
+    X = np.asarray(X, dtype=np.int64) * basis.scale
     nontrivial = X.any(axis=2)
     if b is not None:
         M = math.lcm(L, ring.pn)
@@ -307,21 +313,31 @@ def _gauss_values(ring: GaloisRing, X, b: RingElement) -> list[complex]:
     return _complex_rows(_root_counts(ring, X, lambda i, j: units[i:j], len(units), 1, b)[0])
 
 
+def _gauss_fill(ring: GaloisRing, keys) -> None:
+    """Compute the missing ("gauss", exponents, twist coords) cache entries.
+
+    One kernel call per twist, over the missing characters in first-seen order.
+    """
+    missing: dict[tuple, dict] = {}
+    for key in keys:
+        if key not in ring._cache:
+            missing.setdefault(key[2], {})[key] = None  # insertion-ordered, no repeats
+    for coords, group in missing.items():
+        values = _gauss_values(ring, [[key[1]] for key in group], ring.element(coords))
+        ring._cache.update(zip(group, values))
+
+
 def _gauss_value(chi: MultCharacter, b: RingElement) -> complex:
-    ring = chi.ring
     key = ("gauss", chi.exponents, b.coords)
-    if key not in ring._cache:
-        ring._cache[key] = _gauss_values(ring, [[chi.exponents]], b)[0]
-    return ring._cache[key]
+    _gauss_fill(chi.ring, [key])
+    return chi.ring._cache[key]
 
 
 def gauss_table(ring: GaloisRing, b: RingElement) -> None:
     """Fill the Gauss-value cache at b for every character still missing, in one kernel call."""
     ring._check_same(b)
-    keys = (("gauss", e, b.coords) for e in np.ndindex(*decompose_unit_group(ring).orders))
-    missing = [key for key in keys if key not in ring._cache]
-    if missing:
-        ring._cache.update(zip(missing, _gauss_values(ring, [[key[1]] for key in missing], b)))
+    orders = decompose_unit_group(ring).orders
+    _gauss_fill(ring, (("gauss", e, b.coords) for e in np.ndindex(*orders)))
 
 
 def expected_gauss(chi: MultCharacter, b: RingElement) -> Expected:
@@ -422,13 +438,34 @@ def jacobi_brute(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> SumValue
 # canonicalization: J_a = chi_1...chi_m(t) * J_{p^k}
 
 
+def _canonical(ring: GaloisRing) -> tuple[tuple[RingElement, ...], frozenset]:
+    """The canonical twists and the set of their coordinates, cached per ring."""
+    if "canonical_twists" not in ring._cache:
+        twists = (ring.zero, ring.one) + tuple(ring.p_power(k) for k in range(1, ring.n))
+        ring._cache["canonical_twists"] = twists, frozenset(t.coords for t in twists)
+    return ring._cache["canonical_twists"]
+
+
 def canonical_twists(ring: GaloisRing) -> list[RingElement]:
     """The canonical right-hand sides {0, 1, p, ..., p^(n-1)}."""
-    return [ring.zero, ring.one] + [ring.p_power(k) for k in range(1, ring.n)]
+    return list(_canonical(ring)[0])
 
 
 def is_canonical(a: RingElement) -> bool:
-    return a in canonical_twists(a.ring)
+    return a.coords in _canonical(a.ring)[1]
+
+
+def _twist_scalars(ring: GaloisRing, X, a: RingElement) -> tuple[RingElement, list[RootOfUnity]]:
+    """canonicalize for each (m x r) exponent tuple of X: the canonical twist and the scalars."""
+    ring._check_same(a)
+    if a.is_zero:
+        return ring.zero, [RootOfUnity.make(0, 1)] * len(X)
+    k, u = ring.valuation(a)
+    canon, w = (ring.one, a) if k == 0 else (ring.p_power(k), _lift_unit(ring, u, k))
+    basis = decompose_unit_group(ring)
+    prod = np.asarray(X, dtype=np.int64).sum(axis=1) % basis.orders
+    nums = character_numerators(ring, prod, w).tolist()
+    return canon, [RootOfUnity.make(v, basis.lcm_order) for v in nums]
 
 
 def canonicalize(chars, a: RingElement) -> tuple[RingElement, RootOfUnity]:
@@ -440,16 +477,8 @@ def canonicalize(chars, a: RingElement) -> tuple[RingElement, RootOfUnity]:
     """
     chars = list(chars)
     ring = _check_chars(chars)
-    ring._check_same(a)
-    one_root = RootOfUnity.make(0, 1)
-    if a.is_zero:
-        return ring.zero, one_root
-    prod = product_character(chars)
-    k, u = ring.valuation(a)
-    if k == 0:
-        return ring.one, prod.eval_unit(a)
-    lifted = _lift_unit(ring, u, k)
-    return ring.p_power(k), prod.eval_unit(lifted)
+    canon, scalars = _twist_scalars(ring, [[c.exponents for c in chars]], a)
+    return canon, scalars[0]
 
 
 def _lift_unit(ring: GaloisRing, u: RingElement, k: int) -> RingElement:
@@ -469,166 +498,203 @@ def _lift_unit(ring: GaloisRing, u: RingElement, k: int) -> RingElement:
 # Jacobi sums: closed-form dispatch
 
 
-def _gauss_quotient(
-    chars, prod: MultCharacter, twist: RingElement, scale: int
-) -> complex:
+def _gauss_quotient(nums, den: complex, scale: int) -> complex:
+    """scale * prod(nums) / den, the numerator multiplied in the order given."""
     num = 1 + 0j
-    for c in chars:
-        num *= _gauss_value(c, c.ring.one)
-    den = _gauss_value(prod, twist)
+    for g in nums:
+        num *= g
     if abs(den) <= 1e-6:
         raise BrokenInvariant("denominator Gauss sum vanished unexpectedly")
     return scale * num / den
 
 
-def jacobi_expected(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> Expected:
-    """Closed-form value/magnitude of J_a for a canonical twist a."""
-    chars = list(chars)
-    ring = _check_chars(chars)
-    ring._check_same(a)
-    if not is_canonical(a):
-        raise ValueError(f"{a} is not canonical; use canonicalize() first")
-    m = len(chars)
+class _Quotient:
+    """A Gauss-quotient value whose Gauss sums are not read yet.
+
+    factor * scale * g(chi_1, 1) ... g(chi_j, 1) / g(chi_1 ... chi_j, p^level)
+    for the characters given by the (j x r) exponent array chars; keys are
+    the cache keys of the numerator sums, then of the denominator.
+    """
+
+    __slots__ = ("keys", "scale", "factor")
+
+    def __init__(self, ring: GaloisRing, chars, level: int, scale: int, factor: int | None = None):
+        one, orders, chars = ring.one.coords, decompose_unit_group(ring).orders, chars.tolist()
+        prod = tuple(sum(col) % d for col, d in zip(zip(*chars), orders))
+        den = ("gauss", prod, ring.p_power(level).coords)
+        self.keys = tuple(("gauss", tuple(e), one) for e in chars) + (den,)
+        self.scale, self.factor = scale, factor
+
+    def resolve(self, cache: dict) -> complex:
+        *nums, den = (cache[key] for key in self.keys)
+        value = _gauss_quotient(nums, den, self.scale)
+        return value if self.factor is None else self.factor * value
+
+
+def _pair_law(ring: GaloisRing, t, tp: int, sign, k: int, chars) -> Expected | None:
+    """J_{p^k} (k = 0: J_1) of the pair with (2 x r) exponents chars.
+
+    t holds the levels of the characters, tp that of their product, and
+    sign[i] = chi_i(-1).  None when neither character is primitive: the pair
+    reduces to the quotient ring.
+    """
     q, n = ring.q, ring.n
-
-    if n == 1:
-        # field base case: evaluated directly rather than via field theory
-        val = jacobi_brute(chars, a, cap=cap).value
-        return Expected.exact(val, "field-base")
-
-    if all(c.is_trivial for c in chars):
-        return Expected.of_integer(count_unit_solutions(ring, m, a), "all-trivial-count")
-
-    if a.is_zero:
-        return _expected_zero_twist(chars, ring, m, q, n, cap)
-
-    prod = product_character(chars)
-    if m == 2:
-        return _expected_pair(chars, prod, a, ring, q, n, cap)
-    return _expected_multi(chars, prod, a, ring, m, q, n, cap)
-
-
-def _expected_zero_twist(chars, ring, m, q, n, cap) -> Expected:
-    prod = product_character(chars)
-    if m == 2:
-        # pairing x with a - x = -x collapses the sum to a single character sum
-        if prod.is_trivial:
-            sign = chars[1].sign_at_minus_one()
-            return Expected.of_integer(sign * ring.unit_count, "zero-twist-pair")
-        return Expected.zero("zero-twist-pair")
-    if prod.is_trivial:
-        idx = max(i for i, c in enumerate(chars) if not c.is_trivial)
-        rest = chars[:idx] + chars[idx + 1 :]
-        sign = chars[idx].sign_at_minus_one()
-        sub = jacobi_expected(rest, ring.one, cap=cap)
-        scale = sign * ring.unit_count
-        if sub.kind == "zero":
-            return Expected.zero("zero-twist-split")
-        if sub.value is not None:
-            return Expected.exact(scale * sub.value, "zero-twist-split")
-        return Expected.unclassified()
-    return Expected.zero("zero-twist-split")
-
-
-def _expected_pair(chars, prod, a, ring, q, n, cap) -> Expected:
-    chi1, chi2 = chars
-    k = 0 if a == ring.one else ring.valuation(a)[0]
-
-    if chi1.is_trivial or chi2.is_trivial:
-        nt = chi2 if chi1.is_trivial else chi1
-        if k == 0:
-            if nt.level == 1:
-                return Expected.of_integer(-(q ** (n - 1)), "one-trivial-pair")
-            return Expected.zero("one-trivial-pair")
+    t1, t2 = t
+    if not t1 or not t2:
+        if k == 0 and t1 + t2 == 1:
+            return Expected.of_integer(-(q ** (n - 1)), "one-trivial-pair")
         return Expected.zero("one-trivial-pair")
-
-    if prod.is_trivial:
-        sign = chi2.sign_at_minus_one()
+    if not tp:
         if k == 0:
-            if chi2.level <= 1:
-                return Expected.of_integer(-sign * q ** (n - 1), "inverse-pair")
+            if t2 <= 1:
+                return Expected.of_integer(-sign[1] * q ** (n - 1), "inverse-pair")
             return Expected.zero("inverse-pair")
-        t2 = chi2.level
         if t2 > k + 1:
             return Expected.zero("inverse-pair-ideal")
         if t2 <= k:
-            return Expected.of_integer(sign * ring.unit_count, "inverse-pair-ideal")
-        return Expected.of_integer(-sign * q ** (n - 1), "inverse-pair-ideal")
-
-    if chi1.is_primitive or chi2.is_primitive:
-        t = prod.level
-        if k == 0:
-            if t == n:
-                val = _gauss_quotient(chars, prod, ring.one, 1)
-                if chi1.is_primitive and chi2.is_primitive:
-                    return Expected.power(Fraction(n, 2), "gauss-quotient-pair", val)
-                return Expected("zero", "gauss-quotient-pair", value=0j)
-            return Expected.zero("primitive-pair-vanishing")
-        if t == n:
-            return Expected.zero("primitive-pair-vanishing")
-        if k == n - t:
-            val = _gauss_quotient(chars, prod, ring.p_power(k), q ** k)
-            return Expected.power(Fraction(n + k, 2), "gauss-quotient-ideal-pair", val)
-        return Expected.zero("level-mismatch-zero")
-
-    # neither character primitive: reduce to the quotient ring
-    return _expected_reduction(chars, a, ring, 2, q, n, cap)
-
-
-def _expected_multi(chars, prod, a, ring, m, q, n, cap) -> Expected:
-    k = 0 if a == ring.one else ring.valuation(a)[0]
-    prim_idx = [i for i, c in enumerate(chars) if c.is_primitive]
-    if not prim_idx:
-        return _expected_reduction(chars, a, ring, m, q, n, cap)
-
-    idx = prim_idx[-1]
-    ordered = chars[:idx] + chars[idx + 1 :] + [chars[idx]]
-    last = ordered[-1]
-    t = prod.level
-    all_prim = len(prim_idx) == m
-
+            return Expected.of_integer(sign[1] * ring.unit_count, "inverse-pair-ideal")
+        return Expected.of_integer(-sign[1] * q ** (n - 1), "inverse-pair-ideal")
+    if n not in t:
+        return None
     if k == 0:
-        if t == n:
-            val = _gauss_quotient(ordered, prod, ring.one, 1)
-            if all_prim:
-                return Expected.power(Fraction((m - 1) * n, 2), "gauss-quotient", val)
-            return Expected("zero", "gauss-quotient", value=0j)
-        return Expected.zero("multi-vanishing")
+        if tp != n:
+            return Expected.zero("primitive-pair-vanishing")
+        if t1 == t2 == n:
+            value = _Quotient(ring, chars, 0, 1)
+            return Expected.power(Fraction(n, 2), "gauss-quotient-pair", value)
+        return Expected("zero", "gauss-quotient-pair", value=0j)
+    if tp == n:
+        return Expected.zero("primitive-pair-vanishing")
+    if k == n - tp:
+        value = _Quotient(ring, chars, k, q ** k)
+        return Expected.power(Fraction(n + k, 2), "gauss-quotient-ideal-pair", value)
+    return Expected.zero("level-mismatch-zero")
 
-    if 1 <= t <= n - 1 and k == n - t:
-        val = _gauss_quotient(ordered, prod, ring.p_power(k), q ** k)
+
+def _multi_law(ring: GaloisRing, t, tp: int, sign, k: int, chars) -> Expected | None:
+    """J_{p^k} (k = 0: J_1) of the m >= 3 characters with (m x r) exponents chars.
+
+    t, tp and sign are as for _pair_law.  None when no character is
+    primitive: the tuple reduces to the quotient ring.  Only tuples of
+    primitive characters take a Gauss-quotient value.
+    """
+    q, n, m = ring.q, ring.n, len(t)
+    if n not in t:
+        return None
+    all_prim = min(t) == n
+    if k == 0:
+        if tp != n:
+            return Expected.zero("multi-vanishing")
         if all_prim:
-            return Expected.power(
-                Fraction((m - 1) * n + k, 2), "gauss-quotient-ideal", val
-            )
+            value = _Quotient(ring, chars, 0, 1)
+            return Expected.power(Fraction((m - 1) * n, 2), "gauss-quotient", value)
+        return Expected("zero", "gauss-quotient", value=0j)
+    if 1 <= tp <= n - 1 and k == n - tp:
+        if all_prim:
+            value = _Quotient(ring, chars, k, q ** k)
+            return Expected.power(Fraction((m - 1) * n + k, 2), "gauss-quotient-ideal", value)
         return Expected("zero", "gauss-quotient-ideal", value=0j)
-    if t == 0 and k == n - 1:
-        rest = ordered[:-1]
-        prod_rest = product_character(rest)
-        sign = -last.sign_at_minus_one() * q ** (n - 1)
-        val = sign * _gauss_quotient(rest, prod_rest, ring.one, 1)
-        if all(c.is_primitive for c in rest) and prod_rest.is_primitive:
-            return Expected.power(Fraction(n * m - 2, 2), "boundary-split", val)
+    if tp == 0 and k == n - 1:
+        # the product of the first m - 1 is the inverse of the last: primitive too
+        if all_prim:
+            value = _Quotient(ring, chars[:-1], 0, 1, -sign[-1] * q ** (n - 1))
+            return Expected.power(Fraction(n * m - 2, 2), "boundary-split", value)
         return Expected("zero", "boundary-split", value=0j)
     return Expected.zero("multi-vanishing")
 
 
-def _expected_reduction(chars, a, ring, m, q, n, cap) -> Expected:
-    """No character primitive: push the sum down to GR(p^(n-k), .).
+def jacobi_expected_table(
+    ring: GaloisRing, X, a: RingElement, cap: int = DEFAULT_TERM_CAP
+) -> list[Expected]:
+    """Closed-form value/magnitude of J_a for each (m x r) exponent tuple of X, a canonical.
 
-    Counting lifts of a unit tuple through the reduction map gives a factor
-    q^(k(m-1)): each of the m fibers has q^k points and the coordinate-sum
-    constraint removes one factor.
+    The levels of the characters and of their product, and chi(-1), are read
+    as arrays from the ring's tables.  The rows of each recursive branch
+    (zero-twist-split, digit-reduction) are recursed on as one sub-batch, and
+    the Gauss sums that the quotient laws read are filled with one kernel call
+    per twist before any quotient is formed.
     """
-    k = n - max(c.level for c in chars)
-    if not 1 <= k <= n - 1:
-        raise BrokenInvariant(f"reduction level {k} not in [1, {n - 1}]")
-    target = ring.reduced(k)
-    projected = [project_character(c, k) for c in chars]
-    a_red = ring.reduce(a, k)
-    sub = jacobi_expected(projected, a_red, cap=cap)
-    scale = q ** (k * (m - 1))
-    return sub.shift_power(Fraction(k * (m - 1)), scale, "digit-reduction")
+    ring._check_same(a)
+    if not is_canonical(a):
+        raise ValueError(f"{a} is not canonical; use canonicalize() first")
+    if not len(X):
+        return []
+    basis = decompose_unit_group(ring)
+    X = np.asarray(X, dtype=np.int64) % basis.orders
+    m = X.shape[1]
+    if m < 2:
+        raise ValueError("need at least two characters")
+    q, n = ring.q, ring.n
+    if n == 1:
+        # field base case: evaluated directly rather than via field theory
+        return [Expected.exact(v, "field-base") for v in _domain_sums(ring, X, m, a, cap)[0]]
+
+    levels, index = character_levels(ring), X @ basis.radix
+    lev, signs = levels[index], character_signs(ring)[index]
+    plev = levels[X.sum(axis=1) % basis.orders @ basis.radix].tolist()
+    k = 0 if a == ring.one else ring.valuation(a)[0]
+    zero_twist, law = a.is_zero, _pair_law if m == 2 else _multi_law
+    out: list = [None] * len(X)
+    split: list[int] = []
+    reduce: dict[int, list[int]] = {}
+    # row tuples are zipped from flat columns, so no C small lists are alive at once
+    facts = zip(zip(*lev.T.tolist()), plev, zip(*signs.T.tolist()))
+    for c, (t, tp, sign) in enumerate(facts):
+        if not any(t):
+            out[c] = Expected.of_integer(count_unit_solutions(ring, m, a), "all-trivial-count")
+        elif zero_twist:
+            # pairing x with a - x = -x collapses a pair to a single character sum
+            if tp:
+                out[c] = Expected.zero("zero-twist-pair" if m == 2 else "zero-twist-split")
+            elif m == 2:
+                out[c] = Expected.of_integer(sign[1] * ring.unit_count, "zero-twist-pair")
+            else:
+                split.append(c)
+        else:
+            out[c] = law(ring, t, tp, sign, k, X[c])
+            if out[c] is None:
+                reduce.setdefault(n - max(t), []).append(c)
+
+    pending = [c for c, e in enumerate(out) if e is not None and isinstance(e.value, _Quotient)]
+    _gauss_fill(ring, (key for c in pending for key in out[c].value.keys))
+    for c in pending:
+        e = out[c]
+        out[c] = Expected(e.kind, e.lemma, e.exponent, value=e.value.resolve(ring._cache))
+
+    if split:
+        # a = 0 with a trivial product: split off the last nontrivial character
+        # (the sum is symmetric under joint permutation of characters and coordinates)
+        rows = np.array(split)
+        last = m - 1 - np.argmax(X[rows, ::-1].any(axis=2), axis=1)
+        keep = np.arange(m) != last[:, None]
+        rest = X[rows][keep].reshape(len(rows), m - 1, -1)
+        subs = jacobi_expected_table(ring, rest, ring.one, cap)
+        for c, sign, sub in zip(split, signs[rows, last].tolist(), subs):
+            scale = sign * ring.unit_count
+            if sub.kind == "zero":
+                out[c] = Expected.zero("zero-twist-split")
+            elif sub.value is not None:
+                out[c] = Expected.exact(scale * sub.value, "zero-twist-split")
+            else:
+                out[c] = Expected.unclassified()
+
+    # no character primitive: every character is trivial on 1 + p^(n-j) R, so
+    # the sum is one over GR(p^(n-j), .).  Counting lifts of a unit tuple
+    # through the reduction map gives a factor q^(j(m-1)): each of the m
+    # fibers has q^j points and the coordinate-sum constraint removes one.
+    for j, rows in reduce.items():
+        projected = project_exponents(ring, X[rows], j)
+        sub = jacobi_expected_table(ring.reduced(j), projected, ring.reduce(a, j), cap)
+        for c, e in zip(rows, sub):
+            out[c] = e.shift_power(Fraction(j * (m - 1)), q ** (j * (m - 1)), "digit-reduction")
+    return out
+
+
+def jacobi_expected(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> Expected:
+    """Closed-form value/magnitude of J_a for a canonical twist a (one row of the table)."""
+    chars = list(chars)
+    ring = _check_chars(chars)
+    return jacobi_expected_table(ring, [[c.exponents for c in chars]], a, cap)[0]
 
 
 def jacobi(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> SumValue:
@@ -644,38 +710,63 @@ def jacobi(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> SumValue:
 # modified Jacobi sums over S = (R*)^k x R^(m-k)
 
 
+def _check_k(k: int, m: int) -> None:
+    if not 1 <= k <= m - 1:
+        raise ValueError("need 1 <= k <= m - 1")
+
+
 def tilde_jacobi_brute(
     chars, k: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
 ) -> SumValue:
     """Sum of extended character products over the mixed domain S."""
     chars = list(chars)
-    if not 1 <= k <= len(chars) - 1:
-        raise ValueError("need 1 <= k <= m - 1")
+    _check_k(k, len(chars))
     return _domain_sum(chars, k, a, cap)[0]
+
+
+def tilde_jacobi_brute_table(
+    ring: GaloisRing, X, k: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
+) -> np.ndarray:
+    """The modified sum for each (m x r) exponent tuple of X over one domain; bit-identical."""
+    _check_k(k, len(X[0]))
+    return np.array(_domain_sums(ring, X, k, a, cap)[0])
+
+
+def tilde_jacobi_classify_table(
+    ring: GaloisRing, X, k: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
+) -> list[Expected]:
+    """Expected value of the modified sum for each (m x r) exponent tuple of X.
+
+    The split is by which block is trivial.  A trivial character extended by
+    1 on the maximal ideal leaves its free coordinate unconstrained, so once
+    the whole free block is trivial the sum factorizes over the unit block and
+    dies unless every character is trivial.  With no trivial character in the
+    free block the sum is a Jacobi sum, canonicalized as a batch.
+    """
+    ring._check_same(a)
+    X = np.asarray(X, dtype=np.int64) % decompose_unit_group(ring).orders
+    m = X.shape[1]
+    _check_k(k, m)
+    nontrivial = X.any(axis=2)
+    out = [Expected.zero("mixed-free-block")] * len(X)
+    for c in np.flatnonzero(~nontrivial[:, k:].any(axis=1)).tolist():
+        if nontrivial[c].any():
+            out[c] = Expected.zero("free-block-zero")
+        else:
+            out[c] = Expected.of_integer(s_cardinality(ring, m, k), "free-block-count")
+    restricted = np.flatnonzero(nontrivial[:, k:].all(axis=1))
+    if len(restricted):
+        canon, scalars = _twist_scalars(ring, X[restricted], a)
+        base = jacobi_expected_table(ring, X[restricted], canon, cap)
+        for c, scalar, e in zip(restricted.tolist(), scalars, base):
+            out[c] = e.rotated(scalar, "unit-restricted")
+    return out
 
 
 def tilde_jacobi_classify(
     chars, k: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
 ) -> Expected:
-    """Expected value of the modified sum, split by which block is trivial.
-
-    A trivial character extended by 1 on the maximal ideal leaves its free
-    coordinate unconstrained, so once the whole free block is trivial the sum
-    factorizes over the unit block and dies unless every character is trivial.
-    """
+    """Expected value of the modified sum (one row of tilde_jacobi_classify_table)."""
     chars = list(chars)
     ring = _check_chars(chars)
-    m = len(chars)
-    if not 1 <= k <= m - 1:
-        raise ValueError("need 1 <= k <= m - 1")
-    tail = chars[k:]
-    tail_trivial = [c.is_trivial for c in tail]
-    if all(not t for t in tail_trivial):
-        canon, scalar = canonicalize(chars, a)
-        base = jacobi_expected(chars, canon, cap=cap)
-        return base.rotated(scalar, "unit-restricted")
-    if all(tail_trivial):
-        if all(c.is_trivial for c in chars):
-            return Expected.of_integer(s_cardinality(ring, m, k), "free-block-count")
-        return Expected.zero("free-block-zero")
-    return Expected.zero("mixed-free-block")
+    return tilde_jacobi_classify_table(ring, [[c.exponents for c in chars]], k, a, cap)[0]

@@ -22,7 +22,6 @@ check is paired with a companion check of the corrected quantity:
 """
 from __future__ import annotations
 
-import itertools
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -30,8 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import (
+    character_exponents,
+    character_levels,
     enumerate_characters,
-    project_character,
+    project_exponents,
 )
 from .codebook import (
     CodebookParams,
@@ -52,10 +53,10 @@ from .sums import (
     gauss_sum,
     gauss_table,
     jacobi_brute_table,
-    jacobi_expected,
+    jacobi_expected_table,
     s_cardinality,
-    tilde_jacobi_brute,
-    tilde_jacobi_classify,
+    tilde_jacobi_brute_table,
+    tilde_jacobi_classify_table,
 )
 
 
@@ -132,10 +133,30 @@ def verify_gauss_laws(seed: int = 0, tol: float = 1e-6) -> SuiteResult:
     return result
 
 
-def _brute_tables(chars, m: int, twists) -> list[np.ndarray]:
-    """Brute J_a of every m-tuple of chars, in itertools.product order, per twist a."""
-    X = np.array([[c.exponents for c in t] for t in itertools.product(chars, repeat=m)])
-    return [jacobi_brute_table(chars[0].ring, X, a) for a in twists]
+def _tuples(exponents, m: int) -> np.ndarray:
+    """Every m-tuple of the exponent rows, in itertools.product order: (C x m x r)."""
+    exponents = np.asarray(exponents)
+    at = np.unravel_index(np.arange(len(exponents) ** m), (len(exponents),) * m)
+    return np.stack([exponents[i] for i in at], axis=1)
+
+
+def _jacobi_failures(ring: GaloisRing, m: int, tol: float) -> tuple[int, int, list]:
+    """Brute J_a against its expectation for every m-tuple of characters and canonical twist a.
+
+    Returns the case count, the unclassified count and the failures as
+    (tuple index, twist index, message), one table per twist alive at a time.
+    """
+    X = _tuples(character_exponents(ring), m)
+    unclassified, failures = 0, []
+    for i, a in enumerate(canonical_twists(ring)):
+        brute = jacobi_brute_table(ring, X, a).tolist()
+        for c, (value, e) in enumerate(zip(brute, jacobi_expected_table(ring, X, a))):
+            if e.kind == "unclassified":
+                unclassified += 1
+            ok, msg = _jacobi_case_ok(ring, value, e, tol)
+            if not ok:
+                failures.append((c, i, msg))
+    return len(X) * (ring.n + 1), unclassified, failures
 
 
 def _jacobi_case_ok(ring: GaloisRing, brute: complex, e: Expected, tol: float) -> tuple[bool, str]:
@@ -152,21 +173,10 @@ def verify_jacobi_pairs(tol: float = 1e-6) -> SuiteResult:
     result = SuiteResult("jacobi-m2")
     for p, n, s in SMALL_RINGS:
         ring = cached_ring(p, n, s)
-        chars = enumerate_characters(ring)
-        twists = canonical_twists(ring)
-        tables = _brute_tables(chars, 2, twists)
-        bad = 0
-        total = 0
-        worst = ""
-        for c, pair in enumerate(itertools.product(chars, repeat=2)):
-            for a, table in zip(twists, tables):
-                total += 1
-                case = list(pair)
-                ok, msg = _jacobi_case_ok(ring, complex(table[c]), jacobi_expected(case, a), tol)
-                if not ok:
-                    bad += 1
-                    worst = msg
-        result.add(f"{ring}", bad == 0, worst or f"{total} cases agree")
+        total, _, failures = _jacobi_failures(ring, 2, tol)
+        # the message of the last failure in tuple-major, twist-minor order
+        worst = max(failures)[2] if failures else ""
+        result.add(f"{ring}", not failures, worst or f"{total} cases agree")
     return result
 
 
@@ -175,26 +185,10 @@ def verify_jacobi_triples(tol: float = 1e-6) -> SuiteResult:
     result = SuiteResult("jacobi-m3")
     for p, n, s in SMALL_RINGS:
         ring = cached_ring(p, n, s)
-        chars = enumerate_characters(ring)
-        twists = canonical_twists(ring)
-        tables = _brute_tables(chars, 3, twists)
-        bad = 0
-        unclassified = 0
-        total = 0
-        worst = ""
-        for c, triple in enumerate(itertools.product(chars, repeat=3)):
-            for a, table in zip(twists, tables):
-                total += 1
-                case = list(triple)
-                e = jacobi_expected(case, a)
-                if e.kind == "unclassified":
-                    unclassified += 1
-                    continue
-                ok, msg = _jacobi_case_ok(ring, complex(table[c]), e, tol)
-                if not ok:
-                    bad += 1
-                    worst = msg
-        result.add(f"{ring} agreement", bad == 0, worst or f"{total} cases agree")
+        total, unclassified, failures = _jacobi_failures(ring, 3, tol)
+        failures = [f for f in failures if f[2] != "unclassified"]
+        worst = max(failures)[2] if failures else ""
+        result.add(f"{ring} agreement", not failures, worst or f"{total} cases agree")
         result.add(f"{ring} fully classified", unclassified == 0, f"{unclassified} unclassified")
     return result
 
@@ -213,20 +207,22 @@ def verify_recursion(tol: float = 1e-6) -> SuiteResult:
     for p, n, s in RECURSION_RINGS:
         ring = cached_ring(p, n, s)
         q = ring.q
-        chars = enumerate_characters(ring)
+        exponents = character_exponents(ring)
         for k in (1, 2):
             if k > n - 1:
                 continue
-            eligible = [c for c in chars if c.trivial_on_subgroup(n - k)]
+            X = _tuples(exponents[character_levels(ring) <= n - k], 2)
             twists = canonical_twists(ring)
-            lhs_tables = _brute_tables(eligible, 2, twists)
-            projected = [project_character(c, k) for c in eligible]
-            rhs_tables = _brute_tables(projected, 2, [ring.reduce(a, k) for a in twists])
+            lhs_tables = [jacobi_brute_table(ring, X, a) for a in twists]
+            projected = project_exponents(ring, X, k)
+            rhs_tables = [
+                jacobi_brute_table(ring.reduced(k), projected, ring.reduce(a, k)) for a in twists
+            ]
             stated_bad = 0
             corrected_bad = 0
             total = 0
             witness = ""
-            for c, pair in enumerate(itertools.product(eligible, repeat=2)):
+            for c, pair in enumerate(X.tolist()):
                 for lhs_table, rhs_table, a in zip(lhs_tables, rhs_tables, twists):
                     total += 1
                     lhs, rhs = complex(lhs_table[c]), complex(rhs_table[c])
@@ -234,7 +230,7 @@ def verify_recursion(tol: float = 1e-6) -> SuiteResult:
                         stated_bad += 1
                         if not witness:
                             witness = (
-                                f"chars {pair[0].exponents},{pair[1].exponents} a={a.coords}: "
+                                f"chars {tuple(pair[0])},{tuple(pair[1])} a={a.coords}: "
                                 f"J={lhs:.6g} but q^(mk)*J'={q ** (m * k) * rhs:.6g}"
                             )
                     if abs(lhs - q ** (k * (m - 1)) * rhs) > tol:
@@ -392,14 +388,16 @@ def verify_remark_paths(tol: float = 1e-9) -> SuiteResult:
 
 
 def verify_tilde_cases(seed: int = 1, trials: int = 500, tol: float = 1e-6) -> SuiteResult:
-    """Random mixed-domain sums against the four-way classification."""
+    """Random mixed-domain sums against the four-way classification.
+
+    Every configuration is drawn first; both routes then run once per
+    (ring, m, k, a) domain, on the tuples drawn for it.
+    """
     result = SuiteResult("tilde-cases")
     rng = random.Random(seed)
     rings = [cached_ring(*t) for t in SMALL_RINGS]
-    char_lists = {r.key: enumerate_characters(r) for r in rings}
-    bad = 0
-    witness = ""
-    cases: dict[str, int] = {}
+    char_lists = {r.key: [tuple(e) for e in character_exponents(r).tolist()] for r in rings}
+    draws = []
     for _ in range(trials):
         ring = rng.choice(rings)
         chars_all = char_lists[ring.key]
@@ -407,16 +405,27 @@ def verify_tilde_cases(seed: int = 1, trials: int = 500, tol: float = 1e-6) -> S
         k = rng.randrange(1, m)
         tup = [rng.choice(chars_all) for _ in range(m)]
         a = rng.choice(ring.elements())
-        expected = tilde_jacobi_classify(tup, k, a)
-        cases[expected.lemma] = cases.get(expected.lemma, 0) + 1
-        brute = tilde_jacobi_brute(tup, k, a)
-        if not SumValue(brute.value, expected, brute.terms).agrees(ring.q, tol):
+        draws.append((ring, k, tup, a))
+    domains: dict[tuple, list[int]] = {}
+    for i, (ring, k, tup, a) in enumerate(draws):
+        domains.setdefault((ring.key, len(tup), k, a.coords), []).append(i)
+    values: list = [None] * trials
+    expected: list = [None] * trials
+    for trial in domains.values():
+        ring, k, _, a = draws[trial[0]]
+        X = np.array([draws[i][2] for i in trial])
+        brute = tilde_jacobi_brute_table(ring, X, k, a).tolist()
+        for i, v, e in zip(trial, brute, tilde_jacobi_classify_table(ring, X, k, a)):
+            values[i], expected[i] = v, e
+    bad = 0
+    witness = ""
+    cases: dict[str, int] = {}
+    for (ring, k, tup, a), value, e in zip(draws, values, expected):
+        cases[e.lemma] = cases.get(e.lemma, 0) + 1
+        if not SumValue(value, e, terms=0).agrees(ring.q, tol):  # tol is explicit: terms unused
             bad += 1
             if not witness:
-                witness = (
-                    f"{ring} chars={[c.exponents for c in tup]} k={k} a={a.coords}: "
-                    f"brute {brute.value:.6g} vs {expected}"
-                )
+                witness = f"{ring} chars={tup} k={k} a={a.coords}: brute {value:.6g} vs {e}"
     split = ", ".join(f"{k}={v}" for k, v in sorted(cases.items()))
     result.add(
         f"{trials} random configurations",

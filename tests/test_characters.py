@@ -338,6 +338,47 @@ def test_levels_match_per_element_definition(key):
             assert chi.trivial_on_subgroup(k) == (k >= r.n or want <= max(k, 0))
 
 
+@pytest.mark.parametrize("key", REFERENCE_RINGS)
+def test_exponent_arrays_match_per_character_definitions(key):
+    """Exponents, indices, signs and values at a unit as arrays, against eval_unit."""
+    r = ring(*key)
+    chars = enumerate_characters(r)
+    basis = decompose_unit_group(r)
+    X = characters.character_exponents(r)
+    assert X.tolist() == [list(c.exponents) for c in chars]
+    assert (X @ basis.radix).tolist() == [c.index for c in chars] == list(range(len(chars)))
+    signs = characters.character_signs(r).tolist()
+    rng = random.Random(21)
+    for w in [-r.one] + rng.sample(r.units(), 3):
+        nums = characters.character_numerators(r, X, w).tolist()
+        for chi, num, sign in zip(chars, nums, signs):
+            v = chi.eval_unit(w)
+            assert (v.numerator, v.order) == (num, basis.lcm_order)
+            if w == -r.one:
+                assert sign == chi.sign_at_minus_one() == (1 if v.is_one else -1)
+                assert 2 * v.numerator % v.order == 0
+
+
+@pytest.mark.parametrize("key", [k for k in REFERENCE_RINGS if k[1] >= 2])
+def test_projection_is_the_character_through_the_reduction_map(key):
+    """psi = project(chi, k) satisfies psi(x mod p^(n-k)) = chi(x) on every unit x."""
+    r = ring(*key)
+    chars = enumerate_characters(r)
+    units = r.units()
+    for k in range(1, r.n):
+        eligible = [c for c in chars if c.level <= r.n - k]
+        batch = characters.project_exponents(r, [c.exponents for c in eligible], k)
+        for chi, exps in zip(eligible, batch.tolist()):
+            psi = project_character(chi, k)
+            assert list(psi.exponents) == exps and psi.ring == r.reduced(k)
+            for x in units[:: max(1, len(units) // 40)]:
+                got, want = psi.eval_unit(r.reduce(x, k)), chi.eval_unit(x)
+                assert got.numerator * want.order == want.numerator * got.order
+        deep = [c for c in chars if c.level > r.n - k]
+        with pytest.raises(ValueError):
+            characters.project_exponents(r, [deep[0].exponents], k)
+
+
 @pytest.mark.parametrize("key", [k for k in REFERENCE_RINGS if k[1] >= 2])
 @pytest.mark.parametrize("section", ["lex-min", "lex-max"])
 def test_sections_are_the_first_restriction_in_scan_order(key, section):

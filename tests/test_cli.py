@@ -183,3 +183,43 @@ def test_verify_all_json_is_pinned(extra, digest):
     )
     assert out.returncode == 4
     assert hashlib.sha256(out.stdout).hexdigest()[:16] == digest
+
+
+RING = ("-p", "3", "-n", "2", "-s", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "all", "--tol", "1e-3"),
+        ("verify", "counting", "--cap-terms", "5"),
+        ("ring", *RING, "--seed", "1"),
+        ("chars", *RING, "--tol", "1e-3"),
+        ("gauss", *RING, "--char", "1,1", "--b", "1", "--cap-terms", "5"),
+        ("jacobi", *RING, "--chars", "0,0;0,0", "--a", "1", "--seed", "1"),
+        ("tilde-jacobi", *RING, "--chars", "0,0;0,0", "--a", "1", "-k", "1", "--cap-pairs", "5"),
+        ("codebook", *RING, "-m", "3", "-k", "1", "--tol", "1e-3"),
+        ("table2", "--seed", "1"),
+    ],
+)
+def test_subcommands_reject_options_they_do_not_read(capsys, argv):
+    """An option a subcommand would ignore is a usage error, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_subcommands_take_the_options_they_read(capsys):
+    code, out, _ = run(capsys, "gauss", *RING, "--char", "1,1", "--b", "1", "--tol", "1e-6")
+    assert code == 0 and "agree: True" in out
+    code, _, err = run(capsys, "codebook", *RING, "-m", "3", "-k", "1", "--cap-pairs", "5")
+    assert code == 3 and "budget" in err
+    code, _, _ = run(
+        capsys,
+        "tilde-jacobi", *RING, "--chars", "0,0;0,0", "--a", "1", "-k", "1",
+        "--cap-terms", "2", "--tol", "1e-6",
+    )
+    assert code == 3
+    code, out, _ = run(capsys, "verify", "tilde-cases", "--seed", "3")
+    assert code == 0 and "FAIL" not in out

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import inspect
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +17,7 @@ import galois_sums.sums as sums_module
 from galois_sums import (
     AdditiveCharacter,
     Expected,
+    MultCharacter,
     RingMismatch,
     SumValue,
     TooLarge,
@@ -575,12 +579,13 @@ def test_jacobi_brute_table_cap_before_allocation(monkeypatch):
 def test_gauss_quotient_vanishing_denominator_under_python_O():
     # G(chi, lambda_0) = 0 for nontrivial chi, so the quotient has no value
     code = (
-        "from galois_sums import BrokenInvariant, build_ring, enumerate_characters\n"
+        "from galois_sums import BrokenInvariant, build_ring, enumerate_characters, gauss_sum\n"
         "from galois_sums.sums import _gauss_quotient\n"
         "z9 = build_ring(3, 2, 1)\n"
         "chi = enumerate_characters(z9)[1]\n"
+        "g = gauss_sum(chi, z9.one).value\n"
         "try:\n"
-        "    _gauss_quotient([chi, chi], chi * chi, z9.zero, 1)\n"
+        "    _gauss_quotient([g, g], gauss_sum(chi * chi, z9.zero).value, 1)\n"
         "except BrokenInvariant:\n"
         "    print('BrokenInvariant')\n"
     )
@@ -593,3 +598,143 @@ def test_gauss_quotient_vanishing_denominator_under_python_O():
         check=True,
     )
     assert out.stdout.strip() == "BrokenInvariant"
+
+
+# ---------------------------------------------------------------------------
+# the closed form over tables: one dispatch, C tuples at a time
+
+SMALL_RINGS = [(3, 2, 1), (2, 2, 2)]
+
+
+def expected_fields(e):
+    """Every field of an expectation, the value as IEEE hex digits."""
+    value = None if e.value is None else (e.value.real.hex(), e.value.imag.hex())
+    return e.kind, e.lemma, e.exponent, e.integer, value
+
+
+def all_tuples(r, m):
+    return tuple_exponents(itertools.product(enumerate_characters(r), repeat=m))
+
+
+def sampled_tuples(r, m, count, seed):
+    chars = enumerate_characters(r)
+    rng = random.Random(seed)
+    return tuple_exponents([[rng.choice(chars) for _ in range(m)] for _ in range(count)])
+
+
+def table_cases():
+    """(ring, X) inputs of the table tests: every pair and triple of both small
+    rings, an m = 4 sample over GR(3^3, 3^3), and every pair over the field F_4."""
+    cases = [(ring(*key), all_tuples(ring(*key), m)) for key in SMALL_RINGS for m in (2, 3)]
+    cases.append((ring(3, 3, 1), sampled_tuples(ring(3, 3, 1), 4, 60, 16)))
+    cases.append((ring(2, 1, 2), all_tuples(ring(2, 1, 2), 2)))
+    return cases
+
+
+def mismatch_tuples(z27):
+    """chi_1 primitive, chi_2 = conj(chi_1) psi with psi of level 1, over Z/27."""
+    chars = enumerate_characters(z27)
+    prim = [c for c in chars if c.is_primitive]
+    level1 = [c for c in chars if c.level == 1]
+    return tuple_exponents([[c, c.inverse() * psi] for c in prim for psi in level1])
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_expected_table_is_bitwise_single_calls(case):
+    r, X = table_cases()[case]
+    for a in canonical_twists(r):
+        table = sums_module.jacobi_expected_table(r, X, a)
+        assert len(table) == len(X)
+        for row, e in zip(X.tolist(), table):
+            single = jacobi_expected([MultCharacter(r, exps) for exps in row], a)
+            assert expected_fields(e) == expected_fields(single)
+
+
+def expectation_digest(m):
+    """sha256[:16] over every expectation of jacobi-m2 (m = 2) or jacobi-m3 (m = 3),
+    in the suite's order: ring, tuple in itertools.product order, canonical twist."""
+    lines = []
+    for key in SMALL_RINGS:
+        r = ring(*key)
+        X = all_tuples(r, m)
+        tables = [sums_module.jacobi_expected_table(r, X, a) for a in canonical_twists(r)]
+        for row in zip(*tables):
+            for e in row:
+                kind, lemma, exponent, integer, value = expected_fields(e)
+                v = "None" if value is None else ",".join(value)
+                lines.append(f"{kind}|{lemma}|{exponent}|{integer}|{v}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("m, digest", [(2, "a614dca08d4fa6ba"), (3, "e1d89d2ab63d4db0")])
+def test_jacobi_suite_expectations_are_pinned(m, digest):
+    """Measured on the scalar dispatch that the table replaced; a change on
+    purpose updates these digests and says so."""
+    assert expectation_digest(m) == digest
+
+
+def test_level_mismatch_zero_fires_and_brute_force_agrees(z27):
+    X = mismatch_tuples(z27)
+    p = z27.p_power(1)
+    table = sums_module.jacobi_expected_table(z27, X, p)
+    assert {e.lemma for e in table} == {"level-mismatch-zero"}
+    brute = sums_module.jacobi_brute_table(z27, X, p)
+    assert np.abs(brute).max() <= term_tolerance(z27.unit_count)
+    for u in (z27.one, z27.scalar(2), z27.scalar(5)):
+        for row in X.tolist()[::5]:
+            sv = jacobi([MultCharacter(z27, e) for e in row], p * u)
+            assert sv.expected.lemma == "level-mismatch-zero" and sv.agrees(z27.q)
+
+
+def test_every_dispatch_lemma_fires(z27):
+    """The lemmas the table returns over the table-test inputs and the Z/27
+    level-mismatch pairs include every lemma string of the dispatch."""
+    source = "".join(
+        inspect.getsource(f)
+        for f in (sums_module.jacobi_expected_table, sums_module._pair_law, sums_module._multi_law)
+    )
+    lemmas = set(re.findall(r'"([a-z]+(?:-[a-z]+)+)"', source))
+    assert len(lemmas) == 16
+    fired = set()
+    for r, X in table_cases() + [(z27, mismatch_tuples(z27))]:
+        for a in canonical_twists(r):
+            fired |= {e.lemma for e in sums_module.jacobi_expected_table(r, X, a)}
+    assert lemmas <= fired, sorted(lemmas - fired)
+
+
+@pytest.mark.parametrize("key", SMALL_RINGS)
+def test_mixed_domain_tables_are_bitwise_single_calls(key):
+    r = ring(*key)
+    rng = random.Random(17)
+    for m, k in [(2, 1), (3, 1), (3, 2)]:
+        X = sampled_tuples(r, m, 40, m * 10 + k)
+        X[:3] = 0  # all trivial: the free-block count
+        for a in rng.sample(r.elements(), 4) + [r.zero]:
+            tuples = [[MultCharacter(r, exps) for exps in row] for row in X.tolist()]
+            brute = sums_module.tilde_jacobi_brute_table(r, X, k, a)
+            single = [tilde_jacobi_brute(t, k, a).value for t in tuples]
+            assert np.array_equal(bits(brute), bits(single))
+            classified = sums_module.tilde_jacobi_classify_table(r, X, k, a)
+            for t, e in zip(tuples, classified):
+                assert expected_fields(e) == expected_fields(tilde_jacobi_classify(t, k, a))
+
+
+def test_expected_table_rejects_bad_input(z9):
+    X = all_tuples(z9, 2)
+    with pytest.raises(ValueError, match="not canonical"):
+        sums_module.jacobi_expected_table(z9, X, z9.scalar(2))
+    with pytest.raises(ValueError, match="two characters"):
+        sums_module.jacobi_expected_table(z9, X[:, :1], z9.one)
+    with pytest.raises(RingMismatch):
+        sums_module.jacobi_expected_table(z9, X, ring(2, 2, 2).one)
+    assert sums_module.jacobi_expected_table(z9, X[:0], z9.one) == []
+
+
+def test_canonical_twists_are_cached_copies(z27):
+    twists = canonical_twists(z27)
+    assert [t.coords for t in twists] == [(0,), (1,), (3,), (9,)]
+    twists.append(z27.scalar(2))
+    assert len(canonical_twists(z27)) == 4
+    assert all(sums_module.is_canonical(t) for t in canonical_twists(z27))
+    assert not sums_module.is_canonical(z27.scalar(2))
+    assert not sums_module.is_canonical(z27.scalar(6))
