@@ -39,5 +39,5 @@ field = z9.residue_field()
 for a in field.elements():
     pa = SubgroupCharacter(z9, a)
     ext = extend_phi(z9, a)
-    vals = [str(pa.eval(w)) for w in z9.one_plus_ideal(1)]
+    vals = [str(pa.eval(w)) for w in (z9.scalar(1), z9.scalar(4), z9.scalar(7))]
     print(f"  a = {a.coords[0]}: restriction values {vals}, extension exponents {ext.exponents}")

@@ -11,21 +11,22 @@ T* factor; the p-group 1 + M is split into cyclic factors over its index
 array (element orders by repeated p-th powers, coset representatives as the
 least list position of each orbit), making the same choices as the
 per-element definition.  dlog_matrix (elements x r) comes from multiplying
-out every exponent tuple, character_levels holds the triviality level of
-every character, and the section map and the character table are read from
-the exponent and dlog arrays.
+out every exponent tuple and is the one dlog representation: a character's
+value at a unit reads the unit's row.  character_levels holds the triviality
+level of every character, and the section map and the character table are
+read from the exponent and dlog arrays.
 """
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BrokenInvariant, NotInSubgroup, RingMismatch
+from .errors import BrokenInvariant, NotAUnit, NotInSubgroup, RingMismatch
 from .ring import GaloisRing, RingElement
 
 
@@ -121,18 +122,22 @@ ROW_BLOCK = 8
 
 @dataclass
 class UnitGroupBasis:
-    """Generators g_1..g_r with orders d_1..d_r and the full dlog table.
+    """Generators g_1..g_r with orders d_1..d_r of the unit group.
 
     g_1 = xi spans T*; the remaining generators lie in 1 + M and have p-power
-    orders.  Every unit factors uniquely as prod g_i^(e_i); dlog maps the
-    coordinate tuple of a unit to its exponent tuple.
+    orders.  Every unit factors uniquely as prod g_i^(e_i); dlog_matrix holds
+    the exponent tuple of every unit, and dlog reads it by coordinate tuple.
     """
 
     ring: GaloisRing
     generators: tuple[RingElement, ...]
     orders: tuple[int, ...]
-    dlog: dict[tuple[int, ...], tuple[int, ...]]
     lcm_order: int
+
+    @property
+    def dlog(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+        """Coordinate tuple of a unit -> its exponent tuple, a view of dlog_matrix."""
+        return _DlogView(self.ring)
 
     @functools.cached_property
     def radix(self) -> np.ndarray:
@@ -217,7 +222,7 @@ def _abelian_basis(
 
 
 def _one_plus_ideal_coords(ring: GaloisRing, k: int) -> np.ndarray:
-    """Coordinates of 1 + p^k R in one_plus_ideal(k) order, one row each."""
+    """Coordinates of 1 + p^k R, one row each, 1 + p^k y for y in lexicographic order."""
     m = ring.p ** (ring.n - k)
     radix = m ** np.arange(ring.s - 1, -1, -1, dtype=np.int64)
     coords = ring.p ** k * ((np.arange(m ** ring.s, dtype=np.int64)[:, None] // radix) % m)
@@ -266,16 +271,8 @@ def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
     table[idx] = np.stack(exps, axis=1)
     table.flags.writeable = False
 
-    units = ring.unit_indices()
-    columns = [table[units, j].tolist() for j in range(len(orders))]
-    dlog = dict(zip((u.coords for u in ring.units()), zip(*columns)))
-
     basis = UnitGroupBasis(
-        ring=ring,
-        generators=generators,
-        orders=orders,
-        dlog=dlog,
-        lcm_order=math.lcm(*orders),
+        ring=ring, generators=generators, orders=orders, lcm_order=math.lcm(*orders)
     )
     ring._cache["dlog_matrix"] = table
     ring._cache["unit_basis"] = basis
@@ -285,11 +282,39 @@ def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
 def dlog_matrix(ring: GaloisRing) -> np.ndarray:
     """Read-only (q^n x r) dlog exponents indexed like ring.coord_array().
 
-    Row i is basis.dlog of element i for a unit and zeros otherwise (mask
-    with ring.unit_mask()).  Built with the basis and cached on the ring.
+    Row i is the exponent tuple of element i for a unit and zeros otherwise
+    (mask with ring.unit_mask()).  Built with the basis and cached on the ring.
     """
     decompose_unit_group(ring)
     return ring._cache["dlog_matrix"]
+
+
+def _dlog_row(ring: GaloisRing, w: RingElement) -> list[int]:
+    """The dlog_matrix row of the unit w; NotAUnit on the maximal ideal."""
+    ring._check_same(w)
+    i = ring._index(w.coords)
+    if not ring.unit_mask()[i]:
+        raise NotAUnit(f"{w} lies in the maximal ideal")
+    return dlog_matrix(ring)[i].tolist()
+
+
+@dataclass(frozen=True, eq=False)  # equality as a Mapping
+class _DlogView(Mapping):
+    """UnitGroupBasis.dlog: the units' dlog_matrix rows keyed by coordinate tuple."""
+
+    ring: GaloisRing
+
+    def __getitem__(self, coords) -> tuple[int, ...]:
+        r = self.ring
+        if len(coords) != r.s or not all(0 <= c < r.pn for c in coords) or not r._is_unit(coords):
+            raise KeyError(coords)
+        return tuple(_dlog_row(r, RingElement(r, tuple(coords))))
+
+    def __iter__(self):
+        return (u.coords for u in self.ring.units())
+
+    def __len__(self) -> int:
+        return self.ring.unit_count
 
 
 def _scaled_exponents(basis: UnitGroupBasis, start: int, stop: int) -> np.ndarray:
@@ -391,16 +416,14 @@ class MultCharacter:
         return all(e == 0 for e in self.exponents)
 
     def eval_unit(self, x: RingElement) -> RootOfUnity:
-        t = self.basis.dlog[x.coords]
-        L = self.basis.lcm_order
-        num = 0
-        for e, ti, d in zip(self.exponents, t, self.basis.orders):
-            num += e * ti * (L // d)
+        L, t = self.basis.lcm_order, _dlog_row(self.ring, x)
+        num = sum(e * ti * (L // d) for e, ti, d in zip(self.exponents, t, self.basis.orders))
         return RootOfUnity.make(num, L)
 
     def extended_eval(self, x: RingElement) -> complex:
         """chi(x) for units; on the maximal ideal: 1 if trivial, else 0."""
-        if x.coords in self.basis.dlog:
+        self.ring._check_same(x)
+        if x.is_unit:
             return self.eval_unit(x).to_complex()
         return complex(1.0) if self.is_trivial else complex(0.0)
 
@@ -461,12 +484,7 @@ def enumerate_characters(ring: GaloisRing) -> list[MultCharacter]:
     """All q^n - q^(n-1) multiplicative characters, exponent tuples in lex order."""
     key = "all_characters"
     if key not in ring._cache:
-        basis = decompose_unit_group(ring)
-        chars = [
-            MultCharacter(ring, exps)
-            for exps in itertools.product(*(range(d) for d in basis.orders))
-        ]
-        ring._cache[key] = chars
+        ring._cache[key] = [MultCharacter(ring, e) for e in character_exponents(ring).tolist()]
     return ring._cache[key]
 
 
@@ -491,7 +509,7 @@ def character_exponents(ring: GaloisRing) -> np.ndarray:
 def character_numerators(ring: GaloisRing, X, w: RingElement) -> np.ndarray:
     """chi(w) = exp(2 pi i num / L) at a unit w for each exponent tuple of X: num mod L."""
     basis = decompose_unit_group(ring)
-    return (X * basis.scale) @ np.array(basis.dlog[w.coords]) % basis.lcm_order
+    return (X * basis.scale) @ np.array(_dlog_row(ring, w)) % basis.lcm_order
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +585,17 @@ def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCh
         if len(by_sig) == ring.q:
             break
 
+    # phi_a's signature tr(a x) over the points x, by the bilinear form tr(xi^i xi^j)
+    eye = np.eye(field.s, dtype=np.int64)
+    form = field.mul_array(eye[:, None], eye[None, :]) @ np.array(field.trace_weights) % p
+    targets = (field.coord_array() @ form @ field.coord_array().T % p).tolist()
+
     out: dict[tuple[int, ...], MultCharacter] = {}
-    for a in field.elements():
-        target = tuple(field.trace(a * x) % p for x in field.elements())
-        if target not in by_sig:
+    for a, target in zip(field.elements(), targets):
+        index = by_sig.get(tuple(target))
+        if index is None:
             raise BrokenInvariant(f"no character of R* restricts to phi_{a.coords}")
-        exps = np.unravel_index(by_sig[target], basis.orders)
+        exps = np.unravel_index(index, basis.orders)
         out[a.coords] = MultCharacter(ring, tuple(int(e) for e in exps))
     ring._cache[key] = out
     return out
@@ -636,14 +659,9 @@ def project_character(chi: MultCharacter, k: int) -> MultCharacter:
 
 def character_table_json(ring: GaloisRing) -> list[dict]:
     """Exponents and level of every character, from the exponent and level arrays."""
-    basis = decompose_unit_group(ring)
-    columns = [
-        c.tolist() for c in np.unravel_index(np.arange(math.prod(basis.orders)), basis.orders)
-    ]
+    exponents = character_exponents(ring).tolist()
     levels = character_levels(ring).tolist()
-    return [
-        {"exponents": list(e), "triviality_level": lv} for e, lv in zip(zip(*columns), levels)
-    ]
+    return [{"exponents": e, "triviality_level": lv} for e, lv in zip(exponents, levels)]
 
 
 def section_json(ring: GaloisRing, section: str = "lex-min") -> list[dict]:

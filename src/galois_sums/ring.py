@@ -16,14 +16,17 @@ teichmuller_decompose are lookups, equal to x^(q^(n-1)) on every element),
 the Frobenius coordinate map, and the trace as a linear form: the weights
 tr(xi^i), each computed once as a Frobenius sum.  Derived tables, among them
 the numpy index tables that vectorized kernels use (element index = position
-in elements(); mul_array multiplies coordinate arrays row-wise), are cached
-lazily, but each cache entry is a deterministic function of the ring alone,
-so rings are safe to share across threads: a racing recomputation writes the
-same value.
+in elements(); mul_array multiplies coordinate arrays row-wise; units() is
+read from unit_indices), are cached lazily, but each cache entry is a
+deterministic function of the ring alone, so rings are safe to share across
+threads: a racing recomputation writes the same value.  The per-element
+methods raise RingMismatch on an element of another ring.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,18 +260,22 @@ class RingElement:
 
     def __add__(self, other: RingElement) -> RingElement:
         self.ring._check_same(other)
-        return RingElement(self.ring, self.ring._add(self.coords, other.coords))
+        pn = self.ring.pn
+        coords = tuple((a + b) % pn for a, b in zip(self.coords, other.coords))
+        return RingElement(self.ring, coords)
 
     def __sub__(self, other: RingElement) -> RingElement:
         self.ring._check_same(other)
-        return RingElement(self.ring, self.ring._sub(self.coords, other.coords))
+        pn = self.ring.pn
+        coords = tuple((a - b) % pn for a, b in zip(self.coords, other.coords))
+        return RingElement(self.ring, coords)
 
     def __mul__(self, other: RingElement) -> RingElement:
         self.ring._check_same(other)
         return RingElement(self.ring, self.ring._mul(self.coords, other.coords))
 
     def __neg__(self) -> RingElement:
-        return RingElement(self.ring, self.ring._neg(self.coords))
+        return RingElement(self.ring, tuple((-a) % self.ring.pn for a in self.coords))
 
     def __pow__(self, e: int) -> RingElement:
         return RingElement(self.ring, self.ring._pow(self.coords, e))
@@ -325,6 +332,8 @@ class GaloisRing:
         self.modulus = modulus
         self.key = (p, n, s, modulus.coeffs)  # equality, hashing and _check_same
         self._mod_low = modulus.coeffs[:-1]
+        self._place = tuple(self.pn ** (s - 1 - i) for i in range(s))  # index of coords
+        self._log_p = {p ** k: k for k in range(n + 1)}
 
         self.zero = RingElement(self, (0,) * s)
         self.one = RingElement(self, (1,) + (0,) * (s - 1))
@@ -377,7 +386,7 @@ class GaloisRing:
                 raise InvalidModulus("Teichmuller element fails t^q = t")
         self.dlog_T = {c: i for i, c in enumerate(powers)}
         p = self.p
-        self._teich_of = {tuple(c % p for c in t.coords): t.coords for t in self.teich_set}
+        self._teich_of = {tuple(c % p for c in t.coords): t for t in self.teich_set}
         if len(self._teich_of) != self.q:
             raise InvalidModulus("Teichmuller residues mod p are not distinct")
 
@@ -405,20 +414,8 @@ class GaloisRing:
 
     def _check_same(self, other) -> None:
         ring = other.ring if isinstance(other, RingElement) else other
-        if ring.key != self.key:
+        if ring is not self and ring.key != self.key:
             raise RingMismatch(f"{ring} is not {self}")
-
-    def _add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        pn = self.pn
-        return tuple((x + y) % pn for x, y in zip(a, b))
-
-    def _sub(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        pn = self.pn
-        return tuple((x - y) % pn for x, y in zip(a, b))
-
-    def _neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        pn = self.pn
-        return tuple((-x) % pn for x in a)
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         s, pn = self.s, self.pn
@@ -512,10 +509,8 @@ class GaloisRing:
     def elements(self) -> list[RingElement]:
         """All q^n elements in lexicographic coordinate order."""
         if "elements" not in self._cache:
-            self._cache["elements"] = [
-                RingElement(self, c)
-                for c in itertools.product(range(self.pn), repeat=self.s)
-            ]
+            coords = itertools.product(range(self.pn), repeat=self.s)
+            self._cache["elements"] = list(map(RingElement, itertools.repeat(self), coords))
         return self._cache["elements"]
 
     def coord_array(self) -> np.ndarray:
@@ -550,57 +545,46 @@ class GaloisRing:
         """Element indices of reduced coordinate rows (last axis of length s)."""
         return coords @ self._radix()
 
+    def _index(self, coords: tuple[int, ...]) -> int:
+        """index_of for one reduced coordinate tuple, in plain Python."""
+        return sum(map(operator.mul, coords, self._place))
+
     def _radix(self) -> np.ndarray:
         return self.pn ** np.arange(self.s - 1, -1, -1, dtype=np.int64)
 
     def units(self) -> list[RingElement]:
+        """The units in elements() order, read from unit_indices."""
         if "units" not in self._cache:
-            self._cache["units"] = [x for x in self.elements() if x.is_unit]
+            els = self.elements()
+            self._cache["units"] = [els[i] for i in self.unit_indices().tolist()]
         return self._cache["units"]
-
-    def ideal(self, k: int) -> list[RingElement]:
-        """The ideal p^k R in enumeration order (q^(n-k) elements)."""
-        if not 0 <= k <= self.n:
-            raise BadLevel(f"k must be in [0, {self.n}]")
-        key = ("ideal", k)
-        if key not in self._cache:
-            pk = self.p ** k
-            self._cache[key] = [
-                RingElement(self, c)
-                for c in itertools.product(range(0, self.pn, pk), repeat=self.s)
-            ]
-        return self._cache[key]
-
-    def one_plus_ideal(self, k: int) -> list[RingElement]:
-        """The subgroup 1 + p^k R of the units (k >= 1)."""
-        key = ("one_plus_ideal", k)
-        if key not in self._cache:
-            self._cache[key] = [self.one + m for m in self.ideal(k)]
-        return self._cache[key]
 
     # -- Teichmuller structure --------------------------------------------------
 
     def teich_lift(self, x: RingElement) -> RingElement:
-        """The unique t in T with t = x mod p, looked up by residue.
+        """The unique t in T with t = x mod p: the first Teichmuller digit.
 
         Equal to x^(q^(n-1)) on every element: units lose their 1 + M part,
         and the power is 0 on pR.
         """
-        p = self.p
-        return RingElement(self, self._teich_of[tuple(c % p for c in x.coords)])
+        return self.teichmuller_decompose(x)[0]
 
     def teichmuller_decompose(self, x: RingElement) -> tuple[RingElement, ...]:
-        """Digits (c_0, ..., c_{n-1}) in T with x = sum p^i c_i."""
+        """Digits (c_0, ..., c_{n-1}) in T with x = sum p^i c_i.
+
+        Each digit is looked up by the residue of the remainder, so the
+        remainder minus its digit divides by p exactly, as integers; the
+        remainders need no reduction mod p^n, since only their residues mod
+        p are read.
+        """
+        self._check_same(x)
         p, teich_of = self.p, self._teich_of
         digits = []
         r = x.coords
         for _ in range(self.n):
-            c = teich_of[tuple(v % p for v in r)]
-            digits.append(RingElement(self, c))
-            diff = self._sub(r, c)
-            if any(d % p for d in diff):
-                raise BrokenInvariant(f"{r} minus its Teichmuller digit {c} is not in pR")
-            r = tuple(d // p for d in diff)
+            t = teich_of[tuple([c % p for c in r])]
+            digits.append(t)
+            r = [(c - d) // p for c, d in zip(r, t.coords)]
         return tuple(digits)
 
     def teich_recompose(self, digits) -> RingElement:
@@ -612,33 +596,23 @@ class GaloisRing:
     def valuation(self, x: RingElement) -> tuple[int, RingElement | None]:
         """Minimal k with x in p^k R, plus the unit part in GR(p^(n-k), .).
 
-        Returns (n, None) for x = 0 by convention.
+        Returns (n, None) for x = 0 by convention.  p^k is the gcd of p^n
+        and the coordinates.
         """
-        if x.is_zero:
+        self._check_same(x)
+        pk = math.gcd(self.pn, *x.coords)
+        if pk == self.pn:
             return self.n, None
-        k = self.n
-        for c in x.coords:
-            if c == 0:
-                continue
-            v = 0
-            while c % self.p == 0:
-                c //= self.p
-                v += 1
-            k = min(k, v)
-        pk = self.p ** k
-        u_coords = tuple(c // pk for c in x.coords)
-        target = self.reduced(k)
-        return k, target.element(u_coords)
+        k = self._log_p[pk]
+        return k, RingElement(self.reduced(k), tuple([c // pk for c in x.coords]))
 
     # -- Frobenius, trace, reduction ---------------------------------------------
 
     def frobenius(self, x: RingElement) -> RingElement:
-        out = self.zero.coords
-        for i, a in enumerate(x.coords):
-            if a:
-                row = self._frob_rows[i]
-                out = self._add(out, tuple((a * r) % self.pn for r in row))
-        return RingElement(self, out)
+        self._check_same(x)
+        cols = zip(*self._frob_rows)
+        coords = tuple([sum(map(operator.mul, x.coords, c)) % self.pn for c in cols])
+        return RingElement(self, coords)
 
     def trace(self, x: RingElement) -> int:
         """Generalized trace tr_n(x) = x + phi(x) + ... + phi^(s-1)(x) in Z_{p^n}.
@@ -646,7 +620,9 @@ class GaloisRing:
         Linear over Z_{p^n}, so it is sum_i x_i tr(xi^i) with the weights
         tr(xi^i) fixed at build time.
         """
-        return sum(c * w for c, w in zip(x.coords, self.trace_weights)) % self.pn
+        if x.ring is not self:
+            self._check_same(x)
+        return sum(map(operator.mul, x.coords, self.trace_weights)) % self.pn
 
     def reduced(self, k: int) -> GaloisRing:
         """The quotient ring GR(p^(n-k), p^((n-k)s)), cached per level."""
@@ -662,6 +638,7 @@ class GaloisRing:
 
     def reduce(self, x: RingElement, k: int) -> RingElement:
         """Coordinate-wise reduction mod p^(n-k) into the quotient ring."""
+        self._check_same(x)
         target = self.reduced(k)
         return target.element(tuple(c % target.pn for c in x.coords))
 

@@ -13,6 +13,7 @@ import pytest
 
 from galois_sums import (
     AdditiveCharacter,
+    NotAUnit,
     RingMismatch,
     RootOfUnity,
     SubgroupCharacter,
@@ -30,7 +31,7 @@ from galois_sums import (
 from galois_sums import characters
 from galois_sums.characters import dlog_matrix
 
-from conftest import ring
+from conftest import one_plus_ideal, ring
 
 
 def test_root_of_unity_arithmetic():
@@ -65,7 +66,8 @@ def test_unit_basis_z9(z9):
         ((8,), 2),
         ((4,), 3),
     ]
-    assert len(basis.dlog) == 6
+    rows = dlog_matrix(z9)[z9.unit_indices()]
+    assert len({tuple(row) for row in rows.tolist()}) == len(rows) == 6
 
 
 def test_unit_basis_gr4_16(gr4_16):
@@ -94,7 +96,8 @@ def test_dlog_covers_group_structure(gr8_64):
     total = 1
     for d in basis.orders:
         total *= d
-    assert total == gr8_64.unit_count == len(basis.dlog)
+    rows = dlog_matrix(gr8_64)[gr8_64.unit_indices()]
+    assert total == gr8_64.unit_count == len({tuple(row) for row in rows.tolist()}) == len(rows)
     for g, d in zip(basis.generators, basis.orders):
         assert (g ** d) == gr8_64.one
         for j in range(1, d):
@@ -166,13 +169,13 @@ def test_extended_eval(z9):
 
 def test_phi_a(z9):
     field = z9.residue_field()
-    assert all(SubgroupCharacter(z9, field.zero).eval(w).is_one for w in z9.one_plus_ideal(1))
+    assert all(SubgroupCharacter(z9, field.zero).eval(w).is_one for w in one_plus_ideal(z9, 1))
     assert SubgroupCharacter(z9, field.scalar(1)).eval(z9.scalar(4)) == RootOfUnity.make(1, 3)
     # distinctness: the q subgroup characters are pairwise different
     sigs = set()
     for a in field.elements():
         pa = SubgroupCharacter(z9, a)
-        sigs.add(tuple(pa.eval(w).numerator for w in z9.one_plus_ideal(1)))
+        sigs.add(tuple(pa.eval(w).numerator for w in one_plus_ideal(z9, 1)))
     assert len(sigs) == z9.q
 
 
@@ -290,7 +293,7 @@ def reference_level(chi):
     if chi.is_trivial:
         return 0
     for k in range(1, r.n):
-        if all(chi.eval_unit(w).is_one for w in r.one_plus_ideal(k)):
+        if all(chi.eval_unit(w).is_one for w in one_plus_ideal(r, k)):
             return k
     return r.n
 
@@ -299,7 +302,7 @@ def reference_level(chi):
 def test_basis_matches_per_element_choices(key):
     r = ring(*key)
     basis = decompose_unit_group(r)
-    h_elems = r.one_plus_ideal(1) if r.n > 1 else [r.one]
+    h_elems = one_plus_ideal(r, 1) if r.n > 1 else [r.one]
     want = [(r.xi, r.q - 1)] + reference_basis(h_elems, lambda a, b: a * b, r.one)
     assert [(g.coords, d) for g, d in zip(basis.generators, basis.orders)] == [
         (g.coords, d) for g, d in want
@@ -311,16 +314,50 @@ def test_every_unit_is_the_product_of_its_dlog_powers(key):
     r = ring(*key)
     basis = decompose_unit_group(r)
     table = dlog_matrix(r)
-    assert list(basis.dlog) == [u.coords for u in r.units()]
+    unit_rows = {tuple(row) for row in table[r.unit_mask()].tolist()}
+    assert len(unit_rows) == r.unit_count
     for x, row in zip(r.elements(), table.tolist()):
         if not x.is_unit:
             assert not any(row)
             continue
-        assert tuple(row) == basis.dlog[x.coords]
         prod = r.one
         for g, e in zip(basis.generators, row):
             prod = prod * g ** e
         assert prod == x
+
+
+@pytest.mark.parametrize("key", REFERENCE_RINGS)
+def test_dlog_view_reads_the_matrix(key):
+    """basis.dlog maps unit coordinates to their dlog_matrix rows, in units() order."""
+    r = ring(*key)
+    basis = decompose_unit_group(r)
+    table = dlog_matrix(r)
+    assert len(basis.dlog) == r.unit_count
+    assert list(basis.dlog) == [u.coords for u in r.units()]
+    for x, row in zip(r.elements(), table.tolist()):
+        if x.is_unit:
+            assert basis.dlog[x.coords] == tuple(row)
+        else:
+            assert x.coords not in basis.dlog
+    assert (r.pn,) + (0,) * (r.s - 1) not in basis.dlog  # unreduced coordinates
+
+
+def test_eval_unit_at_a_non_unit_raises_not_a_unit(z9, gr4_16):
+    chi = enumerate_characters(gr4_16)[5]
+    with pytest.raises(NotAUnit):
+        chi.eval_unit(gr4_16.element((2, 0)))  # used to raise KeyError
+    with pytest.raises(RingMismatch):
+        chi.eval_unit(z9.one)
+    with pytest.raises(RingMismatch):
+        chi.extended_eval(z9.zero)
+
+
+def test_character_numerators_at_a_non_unit_raise_not_a_unit(z9, gr4_16):
+    X = characters.character_exponents(z9)
+    with pytest.raises(NotAUnit):
+        characters.character_numerators(z9, X, z9.scalar(3))  # used to raise KeyError
+    with pytest.raises(RingMismatch):
+        characters.character_numerators(z9, X, gr4_16.one)
 
 
 @pytest.mark.parametrize("key", REFERENCE_RINGS)

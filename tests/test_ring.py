@@ -11,13 +11,14 @@ from galois_sums import (
     InvalidModulus,
     NotAUnit,
     Polynomial,
+    RingMismatch,
     RingParams,
     SizeLimit,
     build_ring,
     find_basic_primitive_poly,
 )
 
-from conftest import ring
+from conftest import ideal, ring
 
 
 def poly_mul_plain(a, b, mod):
@@ -206,7 +207,7 @@ def test_ring_invariants(p, n, s):
         assert (r.xi ** j) != r.one
     assert len(r.units()) == r.q ** n - r.q ** (n - 1)
     for k in range(n + 1):
-        assert len(r.ideal(k)) == r.q ** (n - k)
+        assert len(ideal(r, k)) == r.q ** (n - k)
 
 
 def test_serialization_round_trip(gr4_16):
@@ -255,3 +256,42 @@ def test_teich_lift_equals_power_map_everywhere(p, n, s):
         assert r.teich_lift(x) == x ** e
         assert r.teichmuller_decompose(x)[0] == x ** e
 
+
+
+# elements of another ring: GR(2^4,2^8) against rings with other keys
+
+
+def _foreign():
+    return ring(2, 4, 2).element((3, 5))
+
+
+def test_trace_rejects_an_element_of_another_ring():
+    with pytest.raises(RingMismatch):
+        ring(2, 5, 3).trace(_foreign())  # used to return 8
+    twin = build_ring(2, 4, 2)  # an equal ring, another object
+    assert twin.trace(_foreign()) == ring(2, 4, 2).trace(_foreign())
+
+
+def test_frobenius_rejects_an_element_of_another_ring():
+    with pytest.raises(RingMismatch):
+        ring(2, 4, 3).frobenius(_foreign())  # used to return 3 coordinates
+
+
+def test_teich_lift_rejects_an_element_of_another_ring():
+    with pytest.raises(RingMismatch):
+        ring(2, 3, 2).teich_lift(_foreign())
+
+
+def test_teichmuller_decompose_rejects_an_element_of_another_ring():
+    with pytest.raises(RingMismatch):
+        ring(2, 5, 3).teichmuller_decompose(_foreign())  # used to raise KeyError
+
+
+def test_valuation_rejects_an_element_of_another_ring():
+    with pytest.raises(RingMismatch):
+        ring(2, 3, 2).valuation(_foreign())
+
+
+def test_reduce_rejects_an_element_of_another_ring():
+    with pytest.raises(RingMismatch):
+        ring(2, 3, 2).reduce(_foreign(), 1)
