@@ -55,9 +55,6 @@ class RootOfUnity:
     def conjugate(self) -> RootOfUnity:
         return RootOfUnity.make(-self.numerator, self.order)
 
-    def __pow__(self, e: int) -> RootOfUnity:
-        return RootOfUnity.make(self.numerator * e, self.order)
-
     def reduced(self) -> RootOfUnity:
         """Lowest-terms copy, for display only."""
         g = math.gcd(self.numerator, self.order)
@@ -547,10 +544,11 @@ def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCh
     section = "lex-min" picks the lexicographically smallest exponent tuple
     with the right restriction (so the a = 0 section is the trivial
     character); "lex-max" picks the largest and exists to demonstrate that
-    downstream quantities do not depend on the choice.  Restriction
-    signatures over the q points 1 + p^(n-1) x come from the exponent and
-    dlog arrays, in blocks of characters scanned from the chosen end until
-    all q signatures are seen.
+    downstream quantities do not depend on the choice.  A restriction is an
+    additive character of F_q, fixed by its values at the s points
+    1 + p^(n-1) xi^i, so its signature there is keyed as one integer below q;
+    the keys come from the exponent and dlog arrays, in blocks of characters
+    scanned from the chosen end until all q keys are seen.
     """
     key = ("section", section)
     if key in ring._cache:
@@ -562,37 +560,36 @@ def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCh
     basis = decompose_unit_group(ring)
     field = ring.residue_field()
     p, L = ring.p, basis.lcm_order
-    points = p ** (ring.n - 1) * field.coord_array()
-    points[:, 0] += 1
-    w = dlog_matrix(ring)[ring.index_of(points)].T
+    eye = np.eye(field.s, dtype=np.int64)
+    points = p ** (ring.n - 1) * eye + eye[0]  # 1 + p^(n-1) xi^i
+    w, place = dlog_matrix(ring)[ring.index_of(points)].T, p ** np.arange(field.s)
 
     count = math.prod(basis.orders)
     starts = range(0, count, CHAR_BLOCK)
     if section == "lex-max":
         starts = reversed(starts)
-    by_sig: dict[tuple[int, ...], int] = {}
+    by_sig: dict[int, int] = {}
     for start in starts:
         stop = min(start + CHAR_BLOCK, count)
         num = (_scaled_exponents(basis, start, stop) @ w) % L
         if (num * p % L).any():
             raise BrokenInvariant("a character takes a non-p-th root of unity on 1 + p^(n-1) R")
-        sig = num * p // L
+        sig = num * p // L @ place
         if section == "lex-max":
             sig = sig[::-1]
-        rows, first = np.unique(sig, axis=0, return_index=True)
+        rows, first = np.unique(sig, return_index=True)
         for row, i in zip(rows.tolist(), first.tolist()):
-            by_sig.setdefault(tuple(row), start + i if section == "lex-min" else stop - 1 - i)
+            by_sig.setdefault(row, start + i if section == "lex-min" else stop - 1 - i)
         if len(by_sig) == ring.q:
             break
 
-    # phi_a's signature tr(a x) over the points x, by the bilinear form tr(xi^i xi^j)
-    eye = np.eye(field.s, dtype=np.int64)
+    # phi_a's signature tr(a xi^i) at the basis points, by the bilinear form tr(xi^i xi^j)
     form = field.mul_array(eye[:, None], eye[None, :]) @ np.array(field.trace_weights) % p
-    targets = (field.coord_array() @ form @ field.coord_array().T % p).tolist()
+    targets = (field.coord_array() @ form % p @ place).tolist()
 
     out: dict[tuple[int, ...], MultCharacter] = {}
     for a, target in zip(field.elements(), targets):
-        index = by_sig.get(tuple(target))
+        index = by_sig.get(target)
         if index is None:
             raise BrokenInvariant(f"no character of R* restricts to phi_{a.coords}")
         exps = np.unravel_index(index, basis.orders)

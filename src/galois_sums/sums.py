@@ -54,8 +54,7 @@ from .errors import BrokenInvariant, RingMismatch, TooLarge
 from .ring import GaloisRing, RingElement
 
 DEFAULT_TERM_CAP = 10 ** 7
-# rows and character tuples per block of the brute-force kernel: temporaries
-# hold at most BLOCK x max(m, r, CHAR_BLOCK) entries
+# sizes of the brute-force kernel's tuple chunks and term blocks (see _root_counts)
 BLOCK, CHAR_BLOCK = 4096, 64
 
 
@@ -184,88 +183,98 @@ class SumValue:
             return False
         return True
 
-    def to_json(self, lemma: bool = True) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "value": [self.value.real, self.value.imag],
             "expected": self.expected.to_json(),
             "terms": self.terms,
+            "lemma": self.expected.lemma,
         }
-        if lemma:
-            out["lemma"] = self.expected.lemma
-        return out
 
 
 # ---------------------------------------------------------------------------
 # the brute-force kernel
 
 
-def solved_domain(
-    ring: GaloisRing, m: int, k: int, a: RingElement, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """Rows [start, stop) of the solved domain, as an (rows x m) element-index array.
+def _solved_blocks(ring: GaloisRing, m: int, k: int, a: RingElement, budget: int):
+    """{x : x_1..x_k units, x_{k+1}..x_{m-1} arbitrary, x_m = a - sum} in blocks of <= budget rows.
 
-    The domain is {x : x_1..x_k units, x_{k+1}..x_{m-1} arbitrary,
-    x_m = a - sum}; with k >= m - 1 the whole free block is units.  The free
-    block runs in itertools.product order over elements(), and x_m is solved
-    on the coordinate arrays mod p^n.  stop=None means the end of the domain.
+    A block is the prefix rows x_1..x_{m-2} (an index array per coordinate, in
+    itertools.product order), a slice y of x_{m-1}, and x_m solved digit by
+    digit as a (rows x len(y)) index array.
     """
-    units = min(k, m - 1)
-    domains = [ring.unit_indices()] * units + [np.arange(ring.element_count)] * (m - 1 - units)
-    sizes = [len(d) for d in domains]
-    rows = np.arange(start, math.prod(sizes) if stop is None else stop)
-    free = [d.take(i) for d, i in zip(domains, np.unravel_index(rows, sizes))]
-    coords = ring.coord_array()
-    last = (np.array(a.coords) - sum(coords.take(x, axis=0) for x in free)) % ring.pn
-    return np.column_stack(free + [ring.index_of(last)])
+    units, coords, pn = min(k, m - 1), ring.coord_array(), ring.pn
+    *prefix, last = [ring.unit_indices()] * units + [np.arange(len(coords))] * (m - 1 - units)
+    sizes, step = [len(d) for d in prefix], min(len(last), budget)
+    total, rows = math.prod(sizes), max(1, budget // step)
+    for p0 in range(0, total, rows):
+        at = np.unravel_index(np.arange(p0, min(p0 + rows, total)), sizes) if sizes else ()
+        xs = [d.take(i) for d, i in zip(prefix, at)]
+        rest = (np.array([a.coords]) - sum(coords.take(x, axis=0) for x in xs)) % pn
+        for d0 in range(0, len(last), step):
+            y = last[d0 : d0 + step]
+            yc = coords.take(y, axis=0).T
+            index = (rest[:, 0, None] - yc[0]) % pn
+            for j in range(1, ring.s):
+                index *= pn
+                index += (rest[:, j, None] - yc[j]) % pn
+            yield xs, y, index
 
 
-def _root_counts(ring: GaloisRing, X, rows_at, total: int, units: int, b=None):
-    """Exact root counts of the C exponent tuples of X (C x m x r): (counts, rows kept).
+def solved_domain(ring: GaloisRing, m: int, k: int, a: RingElement) -> np.ndarray:
+    """The solved domain (see _solved_blocks) as an (rows x m) element-index array."""
+    (xs, y, index), = _solved_blocks(ring, m, k, a, ring.element_count ** (m - 1))
+    return np.column_stack([x.repeat(len(y)) for x in xs] + [np.tile(y, len(index)), index.ravel()])
 
-    rows_at(start, stop) gives rows [start, stop) of the domain as an
-    (rows x m) index array, taken BLOCK rows (and CHAR_BLOCK tuples) at a
-    time up to total.  A row is dropped when one of its first `units`
-    coordinates is not a unit.  On the others a nontrivial character on a
-    non-unit kills the row for that tuple, and a trivial one contributes 1,
-    its extension by 1 to the maximal ideal.  With a twist b (m = 1),
-    lambda_b(x_1) is multiplied in.
 
-    Each term is exp(2 pi i j / M), with j = sum_i X_i . dlog(x_i) mod L for
-    the exponents X_i scaled to L = lcm of the unit-group orders, plus the
-    additive exponent tr(b x_1) mod p^n scaled to M = lcm(L, p^n).  Row c of
-    the (C x M) int64 matrix counts the terms of tuple c per j, by one
-    bincount per block over j + c M: the same row whether c is alone or not.
+def _root_counts(ring: GaloisRing, X, k: int, a: RingElement, b=None) -> np.ndarray:
+    """Exact root counts of the C exponent tuples of X (C x m x r) over the solved domain.
+
+    Row c of the (C x M) int64 result counts per j the terms of tuple c equal
+    to exp(2 pi i j / M), alone or in a batch.  Per chunk of tuples, x_i has a
+    table of X_i . dlog(x) mod M at every element x (M the lcm of the
+    unit-group orders, and of p^n when a twist b adds tr(b x) to x_1's table:
+    a Gauss sum is m = 2, k = 1, a = 0, chi_2 trivial), killed on the
+    non-units where chi_i is nontrivial and for x_m when k >= m.  Over the
+    broadcast blocks of _solved_blocks a term costs one gather, two adds, one
+    compare and one bincount into m M bins per tuple, folded mod M.  A chunk
+    takes max(1, BLOCK CHAR_BLOCK // |R|) tuples and a block BLOCK min(chunk,
+    CHAR_BLOCK) terms: besides the result and the reduced X with its kill
+    mask, temporaries hold (m + 8) max(|R|, BLOCK CHAR_BLOCK) + 2 chunk m M int64s.
     """
     basis = decompose_unit_group(ring)
-    L = M = basis.lcm_order
-    X = np.asarray(X, dtype=np.int64) * basis.scale
-    nontrivial = X.any(axis=2)
-    if b is not None:
-        M = math.lcm(L, ring.pn)
-        # tr(b x) = sum_i x_i tr(b xi^i) over the polynomial-basis coordinates
-        w = np.array([ring.trace(b * ring.element(e)) for e in np.eye(ring.s, dtype=np.int64)])
-    dlog, unit = dlog_matrix(ring), ring.unit_mask()
-    counts = np.zeros((len(X), M), dtype=np.int64)
-    kept = 0
-    for start in range(0, total, BLOCK):
-        rows = rows_at(start, min(start + BLOCK, total))
-        on_unit = unit.take(rows)
-        keep = on_unit[:, :units].all(axis=1)
-        kept += int(np.count_nonzero(keep))
-        # compress and take are numpy's fast paths for these selections
-        rows, off_unit = rows.compress(keep, axis=0), ~on_unit.compress(keep, axis=0)
-        if b is not None:
-            additive = (ring.coord_array()[rows[:, 0]] @ w % ring.pn * (M // ring.pn))[:, None]
-        for c in range(0, len(X), CHAR_BLOCK):
-            nb = min(CHAR_BLOCK, len(X) - c)
-            expo = sum(dlog.take(x, axis=0) @ X[c : c + nb, i].T for i, x in enumerate(rows.T)) % L
-            if b is not None:
-                expo = (expo * (M // L) + additive) % M
-            expo += M * np.arange(nb)
-            if units < nontrivial.shape[1]:  # else no kept row has a non-unit
-                expo = expo.compress(((off_unit @ nontrivial[c : c + nb].T) == 0).ravel())
-            counts[c : c + nb] += np.bincount(expo.ravel(), minlength=nb * M).reshape(nb, M)
-    return counts, kept
+    size, pn, coords, extra = ring.element_count, ring.pn, ring.coord_array(), 0
+    M = basis.lcm_order if b is None else math.lcm(basis.lcm_order, pn)
+    if b is not None:  # tr(b x) = sum_i x_i tr(b xi^i) over the polynomial-basis coordinates
+        w = [ring.trace(b * ring.element(e)) for e in np.eye(ring.s, dtype=np.int64)]
+        extra = coords @ w % pn * (M // pn)
+    X = np.asarray(X, dtype=np.int64) % basis.orders  # the one copy of X
+    X *= basis.scale * (M // basis.lcm_order)
+    count, m = X.shape[:2]
+    kill, off_unit = X.any(axis=2), ~ring.unit_mask()
+    kill[:, -1] |= k >= m
+    counts = np.zeros((count, M), dtype=np.int64)
+    nb = max(1, BLOCK * CHAR_BLOCK // size)
+    buffer = np.empty(m * min(nb, count) * size, dtype=np.int64)  # the tables of a chunk
+    for c0 in range(0, count, nb):
+        c1 = min(c0 + nb, count)
+        dump = (c1 - c0) * m * M  # the bin of killed terms; every live sum lies below it
+        tables = buffer[: m * (c1 - c0) * size].reshape(m, -1, size)  # contiguous: no copy in place
+        np.matmul(X[c0:c1].swapaxes(0, 1), dlog_matrix(ring).T, out=tables)
+        tables[0] += extra
+        tables %= M
+        tables[kill[c0:c1].T[:, :, None] & off_unit] = dump
+        tables[0] += np.arange(c1 - c0)[:, None] * (m * M)
+        budget = BLOCK * min(c1 - c0, CHAR_BLOCK) // (c1 - c0)  # domain rows per block
+        for xs, y, index in _solved_blocks(ring, m, k, a, max(1, budget)):
+            terms = tables[-1].take(index, axis=1)
+            terms += tables[-2].take(y, axis=1)[:, None, :]
+            if xs:
+                terms += sum(t.take(x, axis=1) for t, x in zip(tables, xs))[:, :, None]
+            np.minimum(terms, dump, out=terms)
+            bins = np.bincount(terms.ravel(), minlength=dump + 1)[:dump]
+            counts[c0:c1] += bins.reshape(c1 - c0, m, M).sum(axis=1)
+    return counts
 
 
 def _complex_rows(counts: np.ndarray) -> list[complex]:
@@ -278,39 +287,43 @@ def _complex_rows(counts: np.ndarray) -> list[complex]:
     return values
 
 
-def _domain_sums(ring: GaloisRing, X, k: int, a: RingElement, cap: int):
-    """The kernel over the solved domain for k: (values, rows kept, terms per sum)."""
+def _exponent_tuples(ring: GaloisRing, X) -> np.ndarray:
+    """X as a (C x m x r) int64 array of m >= 2 exponent tuples; ValueError otherwise."""
+    X, r = np.asarray(X, dtype=np.int64), len(decompose_unit_group(ring).orders)
+    if X.ndim != 3 or X.shape[1] < 2:
+        raise ValueError("need at least two characters")
+    if X.shape[2] != r:
+        raise ValueError(f"exponent tuples over {ring} need r = {r} entries, got {X.shape[2]}")
+    return X
+
+
+def _domain_sums(ring: GaloisRing, X, k: int | None, a: RingElement, cap: int):
+    """Sums over the solved domain for k (None: m) and terms per sum, capped before the kernel."""
     ring._check_same(a)
-    m, units = len(X[0]), min(k, len(X[0]) - 1)
-    terms = ring.unit_count ** units * ring.element_count ** (m - 1 - units)
+    if not len(X):
+        return [], 0
+    X = _exponent_tuples(ring, X)
+    m = X.shape[1]
+    k = m if k is None else _check_k(k, m)
+    terms = ring.unit_count ** min(k, m - 1) * ring.element_count ** max(m - 1 - k, 0)
     if terms > cap:
         raise TooLarge(f"{terms} tuples exceeds cap {cap}")
-    counts, kept = _root_counts(
-        ring, X, lambda i, j: solved_domain(ring, m, k, a, i, j), terms, min(k, m)
-    )
-    return _complex_rows(counts), kept, terms
+    return _complex_rows(_root_counts(ring, X, k, a)), terms
 
 
-def _domain_sum(chars, k: int, a: RingElement, cap: int) -> tuple[SumValue, int]:
-    """One character tuple (C = 1) over the solved domain: the sum and the rows kept."""
-    ring = _check_chars(chars)
-    values, kept, terms = _domain_sums(ring, [[c.exponents for c in chars]], k, a, cap)
-    return SumValue(value=values[0], expected=Expected.unclassified(), terms=terms), kept
+def _domain_sum(chars, k: int | None, a: RingElement, cap: int) -> SumValue:
+    """One character tuple (C = 1) over the solved domain."""
+    values, terms = _domain_sums(_check_chars(chars), [[c.exponents for c in chars]], k, a, cap)
+    return SumValue(value=values[0], expected=Expected.unclassified(), terms=terms)
 
 
 def jacobi_brute_table(ring: GaloisRing, X, a: RingElement, cap: int = DEFAULT_TERM_CAP):
     """J_a for each (m x r) exponent tuple of X, over one domain; bit-identical to jacobi_brute."""
-    return np.array(_domain_sums(ring, X, len(X[0]), a, cap)[0])
+    return np.array(_domain_sums(ring, X, None, a, cap)[0], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
 # Gauss sums
-
-
-def _gauss_values(ring: GaloisRing, X, b: RingElement) -> list[complex]:
-    """G(chi, lambda_b) for each (1 x r) exponent tuple of X, in one kernel call."""
-    units = ring.unit_indices()[:, None]
-    return _complex_rows(_root_counts(ring, X, lambda i, j: units[i:j], len(units), 1, b)[0])
 
 
 def _gauss_fill(ring: GaloisRing, keys) -> None:
@@ -323,7 +336,8 @@ def _gauss_fill(ring: GaloisRing, keys) -> None:
         if key not in ring._cache:
             missing.setdefault(key[2], {})[key] = None  # insertion-ordered, no repeats
     for coords, group in missing.items():
-        values = _gauss_values(ring, [[key[1]] for key in group], ring.element(coords))
+        X = [[key[1], (0,) * len(key[1])] for key in group]  # x_1 in R*, x_2 = -x_1 in R
+        values = _complex_rows(_root_counts(ring, X, 1, ring.zero, ring.element(coords)))
         ring._cache.update(zip(group, values))
 
 
@@ -395,14 +409,12 @@ def count_unit_solutions_brute(
     ring: GaloisRing, m: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
 ) -> int:
     """Number of unit m-tuples summing to a, by enumerating the solved domain."""
-    return _domain_sum([MultCharacter.trivial(ring)] * m, m, a, cap)[1]
+    return int(_domain_sum([MultCharacter.trivial(ring)] * m, None, a, cap).value.real)
 
 
 def s_cardinality_qn(q: int, n: int, m: int, k: int) -> int:
     """|S| for the mixed domain (R*)^k x R^(m-k) with a fixed coordinate sum."""
-    if not 1 <= k <= m - 1:
-        raise ValueError("need 1 <= k <= m - 1")
-    return (q ** n - q ** (n - 1)) ** k * q ** (n * (m - k - 1))
+    return (q ** n - q ** (n - 1)) ** _check_k(k, m) * q ** (n * (m - k - 1))
 
 
 def s_cardinality(ring: GaloisRing, m: int, k: int) -> int:
@@ -425,13 +437,8 @@ def _check_chars(chars) -> GaloisRing:
 
 
 def jacobi_brute(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> SumValue:
-    """Direct sum over unit tuples with the given coordinate sum.
-
-    Enumerates (x_1, ..., x_{m-1}) over units and solves for x_m, dropping
-    tuples whose final coordinate is not a unit.
-    """
-    chars = list(chars)
-    return _domain_sum(chars, len(chars), a, cap)[0]
+    """Direct sum over the unit tuples with coordinate sum a (x_m solved, kept when a unit)."""
+    return _domain_sum(list(chars), None, a, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -620,14 +627,12 @@ def jacobi_expected_table(
     if not len(X):
         return []
     basis = decompose_unit_group(ring)
-    X = np.asarray(X, dtype=np.int64) % basis.orders
+    X = _exponent_tuples(ring, X) % basis.orders
     m = X.shape[1]
-    if m < 2:
-        raise ValueError("need at least two characters")
     q, n = ring.q, ring.n
     if n == 1:
         # field base case: evaluated directly rather than via field theory
-        return [Expected.exact(v, "field-base") for v in _domain_sums(ring, X, m, a, cap)[0]]
+        return [Expected.exact(v, "field-base") for v in _domain_sums(ring, X, None, a, cap)[0]]
 
     levels, index = character_levels(ring), X @ basis.radix
     lev, signs = levels[index], character_signs(ring)[index]
@@ -710,26 +715,24 @@ def jacobi(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> SumValue:
 # modified Jacobi sums over S = (R*)^k x R^(m-k)
 
 
-def _check_k(k: int, m: int) -> None:
+def _check_k(k: int, m: int) -> int:
     if not 1 <= k <= m - 1:
         raise ValueError("need 1 <= k <= m - 1")
+    return k
 
 
 def tilde_jacobi_brute(
     chars, k: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
 ) -> SumValue:
     """Sum of extended character products over the mixed domain S."""
-    chars = list(chars)
-    _check_k(k, len(chars))
-    return _domain_sum(chars, k, a, cap)[0]
+    return _domain_sum(list(chars), k, a, cap)
 
 
 def tilde_jacobi_brute_table(
     ring: GaloisRing, X, k: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
 ) -> np.ndarray:
     """The modified sum for each (m x r) exponent tuple of X over one domain; bit-identical."""
-    _check_k(k, len(X[0]))
-    return np.array(_domain_sums(ring, X, k, a, cap)[0])
+    return np.array(_domain_sums(ring, X, k, a, cap)[0], dtype=np.complex128)
 
 
 def tilde_jacobi_classify_table(

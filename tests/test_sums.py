@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from galois_sums import (
     canonicalize,
     count_unit_solutions,
     count_unit_solutions_brute,
+    decompose_unit_group,
     enumerate_characters,
     expected_gauss,
     gauss_sum,
@@ -526,17 +528,16 @@ def test_root_counts_mixed_domain(key, m, k):
     X = tuple_exponents(tuples)
     a = r.element((1,) * r.s)
     total = r.unit_count ** k * r.element_count ** (m - 1 - k)
-    counts, kept = sums_module._root_counts(
-        r, X, lambda i, j: sums_module.solved_domain(r, m, k, a, i, j), total, k
-    )
+    counts = sums_module._root_counts(r, X, k, a)
     assert counts.shape[0] == len(tuples) and counts.dtype == np.int64
+    assert counts[0].sum() == total  # the all-trivial tuple counts every row
     values = sums_module._complex_rows(counts)
     single = [tilde_jacobi_brute(t, k, a).value for t in tuples]
     assert np.array_equal(bits(values), bits(single))
     for t, value in zip(tuples[:6], values):
         want, want_kept = reference_domain_sum(t, k, a)
         assert abs(value - want) <= term_tolerance(total)
-        assert kept == want_kept
+        assert want_kept == total
 
 
 def test_tables_independent_of_block_sizes(monkeypatch):
@@ -544,9 +545,7 @@ def test_tables_independent_of_block_sizes(monkeypatch):
         z27, gr9 = build_ring(3, 3, 1), build_ring(3, 2, 2)
         c27 = enumerate_characters(z27)
         X = tuple_exponents(itertools.product(c27[:5], repeat=3))
-        tilde = sums_module._root_counts(
-            z27, X, lambda i, j: sums_module.solved_domain(z27, 3, 1, z27.one, i, j), 18 * 27, 1
-        )[0]
+        tilde = sums_module._root_counts(z27, X, 1, z27.one)
         twists = [gr9.element((4, 7)), gr9.scalar(3)]
         return [
             sums_module.jacobi_brute_table(z27, X, z27.scalar(3)),
@@ -574,6 +573,165 @@ def test_jacobi_brute_table_cap_before_allocation(monkeypatch):
         sums_module.jacobi_brute_table(r, X, r.one, cap=r.unit_count ** 2 - 1)
     with pytest.raises(TooLarge):  # 12^19 terms per sum
         sums_module.jacobi_brute_table(r, np.zeros((1, 20, X.shape[2]), dtype=np.int64), r.one)
+
+
+# ---------------------------------------------------------------------------
+# the table kernel against the per-term references
+
+# n = 1..4, p = 2, 3, 5, s <= 3
+KERNEL_RINGS = [
+    (2, 1, 3), (2, 2, 1), (2, 3, 1), (2, 4, 1), (2, 2, 2), (3, 1, 2),
+    (3, 2, 1), (3, 3, 1), (3, 4, 1), (5, 1, 1), (5, 2, 1), (5, 1, 2),
+]
+KERNEL_TERMS = 500  # per-term reference work per sum
+
+
+def kernel_cases(r):
+    """(m, k) for m = 2..5 and k = 1..m (k = m: a Jacobi sum) within KERNEL_TERMS terms."""
+    cases = []
+    for m in range(2, 6):
+        for k in range(1, m + 1):
+            units = min(k, m - 1)
+            if r.unit_count ** units * r.element_count ** (m - 1 - units) <= KERNEL_TERMS:
+                cases.append((m, k))
+    return cases
+
+
+def test_kernel_cases_cover_every_m_and_k():
+    covered = {case for key in KERNEL_RINGS for case in kernel_cases(ring(*key))}
+    assert covered == {(m, k) for m in range(2, 6) for k in range(1, m + 1)}
+    assert {key[1] for key in KERNEL_RINGS} == {1, 2, 3, 4}
+    assert {key[0] for key in KERNEL_RINGS} == {2, 3, 5}
+
+
+def kernel_twists(r, rng):
+    """Zero, an element of the maximal ideal (zero in a field) and a unit."""
+    ideal = r.p_power(1) * rng.choice(r.units()) if r.n > 1 else r.zero
+    return {"zero": r.zero, "ideal": ideal, "unit": rng.choice(r.units())}
+
+
+def kernel_tuples(r, m, rng):
+    """Three exponent tuples: all trivial, all of the top level, and a random mix.
+
+    Every character of the top level is nontrivial on the units near 1 (on
+    1 + pR when n > 1), and every nontrivial one dies on the maximal ideal.
+    """
+    chars = enumerate_characters(r)
+    top = [c for c in chars if c.level == max(x.level for x in chars)]
+    rows = [[chars[0]] * m, [rng.choice(top) for _ in range(m)]]
+    rows.append([rng.choice(chars[:1] + top + chars) for _ in range(m)])
+    return rows
+
+
+@pytest.mark.parametrize("sizes", [None, (3, 2)])
+@pytest.mark.parametrize("key", KERNEL_RINGS)
+def test_kernel_matches_per_term_references(monkeypatch, key, sizes):
+    """Jacobi (k = m) and mixed-domain (every k < m) sums for m = 2..5, and Gauss sums.
+
+    sizes=(BLOCK, CHAR_BLOCK) = (3, 2): a chunk holds one tuple (|R| >= 4), so
+    every call has several chunks, and the broadcast coordinate (at least 2
+    units) runs over several blocks of at most 3 terms; the exact counts keep
+    every value bit-identical to the default sizes.
+    """
+    r = ring(*key)
+    rng = random.Random(repr(key))
+    names = itertools.cycle(["zero", "ideal", "unit"])
+    cases = [(m, k, name) for (m, k), name in zip(kernel_cases(r), names)]
+    twists = kernel_twists(r, rng)
+    chars = enumerate_characters(r)
+    gauss = rng.sample(chars, min(4, len(chars)))
+
+    def values():
+        fresh = build_ring(*key)  # no cached Gauss value
+        out = []
+        for m, k, name in cases:
+            X = tuple_exponents(kernel_tuples(r, m, random.Random(m * 10 + k)))
+            a = fresh.element(twists[name].coords)
+            if k == m:
+                out.append(sums_module.jacobi_brute_table(fresh, X, a))
+            else:
+                out.append(sums_module.tilde_jacobi_brute_table(fresh, X, k, a))
+        for b in twists.values():
+            b = fresh.element(b.coords)
+            out.append([gauss_sum(MultCharacter(fresh, c.exponents), b).value for c in gauss])
+        return out
+
+    if sizes is not None:
+        default = values()
+        monkeypatch.setattr(sums_module, "BLOCK", sizes[0])
+        monkeypatch.setattr(sums_module, "CHAR_BLOCK", sizes[1])
+    got = values()
+    if sizes is not None:
+        for g, d in zip(got, default):
+            assert np.array_equal(bits(g), bits(d))
+        return
+    for (m, k, name), table in zip(cases, got):
+        for tup, value in zip(kernel_tuples(r, m, random.Random(m * 10 + k)), table):
+            want, _ = reference_domain_sum(tup, k, twists[name])
+            assert abs(value - want) <= term_tolerance(KERNEL_TERMS), (m, k, name)
+    for b, row in zip(twists.values(), got[len(cases):]):
+        for chi, value in zip(gauss, row):
+            assert abs(value - brute_gauss(r, chi, b)) <= term_tolerance(r.unit_count)
+
+
+def test_kernel_reduces_exponents_mod_the_generator_orders(z9):
+    """A trivial character written with exponents equal to the generator orders is trivial.
+
+    Over Z/9 with m = 3, k = 1 and a = 1 the all-trivial sum counts S: 54
+    tuples (6 units times 9 elements); an unreduced tuple read as nontrivial
+    was killed on the non-units and gave 27.
+    """
+    orders = decompose_unit_group(z9).orders
+    X = np.array([[orders] * 3, [(0,) * len(orders)] * 3], dtype=np.int64)
+    tilde = sums_module.tilde_jacobi_brute_table(z9, X, 1, z9.one)
+    assert tilde.tolist() == [54, 54] == [s_cardinality(z9, 3, 1)] * 2
+    assert sums_module.tilde_jacobi_classify_table(z9, X[:1], 1, z9.one)[0].integer == 54
+    for a in canonical_twists(z9):
+        jac = sums_module.jacobi_brute_table(z9, X, a)
+        assert np.array_equal(bits(jac[:1]), bits(jac[1:]))
+    gauss = sums_module._root_counts(z9, X[:, :2], 1, z9.zero, z9.one)  # the Gauss form
+    assert np.array_equal(gauss[0], gauss[1])
+
+
+def test_kernel_temporaries_stay_within_the_stated_bound(monkeypatch):
+    """Peak traced memory of one kernel call against its docstring's bound.
+
+    Besides the (C x M) result, the call holds the reduced copy of X and its
+    (C x m) kill mask, and at most (m + 8) max(|R|, BLOCK CHAR_BLOCK) +
+    2 chunk m M int64 entries of temporaries; 16 kB more covers the
+    interpreter's own objects.  Without blocking the 120 x 1728 terms alone
+    would take 1.6 MB.
+    """
+    monkeypatch.setattr(sums_module, "BLOCK", 256)
+    monkeypatch.setattr(sums_module, "CHAR_BLOCK", 4)
+    r = ring(2, 2, 2)  # |R| = 16, 12 units, M = L = 6
+    X = sampled_tuples(r, 4, 120, 21)
+    M, size = decompose_unit_group(r).lcm_order, r.element_count
+    chunk = max(1, 256 * 4 // size)
+    bound = (4 + 8) * max(size, 256 * 4) + 2 * chunk * 4 * M
+    sums_module._root_counts(r, X, 4, r.one)  # tables built, caches warm
+    tracemalloc.start()
+    try:
+        counts = sums_module._root_counts(r, X, 4, r.one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() > 0
+    held = counts.nbytes + X.nbytes + X.shape[0] * X.shape[1]
+    assert peak <= held + 8 * bound + 16_000, (peak, held, 8 * bound)
+
+    # the compare sends every killed term to one bin: no bincount grows past chunk m M + 1
+    lengths = []
+
+    def bincount(x, *args, **kwargs):
+        out = real(x, *args, **kwargs)
+        lengths.append(len(out))
+        return out
+
+    real = np.bincount
+    monkeypatch.setattr(np, "bincount", bincount)
+    assert np.array_equal(sums_module._root_counts(r, X, 4, r.one), counts)
+    assert lengths and max(lengths) == chunk * 4 * M + 1
 
 
 def test_gauss_quotient_vanishing_denominator_under_python_O():
@@ -728,6 +886,29 @@ def test_expected_table_rejects_bad_input(z9):
     with pytest.raises(RingMismatch):
         sums_module.jacobi_expected_table(z9, X, ring(2, 2, 2).one)
     assert sums_module.jacobi_expected_table(z9, X[:0], z9.one) == []
+    with pytest.raises(ValueError, match="r = 2 entries"):
+        sums_module.jacobi_expected_table(z9, np.zeros((3, 2, 3), dtype=np.int64), z9.one)
+
+
+@pytest.mark.parametrize("k", [None, 1])  # None: jacobi_brute_table, else the mixed domain
+def test_brute_tables_reject_bad_input(z9, k):
+    def table(X, a=z9.one):
+        if k is None:
+            return sums_module.jacobi_brute_table(z9, X, a)
+        return sums_module.tilde_jacobi_brute_table(z9, X, k, a)
+
+    X = all_tuples(z9, 2)
+    empty = table(X[:0])
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == np.complex128
+    assert table([]).shape == (0,)
+    with pytest.raises(ValueError, match="two characters"):
+        table(X[:, :1])
+    with pytest.raises(ValueError, match="r = 2 entries"):
+        table(np.zeros((3, 2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="r = 2 entries"):
+        table(np.zeros((3, 2, 1), dtype=np.int64))
+    with pytest.raises(RingMismatch):
+        table(X, ring(2, 2, 2).one)
 
 
 def test_canonical_twists_are_cached_copies(z27):
