@@ -43,7 +43,8 @@ from .sums import s_cardinality, s_cardinality_qn, solved_domain
 
 DEFAULT_ENTRY_CAP = 10 ** 8
 DEFAULT_PAIR_BUDGET = 10 ** 9
-# rows per block in build, scan and export: temporaries stay O(block x K)
+# rows per block in build and export, and per row tile of the scan, whose
+# column panels hold 4 BLOCK rows: temporaries stay O(BLOCK x K)
 BLOCK = 256
 # pairs this close to the peak count as attaining it when naming the witness
 WITNESS_TIE = 1e-12
@@ -232,49 +233,164 @@ def build_codebook(
 # evaluation
 
 
+def _gather(rows: np.ndarray, at: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows[at][:, cols] as one copy; an ascending run of row indices is sliced."""
+    if at.size and at[-1] - at[0] == at.size - 1:
+        return rows[at[0]:at[-1] + 1].take(cols, axis=1)
+    return rows[np.ix_(at, cols)]
+
+
+def _upper(mags: np.ndarray, a0: int, c0: int) -> np.ndarray:
+    """Mark -1 the pairs c <= a of a tile whose rows start at a0 and columns at c0."""
+    if a0 == c0:
+        mags[np.tril_indices(mags.shape[0], m=mags.shape[1])] = -1.0
+    return mags
+
+
+class _Witness:
+    """The running peak, and the pairs that can still name the final one.
+
+    A pair is kept when its magnitude is within WITNESS_TIE of the peak so
+    far, so every pair within WITNESS_TIE of the final peak is kept.  A kept
+    pair no larger than some lexicographically smaller kept pair can never
+    be the witness, so it is dropped at once.
+    """
+
+    def __init__(self) -> None:
+        self.peak = 0.0
+        self.kept = np.empty((3, 0))  # rows: magnitude, i, j with i < j
+
+    def offer(self, mags: np.ndarray, at_i: np.ndarray, at_j: np.ndarray) -> None:
+        """mags[a, b] is |c_i c_j^H| for i = at_i[a], j = at_j[b]; -1 skips a pair."""
+        most = float(mags.max(initial=-1.0))
+        self.peak = max(self.peak, most)
+        if most < self.peak - WITNESS_TIE:
+            return
+        a, b = np.nonzero(mags >= self.peak - WITNESS_TIE)
+        i, j = at_i[a], at_j[b]
+        kept = np.concatenate([self.kept, [mags[a, b], np.minimum(i, j), np.maximum(i, j)]], axis=1)
+        kept = kept[:, kept[0] >= self.peak - WITNESS_TIE]
+        kept = kept[:, np.lexsort((kept[2], kept[1]))]
+        rising = np.ones(kept.shape[1], dtype=bool)
+        rising[1:] = kept[0, 1:] > np.maximum.accumulate(kept[0])[:-1]
+        self.kept = kept[:, rising]
+
+    def pair(self) -> tuple[int, int]:
+        """The lexicographically smallest pair within WITNESS_TIE of the peak.
+
+        At a peak of at most WITNESS_TIE every pair ties, (0, 1) included.
+        """
+        if self.peak <= WITNESS_TIE:
+            return 0, 1
+        first = int(np.argmax(self.kept[0] >= self.peak - WITNESS_TIE))
+        return int(self.kept[1, first]), int(self.kept[2, first])
+
+
+def _inner_magnitude(u: np.ndarray, v: np.ndarray) -> float:
+    """|u v^H| with each part the exactly rounded sum of its 2K float products."""
+    re = math.fsum(itertools.chain((u.real * v.real).tolist(), (u.imag * v.imag).tolist()))
+    im = math.fsum(itertools.chain((u.imag * v.real).tolist(), (-u.real * v.imag).tolist()))
+    return math.hypot(re, im)
+
+
 def imax_exhaustive(cb: Codebook, pair_budget: int = DEFAULT_PAIR_BUDGET) -> EvalReport:
     """Maximum |c_i c_j^H| over all unordered pairs i < j, with a stable witness.
 
-    Each block of rows is multiplied only against itself and the rows after
-    it (the upper triangle), block by block in row order.  Many pairs attain
-    the peak exactly, so an argmax would be picked by rounding noise; the
-    witness is instead the lexicographically smallest pair (i, j) with
-    |c_i c_j^H| >= peak - WITNESS_TIE, found by recomputing the first block
-    that reaches that threshold.
+    Every pair is scanned, but only products that can be nonzero are formed.
+    Rows are classed by their count of nonzero entries, not by position:
+    single (one entry (col, v), as the basis rows), dense (more), or zero
+    (none, meeting every row at 0).
+    - Dense pairs: a GEMM over the full columns, which every dense row
+      fills, plus a GEMM over the other columns among the dense rows nonzero
+      there, added into the same tile.  A column panel of 4 BLOCK dense rows
+      is gathered once and met by the row tiles of BLOCK rows above its end.
+    - Dense i with single (col, v): |c_i[col] v^*|, skipped for a column
+      whose largest dense magnitude times |v| falls short of the dense peak.
+    - Two singles: |v w^*| in the same column, 0 otherwise.
+    Besides index arrays of O(N + K) entries, the temporaries stay below
+    (80 K + 256 BLOCK) BLOCK bytes.
+
+    Many pairs attain the peak exactly, so an argmax would be picked by
+    rounding noise; the witness is instead the lexicographically smallest
+    pair (i, j) with |c_i c_j^H| >= peak - WITNESS_TIE, kept tile by tile in
+    the one pass (_Witness).  The reported peak is the witness's |c_i c_j^H|
+    summed by math.fsum, so it depends on neither BLAS, its thread count nor
+    the tiling.
     """
     N, K = cb.N, cb.K
     if N * (N - 1) // 2 * K > pair_budget:
         raise TooLarge("pair scan exceeds budget")
-    rows = cb.rows
-
-    def upper(i0: int) -> np.ndarray:
-        """|c_i c_j^H| for i in the block and j >= i0, with -1 where j <= i."""
-        i1 = min(N, i0 + BLOCK)
-        g = np.abs(rows[i0:i1].conj() @ rows[i0:].T)
-        g[np.tril_indices(i1 - i0, m=N - i0)] = -1.0
-        return g
-
-    starts = list(range(0, N, BLOCK))
-    maxima = [float(upper(i0).max()) for i0 in starts]
-
-    best_val = max(maxima, default=-1.0)
-    best_pair = (0, 0)
-    for i0, val in zip(starts, maxima):
-        if val >= best_val - WITNESS_TIE:
-            hits = np.flatnonzero(upper(i0) >= best_val - WITNESS_TIE)
-            if hits.size:
-                r, c = divmod(int(hits[0]), N - i0)
-                best_pair = (i0 + r, i0 + c)
-                break
-    p = cb.params
-    formula = imax_formula(p.ring.q, p.ring.n, p.m)
     welch = welch_bound(N, K)
+    rows = cb.rows
+    filled = np.empty(N, dtype=np.int64)  # nonzero entries of each row
+    first = np.empty(N, dtype=np.int64)  # column of each row's first nonzero entry
+    fill = np.zeros(K, dtype=np.int64)  # dense rows nonzero in each column
+    top = np.zeros(K)  # largest dense magnitude in each column
+    for r0 in range(0, N, BLOCK):
+        mags = np.abs(rows[r0:r0 + BLOCK])
+        nonzero = mags != 0
+        filled[r0:r0 + BLOCK] = np.count_nonzero(nonzero, axis=1)
+        first[r0:r0 + BLOCK] = np.argmax(nonzero, axis=1)
+        lone = filled[r0:r0 + BLOCK] < 2
+        mags[lone] = 0.0
+        nonzero[lone] = False
+        fill += np.count_nonzero(nonzero, axis=0)
+        np.maximum(top, mags.max(axis=0), out=top)
+    dense = np.flatnonzero(filled > 1)
+    full = np.flatnonzero(fill == dense.size)
+    partial = np.flatnonzero(fill < dense.size)
+    # dense positions nonzero in some partial column: more entries than full columns
+    loose = np.flatnonzero(filled[dense] > full.size)
+    witness = _Witness()
+
+    for b0 in range(0, dense.size, 4 * BLOCK):
+        b1 = min(dense.size, b0 + 4 * BLOCK)
+        right = _gather(rows, dense[b0:b1], full)
+        np.conjugate(right, out=right)
+        lb = loose[np.searchsorted(loose, b0):np.searchsorted(loose, b1)]
+        right_loose = _gather(rows, dense[lb], partial)
+        np.conjugate(right_loose, out=right_loose)
+        for a0 in range(0, b1, BLOCK):
+            a1, c0 = min(b1, a0 + BLOCK), max(a0, b0)
+            g = _gather(rows, dense[a0:a1], full) @ right[c0 - b0:].T
+            la = loose[np.searchsorted(loose, a0):np.searchsorted(loose, a1)]
+            lc = np.searchsorted(lb, c0)
+            if la.size and lc < lb.size:
+                g[np.ix_(la - a0, lb[lc:] - c0)] += _gather(rows, dense[la], partial) @ right_loose[lc:].T
+            mags = _upper(np.abs(g), a0, c0)
+            del g  # one tile's products alive at a time
+            witness.offer(mags, dense[a0:a1], dense[c0:b1])
+        del right, right_loose, mags  # before the next panel is gathered
+
+    single = np.flatnonzero(filled == 1)
+    at = first[single]
+    entry = rows[single, at]
+    # the slack covers the rounding of |c_i[col] v^*| against top[col] |v|
+    reach = np.flatnonzero(top[at] * np.abs(entry) >= witness.peak - 2 * WITNESS_TIE)
+    for s0 in range(0, reach.size, 4 * BLOCK):
+        s = reach[s0:s0 + 4 * BLOCK]
+        for a0 in range(0, dense.size, BLOCK):
+            mags = np.abs(_gather(rows, dense[a0:a0 + BLOCK], at[s]) * entry[s].conj())
+            witness.offer(mags, dense[a0:a0 + BLOCK], single[s])
+
+    shared, count = np.unique(at, return_counts=True)
+    for col in shared[count > 1]:
+        same = np.flatnonzero(at == col)
+        for a0 in range(0, same.size, BLOCK):
+            for c0 in range(a0, same.size, 4 * BLOCK):
+                u, w = same[a0:a0 + BLOCK], same[c0:c0 + 4 * BLOCK]
+                mags = np.abs(np.multiply.outer(entry[u], entry[w].conj()))
+                witness.offer(_upper(mags, a0, c0), single[u], single[w])
+
+    i, j = witness.pair()
+    peak = _inner_magnitude(rows[i], rows[j])
+    p = cb.params
     return EvalReport(
-        imax_measured=best_val,
-        imax_formula=formula,
+        imax_measured=peak,
+        imax_formula=imax_formula(p.ring.q, p.ring.n, p.m),
         welch=welch,
-        ratio=best_val / welch,
-        pair_argmax=best_pair,
+        ratio=peak / welch,
+        pair_argmax=(i, j),
     )
 
 

@@ -455,3 +455,172 @@ def test_witness_is_smallest_tied_pair_and_stable(key, a_mode):
     # one unit phase on every row moves last bits, not exact magnitudes
     turned = dataclasses.replace(cb, rows=cb.rows * np.exp(0.7j))
     assert imax_exhaustive(turned).pair_argmax == pair
+
+
+def scan_variant(name):
+    """Codebooks that take every path of the scan: single rows anywhere, edits, builds."""
+    base = build((3, 2, 1))
+    f, n = base.f_count, base.N
+    if name == "permuted":  # single rows among the dense ones
+        order = np.random.default_rng(5).permutation(n)
+        return dataclasses.replace(base, rows=base.rows[order])
+    if name == "imported":
+        return import_codebook(export_codebook(base, fmt="json"))
+    if name == "phases":  # a different unit phase on every row
+        return dataclasses.replace(base, rows=base.rows * np.exp(1j * np.arange(n))[:, None])
+    if name == "duplicate-basis":  # two single rows in one column: peak exactly 1
+        rows = base.rows.copy()
+        rows[5] = rows[f + 3]
+        return dataclasses.replace(base, rows=rows)
+    if name == "zero-row":
+        rows = base.rows.copy()
+        rows[4] = 0
+        return dataclasses.replace(base, rows=rows)
+    if name == "spiky-row":  # a dense row of two entries: it peaks against a single row
+        rows = base.rows.copy()
+        rows[6] = 0
+        rows[6, [10, 20]] = 0.8, 0.6j
+        return dataclasses.replace(base, rows=rows)
+    if name == "cross-class-tie":  # a dense-single pair ties with a later dense pair at 1
+        rows = base.rows.copy()
+        rows[3] = 0
+        rows[3, [10, 20]] = 1.0, 0.5  # not unit norm, as an edited codebook may be
+        rows[41] = rows[40]
+        return dataclasses.replace(base, rows=rows)
+    if name == "scaled-basis":  # each single row meets some dense row at the peak, 1
+        rows = base.rows.copy()
+        rows[f:] /= np.abs(rows[:f]).max(axis=0)[:, None]
+        return dataclasses.replace(base, rows=rows)
+    if name == "orthogonal":  # every pair is 0, so every pair ties
+        rows = np.array([[0, 0], [1, 0], [0, 1j]], dtype=np.complex128)
+        return dataclasses.replace(base, rows=rows, N=3, K=2)
+    key, m, k, a_mode = {
+        "zero-twist": ((3, 2, 1), 3, 1, "zero"),
+        "ideal-twist": ((3, 2, 1), 3, 1, "ideal"),
+        "q4": ((2, 2, 2), 3, 1, "unit"),
+        "m4-k2": ((3, 2, 1), 4, 2, "unit"),
+        "m2": ((3, 2, 1), 2, 1, "unit"),
+    }[name]
+    return build(key, m=m, k=k, a_mode=a_mode)
+
+
+def assert_scan_matches_gram(cb, monkeypatch, blocks):
+    """Run the scan at each BLOCK, recording every pair it offers to the witness.
+
+    Peak and witness must be those of the whole Gram matrix; every offered
+    pair must be offered once and match its Gram entry; every pair of two
+    dense rows must be offered; a pair left out must fall short of the peak
+    (unless the peak is 0, where every pair ties).
+    """
+    peak, pair = smallest_tied_pair(cb)
+    gram = np.abs(cb.rows @ cb.rows.conj().T)
+    dense = np.count_nonzero(cb.rows, axis=1) > 1
+    upper = np.triu(np.ones((cb.N, cb.N), dtype=bool), 1)
+    real_offer = codebook_module._Witness.offer
+    for block in blocks:
+        seen = np.full((cb.N, cb.N), np.nan)
+
+        def offer(self, mags, at_i, at_j):
+            i = np.broadcast_to(at_i[:, None], mags.shape)[mags >= 0]
+            j = np.broadcast_to(at_j[None, :], mags.shape)[mags >= 0]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            assert np.all(lo < hi) and np.all(np.isnan(seen[lo, hi]))
+            seen[lo, hi] = mags[mags >= 0]
+            real_offer(self, mags, at_i, at_j)
+
+        monkeypatch.setattr(codebook_module, "BLOCK", block)
+        monkeypatch.setattr(codebook_module._Witness, "offer", offer)
+        rep = imax_exhaustive(cb)
+        assert rep.pair_argmax == pair, block
+        assert abs(rep.imax_measured - peak) <= 1e-12, block
+        offered = upper & ~np.isnan(seen)
+        assert np.all(np.abs(seen[offered] - gram[offered]) <= 1e-12), block
+        assert np.all(offered[upper & dense[:, None] & dense[None, :]]), block
+        assert peak <= 1e-12 or np.all(gram[upper & ~offered] < peak - 1e-12), block
+    return rep
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "permuted", "imported", "phases", "duplicate-basis", "zero-row", "spiky-row",
+        "cross-class-tie", "scaled-basis", "orthogonal",
+        "zero-twist", "ideal-twist", "q4", "m4-k2", "m2",
+    ],
+)
+def test_scan_matches_the_full_gram(name, monkeypatch):
+    """The scan against the whole Gram matrix, at two tilings.
+
+    BLOCK = 7 splits every class into many panels and tiles, so tiles on
+    and off the diagonal, loose rows on both sides and single columns in
+    several chunks all occur.
+    """
+    rep = assert_scan_matches_gram(scan_variant(name), monkeypatch, (7, 256))
+    if name == "duplicate-basis":
+        assert rep.imax_measured == 1.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scan_matches_the_full_gram_on_random_sparse_rows(seed, monkeypatch):
+    """Random supports: most columns partial, most dense rows loose, single and zero rows.
+
+    Even seeds plant a turned copy of one row at a random later position, so
+    the peak is a pair whose product runs mostly through partial columns.
+    """
+    rng = np.random.default_rng(seed)
+    n, k = 90, 24
+    keep = rng.random((n, k)) < rng.uniform(0.05, 0.9, (n, 1))
+    rows = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) * keep
+    norms = np.linalg.norm(rows, axis=1)
+    rows[norms > 0] /= norms[norms > 0, None]
+    zero, single = np.split(rng.choice(n, 7, replace=False), [3])
+    rows[zero] = rows[single] = 0
+    rows[single, rng.integers(k, size=4)[[0, 0, 1, 2]]] = np.exp(2j * np.pi * rng.random(4))
+    if seed % 2 == 0:
+        i, j = np.sort(rng.choice(n, 2, replace=False))
+        rows[j] = rows[i] * np.exp(0.3j)
+    cb = dataclasses.replace(build((3, 2, 1)), rows=rows, N=n, K=k)
+    assert_scan_matches_gram(cb, monkeypatch, (3, 7, 256))
+
+
+def test_reported_peak_is_the_fsum_of_the_witness_pair(monkeypatch):
+    """The peak is the witness's inner product summed exactly, whatever the tiling."""
+    cb = build((2, 2, 2))
+    reports = []
+    for block in (7, 256):
+        monkeypatch.setattr(codebook_module, "BLOCK", block)
+        reports.append(imax_exhaustive(cb))
+    i, j = reports[0].pair_argmax
+    u, v = cb.rows[i].tolist(), cb.rows[j].tolist()
+    re = math.fsum([a.real * b.real for a, b in zip(u, v)] + [a.imag * b.imag for a, b in zip(u, v)])
+    im = math.fsum([a.imag * b.real for a, b in zip(u, v)] + [-a.real * b.imag for a, b in zip(u, v)])
+    want = math.hypot(re, im)
+    assert [r.pair_argmax for r in reports] == [(i, j)] * 2
+    assert [r.imax_measured.hex() for r in reports] == [want.hex()] * 2
+    assert reports[1].ratio == want / reports[1].welch
+
+
+def test_scan_temporaries_stay_within_the_stated_bound(monkeypatch):
+    """Peak traced memory of one scan against its docstring's bound.
+
+    Besides index arrays of O(N + K) entries (64 N + 32 K bytes cover them),
+    the temporaries stay below (80 K + 256 BLOCK) BLOCK bytes; 16 kB more
+    covers the interpreter's own objects.  Gathering the full columns of all
+    576 dense rows at once would alone take 1 MB, over the bound.  A codebook
+    of equal rows, where every pair ties at the peak, keeps the bound too:
+    the witness keeps no more than the pairs that can still win.
+    """
+    monkeypatch.setattr(codebook_module, "BLOCK", 16)
+    cb = build((2, 2, 2))  # N = 768, K = 192, 576 dense rows, 112 full columns
+    equal = dataclasses.replace(cb, rows=np.repeat(cb.rows[:1], cb.N, axis=0))
+    bound = (80 * cb.K + 256 * 16) * 16 + 64 * cb.N + 32 * cb.K + 16_000
+    assert bound < 576 * 112 * 16
+    for c in (cb, equal):
+        imax_exhaustive(c)
+        tracemalloc.start()
+        try:
+            imax_exhaustive(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
