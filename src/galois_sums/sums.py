@@ -33,6 +33,7 @@ order:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,29 +197,54 @@ class SumValue:
 # the brute-force kernel
 
 
+def _solve_codes(ring: GaloisRing) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Borrow-free packed differences, cached per ring: (high, low, table) per digit group.
+
+    The s digits split into groups of t, t the largest with (2p^n)^t <= 8 |R|
+    (one group when s <= 3, at most two).  A group packs an element's digits
+    in base 2p^n as low = coords . radix and high = (coords + p^n) . radix, so
+    high(x) - low(y) keeps every digit in [1, 2p^n) and borrows nothing; table
+    maps that code to the group's share of the element index of x - y.
+    """
+    if "solve_codes" not in ring._cache:
+        s, pn, base, coords = ring.s, ring.pn, 2 * ring.pn, ring.coord_array()
+        t = max(w for w in range(1, s + 1) if base ** w <= 8 * ring.element_count)
+        groups = []
+        for g in range(0, s, t):
+            w = min(t, s - g)
+            radix = np.zeros(s, dtype=np.int64)
+            radix[g : g + w] = base ** np.arange(w - 1, -1, -1)
+            share = np.indices((base,) * w).reshape(w, -1).T % pn @ ring._radix()[g : g + w]
+            groups.append(((coords + pn) @ radix, coords @ radix, share))
+        ring._cache["solve_codes"] = groups
+    return ring._cache["solve_codes"]
+
+
+def _minus(groups, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Element indices of x - y: per digit group of _solve_codes one subtract, one gather."""
+    return functools.reduce(np.add, (t.take(hi.take(x) - lo.take(y)) for hi, lo, t in groups))
+
+
 def _solved_blocks(ring: GaloisRing, m: int, k: int, a: RingElement, budget: int):
     """{x : x_1..x_k units, x_{k+1}..x_{m-1} arbitrary, x_m = a - sum} in blocks of <= budget rows.
 
     A block is the prefix rows x_1..x_{m-2} (an index array per coordinate, in
-    itertools.product order), a slice y of x_{m-1}, and x_m solved digit by
-    digit as a (rows x len(y)) index array.
+    itertools.product order), a slice y of x_{m-1}, and x_m as a (rows x
+    len(y)) index array, each difference taken by _minus.
     """
-    units, coords, pn = min(k, m - 1), ring.coord_array(), ring.pn
-    *prefix, last = [ring.unit_indices()] * units + [np.arange(len(coords))] * (m - 1 - units)
+    units, size, groups = min(k, m - 1), ring.element_count, _solve_codes(ring)
+    *prefix, last = [ring.unit_indices()] * units + [np.arange(size)] * (m - 1 - units)
     sizes, step = [len(d) for d in prefix], min(len(last), budget)
     total, rows = math.prod(sizes), max(1, budget // step)
     for p0 in range(0, total, rows):
         at = np.unravel_index(np.arange(p0, min(p0 + rows, total)), sizes) if sizes else ()
         xs = [d.take(i) for d, i in zip(prefix, at)]
-        rest = (np.array([a.coords]) - sum(coords.take(x, axis=0) for x in xs)) % pn
+        rest = np.array([ring._index(a.coords)])
+        for x in xs:
+            rest = _minus(groups, rest, x)
         for d0 in range(0, len(last), step):
             y = last[d0 : d0 + step]
-            yc = coords.take(y, axis=0).T
-            index = (rest[:, 0, None] - yc[0]) % pn
-            for j in range(1, ring.s):
-                index *= pn
-                index += (rest[:, j, None] - yc[j]) % pn
-            yield xs, y, index
+            yield xs, y, _minus(groups, rest[:, None], y)
 
 
 def solved_domain(ring: GaloisRing, m: int, k: int, a: RingElement) -> np.ndarray:
@@ -236,11 +262,13 @@ def _root_counts(ring: GaloisRing, X, k: int, a: RingElement, b=None) -> np.ndar
     unit-group orders, and of p^n when a twist b adds tr(b x) to x_1's table:
     a Gauss sum is m = 2, k = 1, a = 0, chi_2 trivial), killed on the
     non-units where chi_i is nontrivial and for x_m when k >= m.  Over the
-    broadcast blocks of _solved_blocks a term costs one gather, two adds, one
-    compare and one bincount into m M bins per tuple, folded mod M.  A chunk
-    takes max(1, BLOCK CHAR_BLOCK // |R|) tuples and a block BLOCK min(chunk,
-    CHAR_BLOCK) terms: besides the result and the reduced X with its kill
-    mask, temporaries hold (m + 8) max(|R|, BLOCK CHAR_BLOCK) + 2 chunk m M int64s.
+    broadcast blocks of _solved_blocks, whose solve the chunk's tuples share,
+    a term costs one gather (none for x_m when its table is all zero, as in a
+    Gauss sum), two adds, one compare and one bincount into m M bins per
+    tuple, folded mod M.  A chunk takes max(1, BLOCK CHAR_BLOCK // |R|)
+    tuples and a block BLOCK min(chunk, CHAR_BLOCK) terms: besides the result
+    and the reduced X with its kill mask, temporaries hold (m + 8) max(|R|,
+    BLOCK CHAR_BLOCK) + 2 chunk m M int64s.
     """
     basis = decompose_unit_group(ring)
     size, pn, coords, extra = ring.element_count, ring.pn, ring.coord_array(), 0
@@ -266,8 +294,10 @@ def _root_counts(ring: GaloisRing, X, k: int, a: RingElement, b=None) -> np.ndar
         tables[kill[c0:c1].T[:, :, None] & off_unit] = dump
         tables[0] += np.arange(c1 - c0)[:, None] * (m * M)
         budget = BLOCK * min(c1 - c0, CHAR_BLOCK) // (c1 - c0)  # domain rows per block
+        solved = tables[-1].any()  # else x_m adds nothing, as in a Gauss sum
         for xs, y, index in _solved_blocks(ring, m, k, a, max(1, budget)):
-            terms = tables[-1].take(index, axis=1)
+            shape = (c1 - c0, *index.shape)
+            terms = tables[-1].take(index, axis=1) if solved else np.zeros(shape, dtype=np.int64)
             terms += tables[-2].take(y, axis=1)[:, None, :]
             if xs:
                 terms += sum(t.take(x, axis=1) for t, x in zip(tables, xs))[:, :, None]
@@ -277,14 +307,22 @@ def _root_counts(ring: GaloisRing, X, k: int, a: RingElement, b=None) -> np.ndar
     return counts
 
 
+@functools.lru_cache(maxsize=None)
+def _root_array(order: int) -> np.ndarray:
+    """root_table(order) as a read-only complex128 array."""
+    roots = np.array(root_table(order), dtype=np.complex128)
+    roots.flags.writeable = False
+    return roots
+
+
 def _complex_rows(counts: np.ndarray) -> list[complex]:
-    """sum_j counts[c, j] exp(2 pi i j / M) per row c, accumulated over ascending j."""
-    roots = root_table(counts.shape[1])
-    values = [0j] * len(counts)
-    rows, cols = np.nonzero(counts)
-    for c, j, n in zip(rows.tolist(), cols.tolist(), counts[rows, cols].tolist()):
-        values[c] += n * roots[j]
-    return values
+    """sum_j counts[c, j] exp(2 pi i j / M) per row c, added over ascending j.
+
+    One sequential cumsum adds left to right, as a loop over the bins from 0j
+    would: the first root is exactly 1, and an empty bin adds +-0.0, which
+    leaves the running sum (never -0.0) unchanged.
+    """
+    return np.cumsum(counts * _root_array(counts.shape[1]), axis=1)[:, -1].tolist()
 
 
 def _exponent_tuples(ring: GaloisRing, X) -> np.ndarray:

@@ -42,6 +42,7 @@ from galois_sums import (
     tilde_jacobi_brute,
     tilde_jacobi_classify,
 )
+from galois_sums.characters import root_table
 
 from conftest import ring
 
@@ -732,6 +733,156 @@ def test_kernel_temporaries_stay_within_the_stated_bound(monkeypatch):
     monkeypatch.setattr(np, "bincount", bincount)
     assert np.array_equal(sums_module._root_counts(r, X, 4, r.one), counts)
     assert lengths and max(lengths) == chunk * 4 * M + 1
+
+
+# ---------------------------------------------------------------------------
+# the packed-difference solve and the count-to-complex conversion, each
+# against the loop it replaced
+
+# s = 1 for p = 2, 3, 5, 7; s = 3 and 4 (two digit groups at s = 4 and 6);
+# n up to 5; p = 2 with s > 1
+SOLVE_RINGS = [
+    (2, 1, 1), (3, 1, 1), (5, 1, 1), (7, 1, 1), (2, 5, 1), (3, 4, 1), (5, 2, 1),
+    (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 1, 3), (2, 2, 3), (3, 1, 3),
+    (2, 1, 4), (3, 1, 4), (2, 2, 4), (2, 1, 6),
+]
+
+
+def digit_solved_blocks(ring, m, k, a, budget):
+    """_solved_blocks with x_m solved digit by digit on the coordinates: the oracle."""
+    units, coords, pn = min(k, m - 1), ring.coord_array(), ring.pn
+    *prefix, last = [ring.unit_indices()] * units + [np.arange(len(coords))] * (m - 1 - units)
+    sizes, step = [len(d) for d in prefix], min(len(last), budget)
+    total, rows = int(np.prod(sizes)), max(1, budget // step)
+    for p0 in range(0, total, rows):
+        at = np.unravel_index(np.arange(p0, min(p0 + rows, total)), sizes) if sizes else ()
+        xs = [d.take(i) for d, i in zip(prefix, at)]
+        rest = (np.array([a.coords]) - sum(coords.take(x, axis=0) for x in xs)) % pn
+        for d0 in range(0, len(last), step):
+            y = last[d0 : d0 + step]
+            yc = coords.take(y, axis=0).T
+            index = (rest[:, 0, None] - yc[0]) % pn
+            for j in range(1, ring.s):
+                index *= pn
+                index += (rest[:, j, None] - yc[j]) % pn
+            yield xs, y, index
+
+
+def solve_twists(r, rng):
+    """0, 1, p^k times a unit for every 1 <= k < n, and a random element."""
+    twists = [r.zero, r.one]
+    twists += [r.p_power(k) * rng.choice(r.units()) for k in range(1, r.n)]
+    return twists + [rng.choice(r.elements())]
+
+
+@pytest.mark.parametrize("key", SOLVE_RINGS)
+def test_packed_solve_matches_the_digit_solve(key):
+    r = ring(*key)
+    rng = random.Random(repr(key))
+    x = np.arange(r.element_count)
+    want = r.index_of((r.coord_array()[:, None, :] - r.coord_array()[None, :, :]) % r.pn)
+    assert np.array_equal(sums_module._minus(sums_module._solve_codes(r), x[:, None], x), want)
+    for m in (2, 3, 4):
+        for k in range(1, m + 1):
+            units = min(k, m - 1)
+            if r.unit_count ** units * r.element_count ** (m - 1 - units) > 20_000:
+                continue
+            for a in solve_twists(r, rng):
+                for budget in (5, 4096):
+                    got = list(sums_module._solved_blocks(r, m, k, a, budget))
+                    oracle = list(digit_solved_blocks(r, m, k, a, budget))
+                    assert len(got) == len(oracle)
+                    for (xs, y, index), (oxs, oy, oindex) in zip(got, oracle):
+                        assert len(xs) == len(oxs) and all(map(np.array_equal, xs, oxs))
+                        assert np.array_equal(y, oy) and np.array_equal(index, oindex)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 1), (7, 1, 1), (2, 5, 1), (2, 2, 2), (3, 1, 3), (2, 1, 4)])
+def test_solved_domain_matches_ring_subtraction(key):
+    r = ring(*key)
+    rng = random.Random(repr(key))
+    els = r.elements()
+    for m, k in [(2, 1), (2, 2), (3, 1), (3, 3)]:
+        for a in solve_twists(r, rng):
+            domain = sums_module.solved_domain(r, m, k, a)
+            head = min(k, m - 1)
+            free = itertools.product(*([r.units()] * head + [els] * (m - 1 - head)))
+            want = []
+            for row in free:
+                last = a
+                for x in row:
+                    last = last - x
+                want.append([r._index(x.coords) for x in row + (last,)])
+            assert domain.tolist() == want
+
+
+def test_solve_tables_stay_within_eight_ring_sizes():
+    for key in SOLVE_RINGS:
+        r = ring(*key)
+        groups = sums_module._solve_codes(r)
+        assert len(groups) == (1 if r.s <= 3 else 2), key
+        assert all(len(table) <= 8 * r.element_count for _, _, table in groups), key
+        assert sums_module._solve_codes(r) is groups  # cached per ring
+
+
+def loop_complex_rows(counts):
+    """sum_j counts[c, j] exp(2 pi i j / M) by a Python loop over the nonzero bins: the oracle."""
+    roots = root_table(counts.shape[1])
+    values = [0j] * len(counts)
+    rows, cols = np.nonzero(counts)
+    for c, j, n in zip(rows.tolist(), cols.tolist(), counts[rows, cols].tolist()):
+        values[c] += n * roots[j]
+    return values
+
+
+def test_complex_rows_is_bitwise_the_bin_loop():
+    rng = np.random.default_rng(18)
+    cases = [np.zeros((0, 5), dtype=np.int64), np.array([[5], [0], [1]])]  # C = 0, M = 1
+    for M in (2, 3, 4, 6, 7, 12, 120, 600):
+        cases.append(np.zeros((2, M), dtype=np.int64))  # zero rows
+        cases.append(np.eye(M, dtype=np.int64) * rng.integers(1, 1000, M))  # single bins
+        sparse = rng.integers(0, 10 ** 6, (40, M)) * (rng.random((40, M)) < 0.1)
+        cases.append(np.vstack([sparse, rng.integers(0, 10 ** 6, (8, M))]))
+    # rows that cancel: n (1 - 1) at M = 2 and 6 is exactly 0; n (w^2 + w^5) at M = 6
+    # is 0 up to rounding
+    cases.append(np.array([[7, 7], [0, 0]]))
+    cases.append(np.array([[9, 0, 0, 9, 0, 0], [0, 0, 4, 0, 0, 4]]))
+    for counts in cases:
+        counts = np.asarray(counts, dtype=np.int64)
+        got = sums_module._complex_rows(counts)
+        assert isinstance(got, list) and len(got) == len(counts)
+        assert np.array_equal(bits(got), bits(loop_complex_rows(counts)))
+    for exact_zero in ([[7, 7]], [[9, 0, 0, 9, 0, 0]], [[0, 0, 0]]):
+        assert bits(sums_module._complex_rows(np.array(exact_zero))).tolist() == [0, 0]  # +0j
+
+
+def brute_value_digest():
+    """sha256[:16] over the bits of fixed jacobi_brute_table, tilde_jacobi_brute_table
+    and gauss_table values: per ring, 30 seeded tuples at each canonical twist, a
+    unit and a random element, every k < m, and every character's Gauss value."""
+    h = hashlib.sha256()
+    for key, m in [
+        ((2, 2, 2), 3), ((3, 2, 1), 3), ((2, 3, 1), 4), ((5, 1, 2), 2), ((2, 2, 3), 2),
+        ((7, 1, 1), 3), ((2, 1, 4), 3), ((3, 3, 1), 4), ((2, 4, 2), 2),
+    ]:
+        r = build_ring(*key)  # fresh: no Gauss value cached
+        chars = enumerate_characters(r)
+        rng = random.Random(m)
+        X = tuple_exponents([[rng.choice(chars) for _ in range(m)] for _ in range(30)])
+        rng = random.Random(repr(key))
+        for a in canonical_twists(r) + [rng.choice(r.units()), rng.choice(r.elements())]:
+            h.update(bits(sums_module.jacobi_brute_table(r, X, a)).tobytes())
+            for k in range(1, m):
+                h.update(bits(sums_module.tilde_jacobi_brute_table(r, X, k, a)).tobytes())
+            sums_module.gauss_table(r, a)
+            h.update(bits([gauss_sum(chi, a).value for chi in chars]).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_brute_values_are_pinned():
+    """Measured on the digit-by-digit solve and the per-bin loop that the packed
+    solve and the cumsum replaced; a change on purpose updates it and says so."""
+    assert brute_value_digest() == "40b0a169ac7e9835"
 
 
 def test_gauss_quotient_vanishing_denominator_under_python_O():
