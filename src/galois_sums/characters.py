@@ -22,12 +22,12 @@ import cmath
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BrokenInvariant, NotAUnit, NotInSubgroup, RingMismatch
-from .ring import GaloisRing, RingElement
+from .ring import GaloisRing, RingElement, ring_table
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,15 @@ class RootOfUnity:
 
 
 @functools.lru_cache(maxsize=None)
-def root_table(order: int) -> tuple[complex, ...]:
-    """exp(2 pi i j / order) for j = 0..order-1, one cmath evaluation each.
+def root_table(order: int) -> np.ndarray:
+    """Read-only complex128 exp(2 pi i j / order) for j = 0..order-1, one cmath evaluation each.
 
     The one table the summation kernels and the codebook build convert exact
     exponents with, so equal exponents always give equal floats.
     """
-    return tuple(RootOfUnity(j, order).to_complex() for j in range(order))
+    roots = np.array([RootOfUnity(j, order).to_complex() for j in range(order)], dtype=complex)
+    roots.flags.writeable = False
+    return roots
 
 
 class AdditiveCharacter:
@@ -123,13 +125,15 @@ class UnitGroupBasis:
 
     g_1 = xi spans T*; the remaining generators lie in 1 + M and have p-power
     orders.  Every unit factors uniquely as prod g_i^(e_i); dlog_matrix holds
-    the exponent tuple of every unit, and dlog reads it by coordinate tuple.
+    the exponent tuple of every unit (see the function of that name), and
+    dlog reads it by coordinate tuple.
     """
 
     ring: GaloisRing
     generators: tuple[RingElement, ...]
     orders: tuple[int, ...]
     lcm_order: int
+    dlog_matrix: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dlog(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
@@ -227,15 +231,13 @@ def _one_plus_ideal_coords(ring: GaloisRing, k: int) -> np.ndarray:
     return coords
 
 
+@ring_table
 def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
     """Basis of R* = T* x (1 + M) with a complete dlog table, cached per ring.
 
     The dlog table comes from generation: prod g_i^(e_i) over every exponent
     tuple, in lex order, must hit each unit exactly once.
     """
-    if "unit_basis" in ring._cache:
-        return ring._cache["unit_basis"]
-
     p = ring.p
     radix = (ring.pn // p) ** np.arange(ring.s - 1, -1, -1, dtype=np.int64)
     e1 = np.array(ring.one.coords, dtype=np.int64)
@@ -267,23 +269,16 @@ def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
     table = np.zeros((ring.element_count, len(orders)), dtype=np.int64)
     table[idx] = np.stack(exps, axis=1)
     table.flags.writeable = False
-
-    basis = UnitGroupBasis(
-        ring=ring, generators=generators, orders=orders, lcm_order=math.lcm(*orders)
-    )
-    ring._cache["dlog_matrix"] = table
-    ring._cache["unit_basis"] = basis
-    return basis
+    return UnitGroupBasis(ring, generators, orders, math.lcm(*orders), table)
 
 
 def dlog_matrix(ring: GaloisRing) -> np.ndarray:
     """Read-only (q^n x r) dlog exponents indexed like ring.coord_array().
 
     Row i is the exponent tuple of element i for a unit and zeros otherwise
-    (mask with ring.unit_mask()).  Built with the basis and cached on the ring.
+    (mask with ring.unit_mask()).  Built with the basis and held by it.
     """
-    decompose_unit_group(ring)
-    return ring._cache["dlog_matrix"]
+    return decompose_unit_group(ring).dlog_matrix
 
 
 def _dlog_row(ring: GaloisRing, w: RingElement) -> list[int]:
@@ -341,6 +336,7 @@ def _trivial_on(x: np.ndarray, rows: np.ndarray, L: int) -> np.ndarray:
     return mask
 
 
+@ring_table
 def character_levels(ring: GaloisRing) -> np.ndarray:
     """Read-only int8 triviality levels of every character, in enumerate_characters order.
 
@@ -348,42 +344,34 @@ def character_levels(ring: GaloisRing) -> np.ndarray:
     is read as the whole unit group, so only the trivial character has level
     0, and every character is trivial on 1 + p^n R = {1}.  Cached per ring.
     """
-    if "character_levels" not in ring._cache:
-        basis = decompose_unit_group(ring)
-        table = dlog_matrix(ring)
-        subgroups = [
-            table[ring.index_of(_one_plus_ideal_coords(ring, k))] for k in range(1, ring.n)
-        ]
-        count = math.prod(basis.orders)
-        levels = np.full(count, ring.n, dtype=np.int8)
-        for start in range(0, count, CHAR_BLOCK):
-            x = _scaled_exponents(basis, start, min(start + CHAR_BLOCK, count))
-            block = levels[start : start + len(x)]
-            nontrivial = x.any(axis=1)
-            block[~nontrivial] = 0
-            pending = np.flatnonzero(nontrivial)
-            for k, rows in enumerate(subgroups, start=1):
-                hit = _trivial_on(x[pending], rows, basis.lcm_order)
-                block[pending[hit]] = k
-                pending = pending[~hit]
-        levels.flags.writeable = False
-        ring._cache["character_levels"] = levels
-    return ring._cache["character_levels"]
+    basis = decompose_unit_group(ring)
+    table = dlog_matrix(ring)
+    subgroups = [table[ring.index_of(_one_plus_ideal_coords(ring, k))] for k in range(1, ring.n)]
+    count = math.prod(basis.orders)
+    levels = np.full(count, ring.n, dtype=np.int8)
+    for start in range(0, count, CHAR_BLOCK):
+        x = _scaled_exponents(basis, start, min(start + CHAR_BLOCK, count))
+        block = levels[start : start + len(x)]
+        nontrivial = x.any(axis=1)
+        block[~nontrivial] = 0
+        pending = np.flatnonzero(nontrivial)
+        for k, rows in enumerate(subgroups, start=1):
+            hit = _trivial_on(x[pending], rows, basis.lcm_order)
+            block[pending[hit]] = k
+            pending = pending[~hit]
+    return levels
 
 
+@ring_table
 def character_signs(ring: GaloisRing) -> np.ndarray:
     """Read-only int8 chi(-1), +1 or -1, of every character, in enumerate_characters order.
 
     Cached per ring.
     """
-    if "character_signs" not in ring._cache:
-        num = character_numerators(ring, character_exponents(ring), -ring.one)
-        if (2 * num % decompose_unit_group(ring).lcm_order).any():
-            raise BrokenInvariant("a character takes a value other than +1 or -1 at -1")
-        signs = np.where(num == 0, 1, -1).astype(np.int8)
-        signs.flags.writeable = False
-        ring._cache["character_signs"] = signs
-    return ring._cache["character_signs"]
+    num = character_numerators(ring, character_exponents(ring), -ring.one)
+    if (2 * num % decompose_unit_group(ring).lcm_order).any():
+        raise BrokenInvariant("a character takes a value other than +1 or -1 at -1")
+    return np.where(num == 0, 1, -1).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +465,10 @@ class MultCharacter:
         return f"MultCharacter{self.exponents}"
 
 
+@ring_table
 def enumerate_characters(ring: GaloisRing) -> list[MultCharacter]:
     """All q^n - q^(n-1) multiplicative characters, exponent tuples in lex order."""
-    key = "all_characters"
-    if key not in ring._cache:
-        ring._cache[key] = [MultCharacter(ring, e) for e in character_exponents(ring).tolist()]
-    return ring._cache[key]
+    return [MultCharacter(ring, e) for e in character_exponents(ring).tolist()]
 
 
 def product_character(chars) -> MultCharacter:
@@ -538,6 +524,7 @@ class SubgroupCharacter:
         return RootOfUnity.make(self.field.trace(self.a * x), self.ring.p)
 
 
+@ring_table
 def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCharacter]:
     """For each a in F_q the chosen character of R* restricting to phi_a.
 
@@ -550,9 +537,6 @@ def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCh
     the keys come from the exponent and dlog arrays, in blocks of characters
     scanned from the chosen end until all q keys are seen.
     """
-    key = ("section", section)
-    if key in ring._cache:
-        return ring._cache[key]
     if section not in ("lex-min", "lex-max"):
         raise ValueError(f"unknown section {section!r}")
     if ring.n < 2:
@@ -594,7 +578,6 @@ def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCh
             raise BrokenInvariant(f"no character of R* restricts to phi_{a.coords}")
         exps = np.unravel_index(index, basis.orders)
         out[a.coords] = MultCharacter(ring, tuple(int(e) for e in exps))
-    ring._cache[key] = out
     return out
 
 
@@ -609,20 +592,38 @@ def extend_phi(ring: GaloisRing, a: RingElement, section: str = "lex-min") -> Mu
 # transport along the reduction map
 
 
+def _exponents_at(ring: GaloisRing, X, units: np.ndarray, orders) -> np.ndarray:
+    """Exponents against orders of the characters X of ring at units (element indices).
+
+    Row c, column i is e with chi_c(units[i]) = exp(2 pi i e / orders[i]);
+    BrokenInvariant when a value's order does not divide orders[i].
+    """
+    basis = decompose_unit_group(ring)
+    L, d = basis.lcm_order, np.array(orders, dtype=np.int64)
+    num = (X * basis.scale) @ dlog_matrix(ring)[units].T % L * d
+    if (num % L).any():
+        raise BrokenInvariant(f"a character at a generator has order beyond {d}")
+    return num // L % d
+
+
+def lift_exponents(ring: GaloisRing, X, k: int) -> np.ndarray:
+    """Exponents over ring of psi o tau for the exponent tuples X over ring.reduced(k).
+
+    The inverse of project_exponents: each psi's value at the image of each
+    generator of this ring's unit group fixes the exponent there.
+    """
+    target, basis = ring.reduced(k), decompose_unit_group(ring)
+    X = np.asarray(X, dtype=np.int64) % decompose_unit_group(target).orders
+    images = np.array([g.coords for g in basis.generators], dtype=np.int64) % target.pn
+    return _exponents_at(target, X, target.index_of(images), basis.orders)
+
+
 def lift_character(psi: MultCharacter, ring: GaloisRing) -> MultCharacter:
     """The character psi o tau of R*, for psi over a quotient of this ring."""
     k = ring.n - psi.ring.n
     if not 1 <= k <= ring.n - 1 or ring.reduced(k).key != psi.ring.key:
         raise RingMismatch(f"{psi.ring} is not a quotient of {ring}")
-    basis = decompose_unit_group(ring)
-    exps = []
-    for g, d in zip(basis.generators, basis.orders):
-        v = psi.eval_unit(ring.reduce(g, k))
-        num = v.numerator * d
-        if num % v.order:
-            raise BrokenInvariant(f"psi at the image of a generator has order beyond {d}")
-        exps.append((num // v.order) % d)
-    return MultCharacter(ring, tuple(exps))
+    return MultCharacter(ring, tuple(lift_exponents(ring, [psi.exponents], k)[0].tolist()))
 
 
 def project_exponents(ring: GaloisRing, X, k: int) -> np.ndarray:
@@ -636,12 +637,8 @@ def project_exponents(ring: GaloisRing, X, k: int) -> np.ndarray:
     if (character_levels(ring)[X @ basis.radix] > max(ring.n - k, 0)).any():
         raise ValueError(f"character is not trivial on 1 + p^{ring.n - k} R")
     target = decompose_unit_group(ring.reduced(k))
-    L, d = basis.lcm_order, np.array(target.orders, dtype=np.int64)
     lifts = ring.index_of(np.array([g.coords for g in target.generators], dtype=np.int64))
-    num = (X * basis.scale) @ dlog_matrix(ring)[lifts].T % L * d
-    if (num % L).any():
-        raise BrokenInvariant(f"a character at a lifted generator has order beyond {d}")
-    return num // L % d
+    return _exponents_at(ring, X, lifts, target.orders)
 
 
 def project_character(chi: MultCharacter, k: int) -> MultCharacter:

@@ -24,11 +24,12 @@ import numpy as np
 
 from .characters import (
     MultCharacter,
+    character_exponents,
     decompose_unit_group,
     dlog_matrix,
-    enumerate_characters,
     extend_phi,
     lift_character,
+    lift_exponents,
     root_table,
 )
 from .errors import (
@@ -124,16 +125,16 @@ def _row_exponents(params: CodebookParams) -> tuple[list, np.ndarray]:
     """
     ring = params.ring
     orders = np.array(decompose_unit_group(ring).orders, dtype=np.int64)
-    red_chars = enumerate_characters(ring.reduced(1))
+    red_chars = character_exponents(ring.reduced(1))
     fq = ring.residue_field().elements()
-    lifts = np.array([lift_character(psi, ring).exponents for psi in red_chars], dtype=np.int64)
+    lifts = lift_exponents(ring, red_chars, 1)
     sects = np.array([extend_phi(ring, a, params.section).exponents for a in fq], dtype=np.int64)
     head = sects + lift_character(params.psi0, ring).exponents
     tail = (lifts[:, None] + sects[None]).reshape(-1, len(orders))
     shape = (len(head),) + (len(tail),) * (params.m - 1)
     at = np.unravel_index(np.arange(math.prod(shape)), shape)
     X = np.stack([head[at[0]]] + [tail[i] for i in at[1:]], axis=1) % orders
-    tail_labels = [(psi.exponents, a.coords) for psi in red_chars for a in fq]
+    tail_labels = [(tuple(psi), a.coords) for psi in red_chars.tolist() for a in fq]
     labels = [
         ("F", a.coords) + combo
         for a in fq
@@ -192,7 +193,7 @@ def build_codebook(
     nontrivial = X.any(axis=2)
     X *= L // np.array(basis.orders, dtype=np.int64)
     # row L is the structural zero
-    roots = np.array(root_table(L) + (0j,)).view(np.float64).reshape(L + 1, 2)
+    roots = np.append(root_table(L), 0j).view(np.float64).reshape(L + 1, 2)
 
     rows = np.zeros((N, K), dtype=np.complex128)
     parts = rows.view(np.float64).reshape(N, K, 2)

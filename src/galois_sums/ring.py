@@ -5,25 +5,33 @@ polynomial whose reduction mod p is primitive over F_p and which divides
 x^(p^s - 1) - 1 over Z_{p^n}.  Elements are stored in the polynomial basis
 1, xi, ..., xi^(s-1) with coefficients in Z_{p^n}; xi (the class of x) has
 multiplicative order p^s - 1.  For s = 1 the ring is Z_{p^n} itself and xi
-is the unique Teichmuller generator of the (p-1)-torsion.
+is the unique Teichmuller generator of the (p-1)-torsion.  One polynomial
+arithmetic, _mulmod and _powmod over ascending coefficient tuples modulo a
+monic h, serves the elements, the modulus search and its validation.
 
 Structural tables are built eagerly and every invariant is checked at build
-time (order of xi, t^q = t, distinct Teichmuller residues, exact divisibility
-of x^(q-1) - 1 by the modulus); failures raise InvalidModulus.  They are the
-Teichmuller set with its discrete logs against xi, a lookup from residues
-mod p to Teichmuller representatives (teich_lift and the digits of
-teichmuller_decompose are lookups, equal to x^(q^(n-1)) on every element),
-the Frobenius coordinate map, and the trace as a linear form: the weights
-tr(xi^i), each computed once as a Frobenius sum.  Derived tables, among them
-the numpy index tables that vectorized kernels use (element index = position
-in elements(); mul_array multiplies coordinate arrays row-wise; units() is
-read from unit_indices), are cached lazily, but each cache entry is a
-deterministic function of the ring alone, so rings are safe to share across
-threads: a racing recomputation writes the same value.  The per-element
-methods raise RingMismatch on an element of another ring.
+time; failures raise InvalidModulus.  The invariants are: the modulus has
+degree s, is monic and has reduced coefficients; x has order p^s - 1 modulo
+(h, p) (so the reduction is irreducible and primitive); x^(q-1) = 1 modulo
+(h, p^n), i.e. h divides x^(q-1) - 1; xi^(q-1) = 1 with q - 1 distinct
+powers; and the Teichmuller residues mod p are distinct.  t^q = t then holds
+for every t = xi^i (and t = 0).  The tables are the Teichmuller set with its
+discrete logs against xi, a lookup from residues mod p to Teichmuller
+representatives (teich_lift and the digits of teichmuller_decompose are
+lookups, equal to x^(q^(n-1)) on every element), the Frobenius coordinate
+map, and the trace as a linear form: the weights tr(xi^i), each computed
+once as a Frobenius sum.  Derived tables, among them the numpy index tables
+that vectorized kernels use (element index = position in elements();
+mul_array multiplies coordinate arrays row-wise; units() is read from
+unit_indices), are built lazily through one memo, ring_table, which keeps
+each table in the ring's _cache and makes array tables read-only.  Each entry
+is a deterministic function of the ring alone, so rings are safe to share
+across threads: a racing recomputation writes the same value.  The
+per-element methods raise RingMismatch on an element of another ring.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -70,100 +78,56 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# integer-coefficient polynomial helpers (ascending coefficient lists)
-
-def _trim(c: list[int]) -> list[int]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
+# polynomial arithmetic modulo a monic h (ascending coefficient tuples)
 
 
-def _poly_mul(a: list[int], b: list[int], mod: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
+def _mulmod(a, b, h, mod: int) -> tuple[int, ...]:
+    """a * b reduced modulo the monic h and mod, as deg(h) coefficients.
+
+    a and b may have any degree; the convolution is folded mod h from the top
+    degree down, each top coefficient reduced mod `mod` before it is folded.
+    """
+    s = len(h) - 1
+    conv = [0] * max(len(a) + len(b) - 1, s)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % mod
-    return _trim(out)
-
-
-def _poly_divmod(num: list[int], den: list[int], mod: int) -> tuple[list[int], list[int]]:
-    """Long division by a monic divisor; exact over Z_mod."""
-    num = [c % mod for c in num]
-    d = len(den) - 1
-    if len(num) - 1 < d:
-        return [0], _trim(num)
-    quot = [0] * (len(num) - d)
-    rem = list(num)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
+        if ai:
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+    for d in range(len(conv) - 1, s - 1, -1):
+        c = conv[d] % mod
         if c:
-            quot[i - d] = c
-            for j, dj in enumerate(den):
-                rem[i - d + j] = (rem[i - d + j] - c * dj) % mod
-    return _trim(quot), _trim(rem)
+            for j, hj in zip(range(d - s, d), h):
+                conv[j] -= c * hj
+    return tuple([c % mod for c in conv[:s]])
 
 
-def _poly_pow_mod(base: list[int], exp: int, den: list[int], mod: int) -> list[int]:
-    result = [1]
-    acc = _poly_divmod(base, den, mod)[1]
-    while exp > 0:
-        if exp & 1:
-            result = _poly_divmod(_poly_mul(result, acc, mod), den, mod)[1]
-        acc = _poly_divmod(_poly_mul(acc, acc, mod), den, mod)[1]
-        exp >>= 1
+def _powmod(a, e: int, h, mod: int) -> tuple[int, ...]:
+    """a^e modulo the monic h and mod, by square and multiply."""
+    result = (1,) + (0,) * (len(h) - 2)
+    while e:
+        if e & 1:
+            result = _mulmod(result, a, h, mod)
+        e >>= 1
+        if e:
+            a = _mulmod(a, a, h, mod)
     return result
 
 
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(f)/2 over F_p."""
-    s = len(f) - 1
-    if s == 1:
-        return True
-    if f[0] % p == 0:
-        return False
-    for d in range(1, s // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = list(tail) + [1]
-            _, r = _poly_divmod(list(f), g, p)
-            if all(c == 0 for c in r):
-                return False
-    return True
+def _x_order_divides(e: int, h, mod: int) -> bool:
+    """x^e = 1 modulo the monic h and mod: h divides x^e - 1 over Z_mod."""
+    r = _powmod((0, 1), e, h, mod)
+    return r[0] == 1 and not any(r[1:])
 
 
-def _is_primitive(f: list[int], p: int) -> bool:
-    """f monic of degree s over F_p; checks the class of x has order p^s - 1."""
-    s = len(f) - 1
-    q1 = p ** s - 1
-    if not _is_irreducible(f, p):
-        return False
-    x = [0, 1]
-    if _poly_pow_mod(x, q1, f, p) != [1]:
-        return False
-    for ell in factorize(q1):
-        if _poly_pow_mod(x, q1 // ell, f, p) == [1]:
-            return False
-    return True
+def _is_primitive(f, p: int) -> bool:
+    """f monic of degree s over F_p; the class of x has order p^s - 1.
 
-
-def _divides_cyclotomic(h: list[int], mod: int, e: int) -> bool:
-    """Exact division check: h | x^e - 1 over Z_mod."""
-    big = [0] * (e + 1)
-    big[0] = (-1) % mod
-    big[e] = 1
-    _, r = _poly_divmod(big, list(h), mod)
-    return all(c == 0 for c in r)
-
-
-def smallest_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    fac = factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in fac):
-            return g
-    raise ValueError(f"no primitive root mod {p}")
+    That order needs p^s - 1 units in F_p[x]/(f), so f is irreducible too.
+    """
+    q1 = p ** (len(f) - 1) - 1
+    return _x_order_divides(q1, f, p) and not any(
+        _x_order_divides(q1 // ell, f, p) for ell in factorize(q1)
+    )
 
 
 @dataclass(frozen=True)
@@ -219,34 +183,51 @@ def find_basic_primitive_poly(p: int, n: int, s: int) -> Polynomial:
     """Deterministic monic degree-s modulus for GR(p^n, p^ns).
 
     The reduction mod p is the lexicographically smallest primitive polynomial
-    over F_p (coefficients compared from degree s-1 down to the constant), and
-    the returned polynomial is its unique monic lift dividing x^(p^s - 1) - 1
-    over Z_{p^n}.  For s = 1 the result is x - g where g is the Teichmuller
-    lift of the smallest primitive root mod p.
+    over F_p (coefficients compared from degree s-1 down to the constant; for
+    s = 1, x - g with g the smallest primitive root mod p), and the returned
+    polynomial is its unique monic lift dividing x^(p^s - 1) - 1 over
+    Z_{p^n}.  The lift is found by Hensel's lemma, one p-adic digit of every
+    coefficient per level: at level j the p^s choices of digit j are tried
+    against x^(q-1) = 1 mod (h, p^(j+1)), and exactly one passes.
     """
-    params = RingParams(p, n, s)
-    pn = p ** n
-    q = params.q
+    q = RingParams(p, n, s).q
     if s == 1:
-        g = smallest_primitive_root(p)
-        t = pow(g, p ** (n - 1), pn)
-        return Polynomial(((-t) % pn, 1))
-    f: list[int] | None = None
-    for desc in itertools.product(range(p), repeat=s):
-        cand = list(desc[::-1]) + [1]
-        if _is_primitive(cand, p):
-            f = cand
-            break
-    if f is None:
+        candidates = (((-g) % p, 1) for g in range(1, p))
+    else:
+        candidates = (d[::-1] + (1,) for d in itertools.product(range(p), repeat=s))
+    h = next((f for f in candidates if _is_primitive(f, p)), None)
+    if h is None:
         raise BrokenInvariant(f"no primitive polynomial of degree {s} over F_{p}")
-    if n == 1:
-        return Polynomial(tuple(f))
-    step = p ** (n - 1)
-    for offs in itertools.product(range(step), repeat=s):
-        h = [f[i] + p * offs[s - 1 - i] for i in range(s)] + [1]
-        if _divides_cyclotomic(h, pn, q - 1):
-            return Polynomial(tuple(h))
-    raise InvalidModulus(f"no qualifying lift of {f} found mod {pn}")  # pragma: no cover
+    for pj in (p ** j for j in range(1, n)):
+        digits = itertools.product(range(0, p * pj, pj), repeat=s)
+        lifts = (tuple(map(operator.add, h, d)) + (1,) for d in digits)
+        h = next((f for f in lifts if _x_order_divides(q - 1, f, p * pj)), None)
+        if h is None:  # pragma: no cover
+            raise InvalidModulus(f"no lift of the modulus mod {p * pj} divides x^{q - 1} - 1")
+    return Polynomial(h)
+
+
+def ring_table(fn):
+    """Memoise fn(ring, *args) in ring._cache, one entry per args; an ndarray is made read-only.
+
+    A hit is one dict lookup.  Each entry is a deterministic function of the
+    ring and args, so a racing recomputation stores an equal value.
+    """
+
+    @functools.wraps(fn)
+    def table(ring, *args):
+        key = (fn, *args)
+        try:
+            return ring._cache[key]
+        except KeyError:
+            pass
+        value = fn(ring, *args)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        ring._cache[key] = value
+        return value
+
+    return table
 
 
 class RingElement:
@@ -331,21 +312,16 @@ class GaloisRing:
         self._validate_modulus(modulus)
         self.modulus = modulus
         self.key = (p, n, s, modulus.coeffs)  # equality, hashing and _check_same
-        self._mod_low = modulus.coeffs[:-1]
         self._place = tuple(self.pn ** (s - 1 - i) for i in range(s))  # index of coords
         self._log_p = {p ** k: k for k in range(n + 1)}
+        self._cache: dict = {}  # the ring_table memo and the Gauss values of sums
 
         self.zero = RingElement(self, (0,) * s)
         self.one = RingElement(self, (1,) + (0,) * (s - 1))
-        if s == 1:
-            self.xi = RingElement(self, ((-modulus.coeffs[0]) % self.pn,))
-        else:
-            self.xi = RingElement(self, (0, 1) + (0,) * (s - 2))
+        self.xi = RingElement(self, self._mul(self.one.coords, (0, 1)))  # the class of x
 
         self._build_teichmuller()
         self._build_frobenius()
-        self._cache: dict = {}
-        self._reduced: dict[int, GaloisRing] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -356,17 +332,9 @@ class GaloisRing:
             raise InvalidModulus("modulus must be monic")
         if any(not (0 <= c < self.pn) for c in h.coeffs):
             raise InvalidModulus(f"coefficients must be reduced mod {self.pn}")
-        f = [c % self.p for c in h.coeffs]
-        if self.s == 1:
-            g = (-f[0]) % self.p
-            order_target = self.p - 1
-            if self.p > 2:
-                fac = factorize(order_target)
-                if g == 0 or any(pow(g, order_target // ell, self.p) == 1 for ell in fac):
-                    raise InvalidModulus("reduction mod p is not primitive")
-        elif not _is_primitive(f, self.p):
+        if not _is_primitive([c % self.p for c in h.coeffs], self.p):
             raise InvalidModulus("reduction mod p is not a primitive polynomial")
-        if not _divides_cyclotomic(list(h.coeffs), self.pn, self.q - 1):
+        if not _x_order_divides(self.q - 1, h.coeffs, self.pn):
             raise InvalidModulus(f"{h} does not divide x^{self.q - 1} - 1 mod {self.pn}")
 
     def _build_teichmuller(self) -> None:
@@ -381,9 +349,6 @@ class GaloisRing:
             raise InvalidModulus("powers of xi are not distinct")
         self.xi_powers = [RingElement(self, c) for c in powers]
         self.teich_set = [self.zero] + self.xi_powers
-        for t in self.teich_set:
-            if self._pow(t.coords, self.q) != t.coords:
-                raise InvalidModulus("Teichmuller element fails t^q = t")
         self.dlog_T = {c: i for i, c in enumerate(powers)}
         p = self.p
         self._teich_of = {tuple(c % p for c in t.coords): t for t in self.teich_set}
@@ -418,24 +383,7 @@ class GaloisRing:
             raise RingMismatch(f"{ring} is not {self}")
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        s, pn = self.s, self.pn
-        if s == 1:
-            return ((a[0] * b[0]) % pn,)
-        conv = [0] * (2 * s - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                conv[i + j] += ai * bj
-        low = self._mod_low
-        for d in range(2 * s - 2, s - 1, -1):
-            c = conv[d]
-            if c % pn == 0:
-                continue
-            base = d - s
-            for j, hj in enumerate(low):
-                conv[base + j] -= c * hj
-        return tuple(conv[i] % pn for i in range(s))
+        return _mulmod(a, b, self.modulus.coeffs, self.pn)
 
     def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise products of reduced int64 coordinate arrays (last axis s).
@@ -454,7 +402,7 @@ class GaloisRing:
         ]
         for d in range(2 * s - 2, s - 1, -1):
             c = conv[d]
-            for j, hj in enumerate(self._mod_low):
+            for j, hj in enumerate(self.modulus.coeffs[:-1]):
                 if hj:
                     conv[d - s + j] = (conv[d - s + j] - c * hj) % pn
         return np.stack(conv[:s], axis=-1)
@@ -472,14 +420,7 @@ class GaloisRing:
         return np.ascontiguousarray(result)
 
     def _pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        result = self.one.coords
-        acc = a
-        while e > 0:
-            if e & 1:
-                result = self._mul(result, acc)
-            acc = self._mul(acc, acc)
-            e >>= 1
-        return result
+        return _powmod(a, e, self.modulus.coeffs, self.pn)
 
     def _is_unit(self, a: tuple[int, ...]) -> bool:
         p = self.p
@@ -506,40 +447,30 @@ class GaloisRing:
             raise ValueError(f"k must be in [0, {self.n}]")
         return self.scalar(self.p ** k) if k < self.n else self.zero
 
+    @ring_table
     def elements(self) -> list[RingElement]:
         """All q^n elements in lexicographic coordinate order."""
-        if "elements" not in self._cache:
-            coords = itertools.product(range(self.pn), repeat=self.s)
-            self._cache["elements"] = list(map(RingElement, itertools.repeat(self), coords))
-        return self._cache["elements"]
+        coords = itertools.product(range(self.pn), repeat=self.s)
+        return list(map(RingElement, itertools.repeat(self), coords))
 
+    @ring_table
     def coord_array(self) -> np.ndarray:
         """Read-only (q^n x s) coordinates of every element, in elements() order.
 
         Row i holds the digits of i in base p^n, most significant first, so
         index_of inverts it.
         """
-        if "coord_array" not in self._cache:
-            idx = np.arange(self.element_count, dtype=np.int64)
-            coords = (idx[:, None] // self._radix()) % self.pn
-            coords.flags.writeable = False
-            self._cache["coord_array"] = coords
-        return self._cache["coord_array"]
+        return (np.arange(self.element_count, dtype=np.int64)[:, None] // self._radix()) % self.pn
 
+    @ring_table
     def unit_mask(self) -> np.ndarray:
         """Read-only boolean mask of the units, indexed like coord_array."""
-        if "unit_mask" not in self._cache:
-            mask = (self.coord_array() % self.p != 0).any(axis=1)
-            mask.flags.writeable = False
-            self._cache["unit_mask"] = mask
-        return self._cache["unit_mask"]
+        return (self.coord_array() % self.p != 0).any(axis=1)
 
+    @ring_table
     def unit_indices(self) -> np.ndarray:
         """Read-only ascending element indices of the units."""
-        if "unit_indices" not in self._cache:
-            self._cache["unit_indices"] = np.flatnonzero(self.unit_mask())
-            self._cache["unit_indices"].flags.writeable = False
-        return self._cache["unit_indices"]
+        return np.flatnonzero(self.unit_mask())
 
     def index_of(self, coords: np.ndarray) -> np.ndarray:
         """Element indices of reduced coordinate rows (last axis of length s)."""
@@ -552,12 +483,11 @@ class GaloisRing:
     def _radix(self) -> np.ndarray:
         return self.pn ** np.arange(self.s - 1, -1, -1, dtype=np.int64)
 
+    @ring_table
     def units(self) -> list[RingElement]:
         """The units in elements() order, read from unit_indices."""
-        if "units" not in self._cache:
-            els = self.elements()
-            self._cache["units"] = [els[i] for i in self.unit_indices().tolist()]
-        return self._cache["units"]
+        els = self.elements()
+        return [els[i] for i in self.unit_indices().tolist()]
 
     # -- Teichmuller structure --------------------------------------------------
 
@@ -624,17 +554,15 @@ class GaloisRing:
             self._check_same(x)
         return sum(map(operator.mul, x.coords, self.trace_weights)) % self.pn
 
+    @ring_table
     def reduced(self, k: int) -> GaloisRing:
         """The quotient ring GR(p^(n-k), p^((n-k)s)), cached per level."""
         if k == 0:
             return self
         if not 1 <= k <= self.n - 1:
             raise BadLevel(f"reduction level {k} not in [1, {self.n - 1}]")
-        if k not in self._reduced:
-            pm = self.p ** (self.n - k)
-            h = Polynomial(tuple(c % pm for c in self.modulus.coeffs))
-            self._reduced[k] = GaloisRing(self.p, self.n - k, self.s, modulus=h)
-        return self._reduced[k]
+        h = Polynomial(tuple(c % self.p ** (self.n - k) for c in self.modulus.coeffs))
+        return GaloisRing(self.p, self.n - k, self.s, modulus=h)
 
     def reduce(self, x: RingElement, k: int) -> RingElement:
         """Coordinate-wise reduction mod p^(n-k) into the quotient ring."""

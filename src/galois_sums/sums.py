@@ -52,7 +52,7 @@ from .characters import (
     root_table,
 )
 from .errors import BrokenInvariant, RingMismatch, TooLarge
-from .ring import GaloisRing, RingElement
+from .ring import GaloisRing, RingElement, ring_table
 
 DEFAULT_TERM_CAP = 10 ** 7
 # sizes of the brute-force kernel's tuple chunks and term blocks (see _root_counts)
@@ -197,6 +197,7 @@ class SumValue:
 # the brute-force kernel
 
 
+@ring_table
 def _solve_codes(ring: GaloisRing) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Borrow-free packed differences, cached per ring: (high, low, table) per digit group.
 
@@ -206,18 +207,16 @@ def _solve_codes(ring: GaloisRing) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     high(x) - low(y) keeps every digit in [1, 2p^n) and borrows nothing; table
     maps that code to the group's share of the element index of x - y.
     """
-    if "solve_codes" not in ring._cache:
-        s, pn, base, coords = ring.s, ring.pn, 2 * ring.pn, ring.coord_array()
-        t = max(w for w in range(1, s + 1) if base ** w <= 8 * ring.element_count)
-        groups = []
-        for g in range(0, s, t):
-            w = min(t, s - g)
-            radix = np.zeros(s, dtype=np.int64)
-            radix[g : g + w] = base ** np.arange(w - 1, -1, -1)
-            share = np.indices((base,) * w).reshape(w, -1).T % pn @ ring._radix()[g : g + w]
-            groups.append(((coords + pn) @ radix, coords @ radix, share))
-        ring._cache["solve_codes"] = groups
-    return ring._cache["solve_codes"]
+    s, pn, base, coords = ring.s, ring.pn, 2 * ring.pn, ring.coord_array()
+    t = max(w for w in range(1, s + 1) if base ** w <= 8 * ring.element_count)
+    groups = []
+    for g in range(0, s, t):
+        w = min(t, s - g)
+        radix = np.zeros(s, dtype=np.int64)
+        radix[g : g + w] = base ** np.arange(w - 1, -1, -1)
+        share = np.indices((base,) * w).reshape(w, -1).T % pn @ ring._radix()[g : g + w]
+        groups.append(((coords + pn) @ radix, coords @ radix, share))
+    return groups
 
 
 def _minus(groups, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -307,14 +306,6 @@ def _root_counts(ring: GaloisRing, X, k: int, a: RingElement, b=None) -> np.ndar
     return counts
 
 
-@functools.lru_cache(maxsize=None)
-def _root_array(order: int) -> np.ndarray:
-    """root_table(order) as a read-only complex128 array."""
-    roots = np.array(root_table(order), dtype=np.complex128)
-    roots.flags.writeable = False
-    return roots
-
-
 def _complex_rows(counts: np.ndarray) -> list[complex]:
     """sum_j counts[c, j] exp(2 pi i j / M) per row c, added over ascending j.
 
@@ -322,7 +313,7 @@ def _complex_rows(counts: np.ndarray) -> list[complex]:
     would: the first root is exactly 1, and an empty bin adds +-0.0, which
     leaves the running sum (never -0.0) unchanged.
     """
-    return np.cumsum(counts * _root_array(counts.shape[1]), axis=1)[:, -1].tolist()
+    return np.cumsum(counts * root_table(counts.shape[1]), axis=1)[:, -1].tolist()
 
 
 def _exponent_tuples(ring: GaloisRing, X) -> np.ndarray:
@@ -483,12 +474,11 @@ def jacobi_brute(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> SumValue
 # canonicalization: J_a = chi_1...chi_m(t) * J_{p^k}
 
 
+@ring_table
 def _canonical(ring: GaloisRing) -> tuple[tuple[RingElement, ...], frozenset]:
     """The canonical twists and the set of their coordinates, cached per ring."""
-    if "canonical_twists" not in ring._cache:
-        twists = (ring.zero, ring.one) + tuple(ring.p_power(k) for k in range(1, ring.n))
-        ring._cache["canonical_twists"] = twists, frozenset(t.coords for t in twists)
-    return ring._cache["canonical_twists"]
+    twists = (ring.zero, ring.one) + tuple(ring.p_power(k) for k in range(1, ring.n))
+    return twists, frozenset(t.coords for t in twists)
 
 
 def canonical_twists(ring: GaloisRing) -> list[RingElement]:

@@ -22,6 +22,7 @@ check is paired with a companion check of the corrected quantity:
 """
 from __future__ import annotations
 
+import functools
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -94,14 +95,10 @@ class SuiteResult:
         }
 
 
-_RING_CACHE: dict[tuple[int, int, int], GaloisRing] = {}
-
-
+@functools.cache
 def cached_ring(p: int, n: int, s: int) -> GaloisRing:
-    key = (p, n, s)
-    if key not in _RING_CACHE:
-        _RING_CACHE[key] = build_ring(p, n, s)
-    return _RING_CACHE[key]
+    """build_ring(p, n, s), one ring per shape for the life of the process."""
+    return build_ring(p, n, s)
 
 
 GAUSS_RINGS = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2)]

@@ -219,6 +219,22 @@ def test_lift_and_project(z9):
     assert one_level == [nontrivial_lift]
 
 
+@pytest.mark.parametrize("key", [(3, 2, 1), (2, 2, 2), (2, 3, 2), (3, 3, 1), (2, 4, 1)])
+def test_lift_exponents_is_the_per_generator_lift(key):
+    """Each row is psi o tau, read at the images of the generators one by one."""
+    r = ring(*key)
+    basis = decompose_unit_group(r)
+    for k in range(1, r.n):
+        red = r.reduced(k)
+        X = characters.character_exponents(red)
+        lifted = characters.lift_exponents(r, X, k)
+        for psi, row in zip(enumerate_characters(red), lifted.tolist()):
+            values = [psi.eval_unit(r.reduce(g, k)) for g in basis.generators]
+            assert all(v.numerator * d % v.order == 0 for v, d in zip(values, basis.orders))
+            assert row == [v.numerator * d // v.order for v, d in zip(values, basis.orders)]
+        assert characters.project_exponents(r, lifted, k).tolist() == X.tolist()
+
+
 def test_product_character(z9):
     chars = enumerate_characters(z9)
     rng = random.Random(3)
@@ -447,10 +463,25 @@ def test_tables_do_not_depend_on_block_sizes(monkeypatch):
     assert [section_json(small, sec) for sec in ("lex-min", "lex-max")] == sections
 
 
-def test_character_table_does_not_enumerate_characters():
+def test_character_tables_are_memoised_and_read_only():
+    r = build_ring(2, 3, 2)
+    for table in (dlog_matrix, character_levels, characters.character_signs):
+        assert table(r) is table(r) and not table(r).flags.writeable
+    assert enumerate_characters(r) is enumerate_characters(r)
+    assert not characters.root_table(12).flags.writeable
+
+
+def test_character_table_does_not_enumerate_characters(monkeypatch):
+    calls = []
+    enumerate_all = characters.enumerate_characters
+    monkeypatch.setattr(
+        characters, "enumerate_characters", lambda r: calls.append(r) or enumerate_all(r)
+    )
     fresh = build_ring(5, 2, 1)
     character_table_json(fresh)
-    assert "all_characters" not in fresh._cache
+    assert calls == []
+    characters.enumerate_characters(fresh)  # the spy sees a call
+    assert calls == [fresh]
 
 
 def digest(obj) -> str:

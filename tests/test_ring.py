@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from galois_sums import (
     build_ring,
     find_basic_primitive_poly,
 )
+from galois_sums.ring import _is_primitive
 
 from conftest import ideal, ring
 
@@ -89,6 +91,96 @@ def test_build_rejects_bad_modulus():
         build_ring(2, 2, 2, modulus=Polynomial((1, 0, 1)))  # x^2 + 1 is not primitive
     with pytest.raises(InvalidModulus):
         build_ring(2, 2, 2, modulus=Polynomial((1, 1, 2)))  # not monic
+
+
+@pytest.mark.parametrize(
+    "key,coeffs,match",
+    [
+        ((2, 2, 2), (1, 1, 0, 1), "degree"),
+        ((2, 2, 2), (5, 1, 1), "reduced"),  # 5 is not a residue mod 4
+        ((2, 1, 2), (1, 0, 1), "primitive"),  # x^2 + 1 = (x + 1)^2 over F_2
+        ((3, 1, 2), (1, 0, 1), "primitive"),  # irreducible over F_3; x has order 4, not 8
+        ((2, 1, 4), (1, 1, 1, 1, 1), "primitive"),  # irreducible over F_2; x has order 5
+        ((7, 1, 1), (5, 1), "primitive"),  # x - 2: 2 has order 3 mod 7, not 6
+        ((2, 2, 2), (3, 1, 1), "divide"),  # lifts the primitive x^2 + x + 1, not as (1, 1, 1)
+        ((3, 2, 1), (7, 1), "divide"),  # x - 2: 2 generates F_3*, but 2^2 = 4 mod 9
+    ],
+)
+def test_build_rejects_each_bad_modulus(key, coeffs, match):
+    with pytest.raises(InvalidModulus, match=match):
+        build_ring(*key, modulus=Polynomial(coeffs))
+
+
+def poly_rem_plain(num, den, p):
+    """num mod the monic den over F_p by schoolbook long division, deg(den) coefficients."""
+    rem = [c % p for c in num]
+    d = len(den) - 1
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        for j, dj in enumerate(den):
+            rem[i - d + j] = (rem[i - d + j] - c * dj) % p
+    return rem[:d]
+
+
+def is_irreducible_plain(f, p):
+    """Trial division by every monic polynomial of degree 1..deg(f)/2 over F_p."""
+    divisors = (
+        list(tail) + [1] for d in range(1, (len(f) - 1) // 2 + 1)
+        for tail in itertools.product(range(p), repeat=d)
+    )
+    return all(any(poly_rem_plain(f, g, p)) for g in divisors)
+
+
+def x_order_plain(f, p):
+    """Order of the class of x in F_p[x]/(f) by repeated multiplication; f(0) != 0."""
+    one = [1] + [0] * (len(f) - 2)
+    cur, k = poly_rem_plain([0, 1], f, p), 1
+    while cur != one:
+        cur, k = poly_rem_plain([0] + cur, f, p), k + 1
+    return k
+
+
+def test_order_test_is_irreducible_and_full_order():
+    # every monic polynomial of degree 2-7 over F_2, 2-5 over F_3, 2-3 over F_5 and F_7
+    verdicts = []
+    for p, degrees in ((2, range(2, 8)), (3, range(2, 6)), (5, range(2, 4)), (7, range(2, 4))):
+        for s in degrees:
+            for tail in itertools.product(range(p), repeat=s):
+                f = tail + (1,)
+                want = is_irreducible_plain(f, p) and x_order_plain(f, p) == p ** s - 1
+                assert _is_primitive(f, p) == want, (p, f)
+                verdicts.append(want)
+    assert (len(verdicts), sum(verdicts)) == (1154, 139)
+
+
+# moduli of the exhaustive search over all p^((n-1)s) lifts that the Hensel lift replaced
+MODULUS_PINS = {
+    (2, 5, 3): (31, 5, 6, 1),
+    (5, 3, 2): (57, 36, 1),
+    (3, 3, 2): (26, 22, 1),
+    (2, 4, 2): (1, 1, 1),
+    (5, 2, 2): (7, 11, 1),
+    (7, 2, 2): (31, 15, 1),
+    (2, 3, 5): (7, 2, 7, 4, 0, 1),
+    (2, 1, 12): (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 1, 7): (1, 2, 1, 0, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("key", list(MODULUS_PINS))
+def test_modulus_search_is_pinned(key):
+    assert find_basic_primitive_poly(*key).coeffs == MODULUS_PINS[key]
+
+
+def test_ring_tables_are_memoised_per_ring_and_read_only():
+    r, twin = build_ring(3, 2, 2), build_ring(3, 2, 2)
+    for table in ("elements", "units", "coord_array", "unit_mask", "unit_indices"):
+        assert getattr(r, table)() is getattr(r, table)()
+        assert getattr(r, table)() is not getattr(twin, table)()
+    assert r.reduced(1) is r.reduced(1) and r.reduced(1) is not twin.reduced(1)
+    assert r.reduced(1) == twin.reduced(1) and r.reduced(0) is r
+    for array in (r.coord_array(), r.unit_mask(), r.unit_indices()):
+        assert not array.flags.writeable
 
 
 def test_size_cap():
