@@ -10,11 +10,16 @@ built once per ring and cached on it.  The Teichmuller generator xi spans the
 T* factor; the p-group 1 + M is split into cyclic factors over its index
 array (element orders by repeated p-th powers, coset representatives as the
 least list position of each orbit), making the same choices as the
-per-element definition.  dlog_matrix (elements x r) comes from multiplying
-out every exponent tuple and is the one dlog representation: a character's
-value at a unit reads the unit's row.  character_levels holds the triviality
-level of every character, and the section map and the character table are
-read from the exponent and dlog arrays.
+per-element definition.  dlog_matrix (elements x r) is the one dlog
+representation: a character's value at a unit reads the unit's row.  It is
+built by expanding prod g_i^(e_i) one generator at a time, every product so
+far times every power of the next generator, which lists the units in lex
+order of their exponent tuples.  character_levels holds the triviality level
+of every character.  For j >= 1 the layer (1 + p^j R)/(1 + p^(j+1) R) is
+isomorphic to R/pR, so 1 + p^k R is generated by the s(n - k) elements
+1 + p^j xi^i (k <= j < n, i < s), and a level is read at those s(n - 1)
+generators alone.  The section map and the character table are read from the
+exponent and dlog arrays.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BrokenInvariant, NotAUnit, NotInSubgroup, RingMismatch
-from .ring import GaloisRing, RingElement, ring_table
+from .ring import GaloisRing, RingElement, ring_table, trace_form
 
 
 @dataclass(frozen=True)
@@ -113,10 +118,8 @@ class AdditiveCharacter:
 # ---------------------------------------------------------------------------
 # unit-group basis
 
-# characters per block of the level and section scans, and the first block of
-# subgroup rows a level scan checks them on (later blocks double in size)
+# characters per block of the level and section scans
 CHAR_BLOCK = 2048
-ROW_BLOCK = 8
 
 
 @dataclass
@@ -222,31 +225,24 @@ def _abelian_basis(
     return out
 
 
-def _one_plus_ideal_coords(ring: GaloisRing, k: int) -> np.ndarray:
-    """Coordinates of 1 + p^k R, one row each, 1 + p^k y for y in lexicographic order."""
-    m = ring.p ** (ring.n - k)
-    radix = m ** np.arange(ring.s - 1, -1, -1, dtype=np.int64)
-    coords = ring.p ** k * ((np.arange(m ** ring.s, dtype=np.int64)[:, None] // radix) % m)
-    coords[:, 0] += 1
-    return coords
-
-
 @ring_table
 def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
     """Basis of R* = T* x (1 + M) with a complete dlog table, cached per ring.
 
-    The dlog table comes from generation: prod g_i^(e_i) over every exponent
-    tuple, in lex order, must hit each unit exactly once.
+    The dlog table comes from generation, one generator at a time: the
+    products so far (prod g_j^(e_j), j < i, in lex order) times g_i^0, ...,
+    g_i^(d_i - 1) are the products over the first i generators, again in lex
+    order.  The last expansion must hit each unit exactly once.
     """
-    p = ring.p
-    radix = (ring.pn // p) ** np.arange(ring.s - 1, -1, -1, dtype=np.int64)
+    p, m = ring.p, ring.pn // ring.p
+    radix = m ** np.arange(ring.s - 1, -1, -1, dtype=np.int64)
     e1 = np.array(ring.one.coords, dtype=np.int64)
 
     def position(coords: np.ndarray) -> np.ndarray:
         return ((coords - e1) // p) @ radix
 
-    if ring.n > 1:
-        elems = _one_plus_ideal_coords(ring, 1)
+    if ring.n > 1:  # 1 + M = 1 + pR, 1 + p y for y in lexicographic order
+        elems = p * (np.arange(m ** ring.s, dtype=np.int64)[:, None] // radix % m) + e1
         h_basis = _abelian_basis(ring, elems, position, np.arange(len(elems)))
     else:
         elems, h_basis = None, []
@@ -258,16 +254,15 @@ def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
     if math.prod(orders) != ring.unit_count:
         raise BrokenInvariant(f"generator orders {orders} do not multiply to {ring.unit_count}")
 
-    exps = np.unravel_index(np.arange(ring.unit_count), orders)
-    coords = None
-    for g, d, e in zip(generators, orders, exps):
-        factor = _powers(ring, np.array(g.coords, dtype=np.int64), d)[e]
-        coords = factor if coords is None else ring.mul_array(coords, factor)
+    coords = e1[None]
+    for g, d in zip(generators, orders):
+        powers = _powers(ring, np.array(g.coords, dtype=np.int64), d)
+        coords = ring.mul_array(coords[:, None], powers[None]).reshape(-1, ring.s)
     idx = ring.index_of(coords)
     if not np.array_equal(np.bincount(idx, minlength=ring.element_count), ring.unit_mask()):
         raise BrokenInvariant("the generators do not factor every unit exactly once")
     table = np.zeros((ring.element_count, len(orders)), dtype=np.int64)
-    table[idx] = np.stack(exps, axis=1)
+    table[idx] = np.stack(np.unravel_index(np.arange(ring.unit_count), orders), axis=1)
     table.flags.writeable = False
     return UnitGroupBasis(ring, generators, orders, math.lcm(*orders), table)
 
@@ -317,48 +312,29 @@ def _scaled_exponents(basis: UnitGroupBasis, start: int, stop: int) -> np.ndarra
     return np.stack(np.unravel_index(np.arange(start, stop), basis.orders), axis=1) * basis.scale
 
 
-def _trivial_on(x: np.ndarray, rows: np.ndarray, L: int) -> np.ndarray:
-    """Mask of the characters (rows of x) trivial at every dlog row of rows.
-
-    Rows are checked in blocks that double from ROW_BLOCK; only characters
-    trivial on every block so far meet the next one, so the survivors were
-    checked on every row.
-    """
-    alive = np.arange(len(x))
-    start, size = 0, ROW_BLOCK
-    while start < len(rows) and len(alive):
-        vals = (x[alive] @ rows[start : start + size].T) % L
-        alive = alive[~vals.any(axis=1)]
-        start += size
-        size *= 2
-    mask = np.zeros(len(x), dtype=bool)
-    mask[alive] = True
-    return mask
-
-
 @ring_table
 def character_levels(ring: GaloisRing) -> np.ndarray:
     """Read-only int8 triviality levels of every character, in enumerate_characters order.
 
     The level is the least k with the character trivial on 1 + p^k R; k = 0
     is read as the whole unit group, so only the trivial character has level
-    0, and every character is trivial on 1 + p^n R = {1}.  Cached per ring.
+    0, and every character is trivial on 1 + p^n R = {1}.  1 + p^k R is
+    generated by the 1 + p^j xi^i with k <= j < n and i < s, so a nontrivial
+    character's level is one past the deepest layer j with a generator it
+    does not kill, and 1 when it kills them all.  Cached per ring.
     """
     basis = decompose_unit_group(ring)
-    table = dlog_matrix(ring)
-    subgroups = [table[ring.index_of(_one_plus_ideal_coords(ring, k))] for k in range(1, ring.n)]
+    layers, eye = np.arange(1, ring.n), np.eye(ring.s, dtype=np.int64)
+    points = (ring.p ** layers[:, None, None] * eye + eye[0]).reshape(-1, ring.s)
+    rows = dlog_matrix(ring)[ring.index_of(points)].T  # r x s(n - 1), layer by layer
     count = math.prod(basis.orders)
-    levels = np.full(count, ring.n, dtype=np.int8)
+    levels = np.empty(count, dtype=np.int8)
     for start in range(0, count, CHAR_BLOCK):
         x = _scaled_exponents(basis, start, min(start + CHAR_BLOCK, count))
-        block = levels[start : start + len(x)]
-        nontrivial = x.any(axis=1)
-        block[~nontrivial] = 0
-        pending = np.flatnonzero(nontrivial)
-        for k, rows in enumerate(subgroups, start=1):
-            hit = _trivial_on(x[pending], rows, basis.lcm_order)
-            block[pending[hit]] = k
-            pending = pending[~hit]
+        live = ((x @ rows) % basis.lcm_order).reshape(len(x), -1, ring.s).any(axis=2)
+        level = 1 + (live * layers).max(axis=1, initial=0)
+        level[~x.any(axis=1)] = 0
+        levels[start : start + len(x)] = level
     return levels
 
 
@@ -568,8 +544,7 @@ def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCh
             break
 
     # phi_a's signature tr(a xi^i) at the basis points, by the bilinear form tr(xi^i xi^j)
-    form = field.mul_array(eye[:, None], eye[None, :]) @ np.array(field.trace_weights) % p
-    targets = (field.coord_array() @ form % p @ place).tolist()
+    targets = (field.coord_array() @ trace_form(field) % p @ place).tolist()
 
     out: dict[tuple[int, ...], MultCharacter] = {}
     for a, target in zip(field.elements(), targets):

@@ -603,6 +603,16 @@ class GaloisRing:
         return f"GR({self.p}^{self.n}, {self.p}^{self.n * self.s}; {self.modulus})"
 
 
+@ring_table
+def trace_form(ring: GaloisRing) -> np.ndarray:
+    """Read-only (s x s) int64 trace form tr(xi^i xi^j) mod p^n, cached per ring.
+
+    tr(b x) = sum_i x_i (form @ b)_i for coordinate vectors b and x.
+    """
+    traces = np.array([ring.trace(t) for t in ring.xi_powers[: 2 * ring.s - 1]], dtype=np.int64)
+    return traces[np.add.outer(np.arange(ring.s), np.arange(ring.s))]
+
+
 def build_ring(
     p: int,
     n: int,

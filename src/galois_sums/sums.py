@@ -52,7 +52,7 @@ from .characters import (
     root_table,
 )
 from .errors import BrokenInvariant, RingMismatch, TooLarge
-from .ring import GaloisRing, RingElement, ring_table
+from .ring import GaloisRing, RingElement, ring_table, trace_form
 
 DEFAULT_TERM_CAP = 10 ** 7
 # sizes of the brute-force kernel's tuple chunks and term blocks (see _root_counts)
@@ -273,8 +273,7 @@ def _root_counts(ring: GaloisRing, X, k: int, a: RingElement, b=None) -> np.ndar
     size, pn, coords, extra = ring.element_count, ring.pn, ring.coord_array(), 0
     M = basis.lcm_order if b is None else math.lcm(basis.lcm_order, pn)
     if b is not None:  # tr(b x) = sum_i x_i tr(b xi^i) over the polynomial-basis coordinates
-        w = [ring.trace(b * ring.element(e)) for e in np.eye(ring.s, dtype=np.int64)]
-        extra = coords @ w % pn * (M // pn)
+        extra = coords @ (trace_form(ring) @ b.coords % pn) % pn * (M // pn)
     X = np.asarray(X, dtype=np.int64) % basis.orders  # the one copy of X
     X *= basis.scale * (M // basis.lcm_order)
     count, m = X.shape[:2]

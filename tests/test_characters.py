@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -9,10 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from galois_sums import (
     AdditiveCharacter,
+    BrokenInvariant,
     NotAUnit,
     RingMismatch,
     RootOfUnity,
@@ -391,6 +394,40 @@ def test_levels_match_per_element_definition(key):
             assert chi.trivial_on_subgroup(k) == (k >= r.n or want <= max(k, 0))
 
 
+def subgroup_scan_levels(r) -> list[int]:
+    """Levels by testing every character at the dlog row of every element of each 1 + p^k R.
+
+    Characters go in blocks of 2,048 and rows in blocks that double from 8;
+    only characters trivial on every row block so far meet the next one.
+    """
+    basis = decompose_unit_group(r)
+    table, L = dlog_matrix(r), basis.lcm_order
+    subgroups = [table[[r._index(w.coords) for w in one_plus_ideal(r, k)]] for k in range(1, r.n)]
+    X = characters.character_exponents(r) * basis.scale
+    levels = np.where(X.any(axis=1), r.n, 0)
+    for start in range(0, len(X), 2048):
+        pending = start + np.flatnonzero(X[start : start + 2048].any(axis=1))
+        for k, rows in enumerate(subgroups, start=1):
+            alive, row, size = pending, 0, 8
+            while row < len(rows) and len(alive):
+                alive = alive[~(X[alive] @ rows[row : row + size].T % L).any(axis=1)]
+                row, size = row + size, 2 * size
+            levels[alive] = k
+            pending = np.setdiff1d(pending, alive)
+    return levels.tolist()
+
+
+# the rings of the ring-tables benchmark workload
+TABLE_RINGS = [(2, 5, 3), (5, 3, 2), (3, 3, 2), (2, 4, 2), (5, 2, 1)]
+
+
+@pytest.mark.parametrize("key", REFERENCE_RINGS + [k for k in TABLE_RINGS if k not in REFERENCE_RINGS])
+def test_levels_match_the_subgroup_scan(key):
+    """Levels read at the generators 1 + p^j xi^i equal the scan over every subgroup element."""
+    r = ring(*key)
+    assert character_levels(r).tolist() == subgroup_scan_levels(r)
+
+
 @pytest.mark.parametrize("key", REFERENCE_RINGS)
 def test_exponent_arrays_match_per_character_definitions(key):
     """Exponents, indices, signs and values at a unit as arrays, against eval_unit."""
@@ -457,7 +494,6 @@ def test_tables_do_not_depend_on_block_sizes(monkeypatch):
     levels = character_levels(fresh).tolist()
     sections = [section_json(fresh, sec) for sec in ("lex-min", "lex-max")]
     monkeypatch.setattr(characters, "CHAR_BLOCK", 5)
-    monkeypatch.setattr(characters, "ROW_BLOCK", 1)
     small = build_ring(2, 3, 2)
     assert character_levels(small).tolist() == levels
     assert [section_json(small, sec) for sec in ("lex-min", "lex-max")] == sections
@@ -512,6 +548,53 @@ def test_generators_are_pinned():
     assert basis.orders == (7, 16, 16, 8, 2)
 
 
+@pytest.mark.parametrize(
+    "key,sha",
+    [((2, 5, 3), "8304a0ca159a450a"), ((5, 3, 2), "f427b86c3fc29a65"), ((2, 4, 3), "136faebbe085e346")],
+)
+def test_dlog_tables_are_pinned(key, sha):
+    assert hashlib.sha256(dlog_matrix(ring(*key)).tobytes()).hexdigest()[:16] == sha
+
+
+def run_under_python_O(code: str) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.strip()
+
+
+def first_generator_twice(basis):
+    """basis with every generator after the first replaced by the first, orders kept."""
+
+    def duplicated(*args):
+        out = basis(*args)
+        return out[:1] + [(out[0][0], d) for _, d in out[1:]]
+
+    return duplicated
+
+
+def test_a_duplicated_generator_fails_the_factor_once_guard(monkeypatch):
+    """GR(2^2,2^4): 1 + M is (Z/2)^2, whose basis needs one recursion that returns
+    a single generator, so only the outermost basis changes: (xi, g, g), orders (3, 2, 2)."""
+    monkeypatch.setattr(characters, "_abelian_basis", first_generator_twice(characters._abelian_basis))
+    with pytest.raises(BrokenInvariant, match="exactly once"):
+        decompose_unit_group(build_ring(2, 2, 2))
+    code = inspect.getsource(first_generator_twice) + (
+        "from galois_sums import BrokenInvariant, build_ring, characters\n"
+        "characters._abelian_basis = first_generator_twice(characters._abelian_basis)\n"
+        "try:\n"
+        "    characters.decompose_unit_group(build_ring(2, 2, 2))\n"
+        "except BrokenInvariant as e:\n"
+        "    print(e)\n"
+    )
+    assert run_under_python_O(code) == "the generators do not factor every unit exactly once"
+
+
 def test_subgroup_character_rejects_outsiders_under_python_O():
     code = (
         "from galois_sums import NotInSubgroup, SubgroupCharacter, build_ring\n"
@@ -522,12 +605,4 @@ def test_subgroup_character_rejects_outsiders_under_python_O():
         "except NotInSubgroup:\n"
         "    print('NotInSubgroup')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "NotInSubgroup"
+    assert run_under_python_O(code) == "NotInSubgroup"
