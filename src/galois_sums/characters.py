@@ -149,6 +149,11 @@ class UnitGroupBasis:
         return np.array([math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))])
 
     @functools.cached_property
+    def order_array(self) -> np.ndarray:
+        """The orders as an int64 array: reduces exponent arrays without converting the tuple."""
+        return np.array(self.orders, dtype=np.int64)
+
+    @functools.cached_property
     def scale(self) -> np.ndarray:
         """L / d_i, which scales exponent e_i to the common order L."""
         return self.lcm_order // np.array(self.orders, dtype=np.int64)

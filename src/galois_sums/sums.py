@@ -15,21 +15,19 @@ ascending j, so a sum in a table (jacobi_brute_table, gauss_table) is
 bit-identical to the same sum computed alone.
 
 The closed form is dispatched over tables too: jacobi_expected_table takes
-C exponent tuples and one canonical twist, reads the per-tuple facts it
-branches on as arrays, and fills the Gauss sums its quotient laws need with
-one kernel call per twist; jacobi_expected is its C = 1 call.  Dispatch, in
-order:
-
-* base ring is a field (n = 1): evaluated by brute force;
-* all characters trivial: exact integer from the unit-solution count;
-* a = 0: split off one nontrivial character (the defining sum is symmetric
-  under joint permutation of characters and coordinates);
-* two characters: one-trivial table, inverse pair, or a primitive character
-  present (vanishing laws and Gauss-sum quotients);
-* three or more with a primitive character present: Gauss-sum quotients;
-* otherwise every character is trivial on 1 + p^(n-k) R for the maximal
-  common k >= 1 and the sum reduces to the quotient ring with a digit-count
-  scale factor of q^(k(m-1)) per reduction level.
+C exponent tuples and one canonical twist a (jacobi_expected is its C = 1
+call).  A base ring that is a field (n = 1) is evaluated by brute force.
+Otherwise each tuple gets one integer class code from per-ring tables: the
+levels of its characters, of their product, and chi_m(-1).  The code
+indexes the ring's class table for (m, a), whose entries _jacobi_class
+fills once per class from the laws: a constant shared by every row of the
+class (all trivial, vanishing, integer pair laws), a Gauss quotient (values
+read by character index from the per-twist cache, one kernel call per
+twist), a split (a = 0: the sum is symmetric under joint permutation of
+characters and coordinates, so one nontrivial character splits off), or a
+reduction: every character is trivial on 1 + p^(n-k) R for the maximal
+common k >= 1 and the sum reduces to the quotient ring with a digit-count
+scale factor of q^(k(m-1)) per reduction level.
 """
 from __future__ import annotations
 
@@ -354,39 +352,39 @@ def jacobi_brute_table(ring: GaloisRing, X, a: RingElement, cap: int = DEFAULT_T
 # Gauss sums
 
 
-def _gauss_fill(ring: GaloisRing, keys) -> None:
-    """Compute the missing ("gauss", exponents, twist coords) cache entries.
-
-    One kernel call per twist, over the missing characters in first-seen order.
-    """
-    missing: dict[tuple, dict] = {}
-    for key in keys:
-        if key not in ring._cache:
-            missing.setdefault(key[2], {})[key] = None  # insertion-ordered, no repeats
-    for coords, group in missing.items():
-        X = [[key[1], (0,) * len(key[1])] for key in group]  # x_1 in R*, x_2 = -x_1 in R
-        values = _complex_rows(_root_counts(ring, X, 1, ring.zero, ring.element(coords)))
-        ring._cache.update(zip(group, values))
+def _gauss_fill(ring: GaloisRing, coords: tuple, indices) -> dict[int, complex]:
+    """The cached Gauss values at the twist with coordinates coords, by character index,
+    the characters of indices still missing first computed in one kernel call."""
+    values = ring._cache.setdefault(("gauss", coords), {})
+    missing = [i for i in dict.fromkeys(indices) if i not in values]
+    if missing:
+        basis = decompose_unit_group(ring)
+        place = list(zip(basis.radix.tolist(), basis.orders))
+        X = [[[i // w % d for w, d in place], [0] * len(place)] for i in missing]  # x_2 = -x_1
+        counts = _root_counts(ring, X, 1, ring.zero, ring.element(coords))
+        values.update(zip(missing, _complex_rows(counts)))
+    return values
 
 
 def _gauss_value(chi: MultCharacter, b: RingElement) -> complex:
-    key = ("gauss", chi.exponents, b.coords)
-    _gauss_fill(chi.ring, [key])
-    return chi.ring._cache[key]
+    index, values = chi.index, chi.ring._cache.get(("gauss", b.coords), ())
+    if index not in values:
+        values = _gauss_fill(chi.ring, b.coords, (index,))
+    return values[index]
 
 
-def gauss_table(ring: GaloisRing, b: RingElement) -> None:
-    """Fill the Gauss-value cache at b for every character still missing, in one kernel call."""
+def gauss_table(ring: GaloisRing, b: RingElement) -> list[complex]:
+    """G(chi, lambda_b) of all chi in enumerate_characters order; the missing in one kernel call."""
     ring._check_same(b)
-    orders = decompose_unit_group(ring).orders
-    _gauss_fill(ring, (("gauss", e, b.coords) for e in np.ndindex(*orders)))
+    count = math.prod(decompose_unit_group(ring).orders)
+    values = _gauss_fill(ring, b.coords, range(count))
+    return [values[i] for i in range(count)]
 
 
-def expected_gauss(chi: MultCharacter, b: RingElement) -> Expected:
-    """Magnitude law for G(chi, lambda_b), split by the valuation of b."""
-    ring = chi.ring
+def gauss_law(ring: GaloisRing, level: int, b: RingElement) -> Expected:
+    """Magnitude law for G(chi, lambda_b), chi of the given level, split by the valuation of b."""
     n = ring.n
-    if chi.is_trivial:
+    if not level:
         if b.is_zero:
             return Expected.of_integer(ring.unit_count, "trivial-all")
         k, _ = ring.valuation(b)
@@ -397,21 +395,22 @@ def expected_gauss(chi: MultCharacter, b: RingElement) -> Expected:
         return Expected.zero("nontrivial-zero-twist")
     k, _ = ring.valuation(b)
     if k == 0:
-        if chi.is_primitive:
+        if level == n:
             return Expected.power(Fraction(n, 2), "primitive-unit-twist")
         return Expected.zero("gauss-vanishing")
-    if chi.level == n - k:
+    if level == n - k:
         return Expected.power(Fraction(n + k, 2), "matched-ideal-twist")
     return Expected.zero("gauss-vanishing")
 
 
+def expected_gauss(chi: MultCharacter, b: RingElement) -> Expected:
+    """Magnitude law for G(chi, lambda_b), split by the valuation of b."""
+    return gauss_law(chi.ring, chi.level, b)
+
+
 def gauss_sum(chi: MultCharacter, b: RingElement) -> SumValue:
     chi.ring._check_same(b)
-    return SumValue(
-        value=_gauss_value(chi, b),
-        expected=expected_gauss(chi, b),
-        terms=chi.ring.unit_count,
-    )
+    return SumValue(_gauss_value(chi, b), expected_gauss(chi, b), chi.ring.unit_count)
 
 
 # ---------------------------------------------------------------------------
@@ -542,98 +541,88 @@ def _gauss_quotient(nums, den: complex, scale: int) -> complex:
     return scale * num / den
 
 
-class _Quotient:
-    """A Gauss-quotient value whose Gauss sums are not read yet.
-
-    factor * scale * g(chi_1, 1) ... g(chi_j, 1) / g(chi_1 ... chi_j, p^level)
-    for the characters given by the (j x r) exponent array chars; keys are
-    the cache keys of the numerator sums, then of the denominator.
-    """
-
-    __slots__ = ("keys", "scale", "factor")
-
-    def __init__(self, ring: GaloisRing, chars, level: int, scale: int, factor: int | None = None):
-        one, orders, chars = ring.one.coords, decompose_unit_group(ring).orders, chars.tolist()
-        prod = tuple(sum(col) % d for col, d in zip(zip(*chars), orders))
-        den = ("gauss", prod, ring.p_power(level).coords)
-        self.keys = tuple(("gauss", tuple(e), one) for e in chars) + (den,)
-        self.scale, self.factor = scale, factor
-
-    def resolve(self, cache: dict) -> complex:
-        *nums, den = (cache[key] for key in self.keys)
-        value = _gauss_quotient(nums, den, self.scale)
-        return value if self.factor is None else self.factor * value
+@ring_table
+def _class_facts(ring: GaloisRing) -> np.ndarray:
+    """Per character, the int64 code shares 2^level, 2^(n+1) [chi(-1) = -1] and level 2^(n+2)."""
+    n, levels = ring.n, character_levels(ring).astype(np.int64)
+    negative = (character_signs(ring) < 0).astype(np.int64)
+    return np.stack([1 << levels, negative << (n + 1), levels << (n + 2)])
 
 
-def _pair_law(ring: GaloisRing, t, tp: int, sign, k: int, chars) -> Expected | None:
-    """J_{p^k} (k = 0: J_1) of the pair with (2 x r) exponents chars.
+def _jacobi_class(ring: GaloisRing, m: int, a: RingElement, k: int, code: int):
+    """The law of J_a (a canonical, k its valuation; 0 for a = 1) for one class code.
 
-    t holds the levels of the characters, tp that of their product, and
-    sign[i] = chi_i(-1).  None when neither character is primitive: the pair
-    reduces to the quotient ring.
+    A tuple's code is the OR of 2^level over its characters, plus 2^(n+1) if
+    chi_m(-1) = -1, plus tp 2^(n+2), tp the product's level.  The laws read
+    the least level t1, the greatest t2, tp and chi_m(-1) (a pair law reads
+    chi_2's level only where chi_2 = conj(chi_1), so t1 = t2).  Returns the
+    Expected all rows of the class share, ("split",) (a = 0), ("reduce", j)
+    (no character primitive), or ("quotient", lemma, exponent, twist, scale,
+    factor, j): a row is worth factor * scale * g(chi_1, 1) ... g(chi_j, 1) /
+    g(chi_1 ... chi_j, p^level), twist the coordinates of p^level.
     """
     q, n = ring.q, ring.n
-    t1, t2 = t
-    if not t1 or not t2:
+    mask, tp, sign = code & ((2 << n) - 1), code >> (n + 2), -1 if code >> (n + 1) & 1 else 1
+    t1, t2 = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+
+    def quotient(lemma: str, twice_exponent: int, level: int, scale: int, factor, j: int):
+        twist = ring.p_power(level).coords
+        return ("quotient", lemma, Fraction(twice_exponent, 2), twist, scale, factor, j)
+
+    if not t2:
+        return Expected.of_integer(count_unit_solutions(ring, m, a), "all-trivial-count")
+    if a.is_zero:
+        # pairing x with a - x = -x collapses a pair to a single character sum
+        if tp:
+            return Expected.zero("zero-twist-pair" if m == 2 else "zero-twist-split")
+        if m == 2:
+            return Expected.of_integer(sign * ring.unit_count, "zero-twist-pair")
+        return ("split",)
+    if m == 2 and not (t1 and t2):
         if k == 0 and t1 + t2 == 1:
             return Expected.of_integer(-(q ** (n - 1)), "one-trivial-pair")
         return Expected.zero("one-trivial-pair")
-    if not tp:
+    if m == 2 and not tp:
         if k == 0:
             if t2 <= 1:
-                return Expected.of_integer(-sign[1] * q ** (n - 1), "inverse-pair")
+                return Expected.of_integer(-sign * q ** (n - 1), "inverse-pair")
             return Expected.zero("inverse-pair")
         if t2 > k + 1:
             return Expected.zero("inverse-pair-ideal")
         if t2 <= k:
-            return Expected.of_integer(sign[1] * ring.unit_count, "inverse-pair-ideal")
-        return Expected.of_integer(-sign[1] * q ** (n - 1), "inverse-pair-ideal")
-    if n not in t:
-        return None
-    if k == 0:
-        if tp != n:
+            return Expected.of_integer(sign * ring.unit_count, "inverse-pair-ideal")
+        return Expected.of_integer(-sign * q ** (n - 1), "inverse-pair-ideal")
+    if t2 < n:
+        return ("reduce", n - t2)
+    if m == 2:
+        if k == 0:
+            if tp != n:
+                return Expected.zero("primitive-pair-vanishing")
+            if t1 == t2 == n:
+                return quotient("gauss-quotient-pair", n, 0, 1, None, 2)
+            return Expected.zero("gauss-quotient-pair")
+        if tp == n:
             return Expected.zero("primitive-pair-vanishing")
-        if t1 == t2 == n:
-            value = _Quotient(ring, chars, 0, 1)
-            return Expected.power(Fraction(n, 2), "gauss-quotient-pair", value)
-        return Expected("zero", "gauss-quotient-pair", value=0j)
-    if tp == n:
-        return Expected.zero("primitive-pair-vanishing")
-    if k == n - tp:
-        value = _Quotient(ring, chars, k, q ** k)
-        return Expected.power(Fraction(n + k, 2), "gauss-quotient-ideal-pair", value)
-    return Expected.zero("level-mismatch-zero")
-
-
-def _multi_law(ring: GaloisRing, t, tp: int, sign, k: int, chars) -> Expected | None:
-    """J_{p^k} (k = 0: J_1) of the m >= 3 characters with (m x r) exponents chars.
-
-    t, tp and sign are as for _pair_law.  None when no character is
-    primitive: the tuple reduces to the quotient ring.  Only tuples of
-    primitive characters take a Gauss-quotient value.
-    """
-    q, n, m = ring.q, ring.n, len(t)
-    if n not in t:
-        return None
-    all_prim = min(t) == n
+        if k == n - tp:
+            return quotient("gauss-quotient-ideal-pair", n + k, k, q ** k, None, 2)
+        return Expected.zero("level-mismatch-zero")
+    # m >= 3: only tuples of primitive characters take a Gauss-quotient value
+    all_prim = t1 == n
     if k == 0:
         if tp != n:
             return Expected.zero("multi-vanishing")
         if all_prim:
-            value = _Quotient(ring, chars, 0, 1)
-            return Expected.power(Fraction((m - 1) * n, 2), "gauss-quotient", value)
-        return Expected("zero", "gauss-quotient", value=0j)
+            return quotient("gauss-quotient", (m - 1) * n, 0, 1, None, m)
+        return Expected.zero("gauss-quotient")
     if 1 <= tp <= n - 1 and k == n - tp:
         if all_prim:
-            value = _Quotient(ring, chars, k, q ** k)
-            return Expected.power(Fraction((m - 1) * n + k, 2), "gauss-quotient-ideal", value)
-        return Expected("zero", "gauss-quotient-ideal", value=0j)
+            return quotient("gauss-quotient-ideal", (m - 1) * n + k, k, q ** k, None, m)
+        return Expected.zero("gauss-quotient-ideal")
     if tp == 0 and k == n - 1:
         # the product of the first m - 1 is the inverse of the last: primitive too
         if all_prim:
-            value = _Quotient(ring, chars[:-1], 0, 1, -sign[-1] * q ** (n - 1))
-            return Expected.power(Fraction(n * m - 2, 2), "boundary-split", value)
-        return Expected("zero", "boundary-split", value=0j)
+            return quotient("boundary-split", n * m - 2, 0, 1, -sign * q ** (n - 1), m - 1)
+        return Expected.zero("boundary-split")
     return Expected.zero("multi-vanishing")
 
 
@@ -642,11 +631,10 @@ def jacobi_expected_table(
 ) -> list[Expected]:
     """Closed-form value/magnitude of J_a for each (m x r) exponent tuple of X, a canonical.
 
-    The levels of the characters and of their product, and chi(-1), are read
-    as arrays from the ring's tables.  The rows of each recursive branch
-    (zero-twist-split, digit-reduction) are recursed on as one sub-batch, and
-    the Gauss sums that the quotient laws read are filled with one kernel call
-    per twist before any quotient is formed.
+    Each tuple's class code (see _jacobi_class), from one gather of the
+    ring's _class_facts, indexes the ring's class table for (m, a), filled on
+    first sight.  Rows of a valueless class share its Expected; a split or
+    reduced class recurses as one sub-batch.
     """
     ring._check_same(a)
     if not is_canonical(a):
@@ -654,44 +642,52 @@ def jacobi_expected_table(
     if not len(X):
         return []
     basis = decompose_unit_group(ring)
-    X = _exponent_tuples(ring, X) % basis.orders
+    X = _exponent_tuples(ring, X) % basis.order_array
     m = X.shape[1]
     q, n = ring.q, ring.n
     if n == 1:
         # field base case: evaluated directly rather than via field theory
         return [Expected.exact(v, "field-base") for v in _domain_sums(ring, X, None, a, cap)[0]]
 
-    levels, index = character_levels(ring), X @ basis.radix
-    lev, signs = levels[index], character_signs(ring)[index]
-    plev = levels[X.sum(axis=1) % basis.orders @ basis.radix].tolist()
-    k = 0 if a == ring.one else ring.valuation(a)[0]
-    zero_twist, law = a.is_zero, _pair_law if m == 2 else _multi_law
-    out: list = [None] * len(X)
-    split: list[int] = []
-    reduce: dict[int, list[int]] = {}
-    # row tuples are zipped from flat columns, so no C small lists are alive at once
-    facts = zip(zip(*lev.T.tolist()), plev, zip(*signs.T.tolist()))
-    for c, (t, tp, sign) in enumerate(facts):
-        if not any(t):
-            out[c] = Expected.of_integer(count_unit_solutions(ring, m, a), "all-trivial-count")
-        elif zero_twist:
-            # pairing x with a - x = -x collapses a pair to a single character sum
-            if tp:
-                out[c] = Expected.zero("zero-twist-pair" if m == 2 else "zero-twist-split")
-            elif m == 2:
-                out[c] = Expected.of_integer(sign[1] * ring.unit_count, "zero-twist-pair")
-            else:
-                split.append(c)
-        else:
-            out[c] = law(ring, t, tp, sign, k, X[c])
-            if out[c] is None:
-                reduce.setdefault(n - max(t), []).append(c)
+    level_bit, negative, product_level = _class_facts(ring)
+    index = X @ basis.radix
+    product = X.sum(axis=1) % basis.order_array @ basis.radix
+    codes = np.bitwise_or.reduce(level_bit[index], axis=1)
+    codes = (codes + negative[index[:, -1]] + product_level[product]).tolist()
+    table = ring._cache.setdefault((_jacobi_class, m, a.coords), {})  # the class table
+    new = set(codes).difference(table)
+    if new:
+        k = 0 if a == ring.one else ring.valuation(a)[0]
+        for code in new:
+            table[code] = _jacobi_class(ring, m, a, k, code)
+    out = [table[code] for code in codes]
+    pending: dict[int, list[int]] = {}
+    for c, (code, rule) in enumerate(zip(codes, out)):
+        if rule.__class__ is not Expected:
+            pending.setdefault(code, []).append(c)
 
-    pending = [c for c, e in enumerate(out) if e is not None and isinstance(e.value, _Quotient)]
-    _gauss_fill(ring, (key for c in pending for key in out[c].value.keys))
-    for c in pending:
-        e = out[c]
-        out[c] = Expected(e.kind, e.lemma, e.exponent, value=e.value.resolve(ring._cache))
+    split, reduce, quotients, needs, one = [], {}, [], {}, ring.one.coords
+    for code, rows in pending.items():
+        rule = table[code]
+        if rule[0] == "split":
+            split += rows
+        elif rule[0] == "reduce":
+            reduce.setdefault(rule[1], []).extend(rows)
+        else:  # the characters' indices, then every Gauss value they read, per twist
+            at, twist, count = np.array(rows), rule[3], rule[-1]
+            nums = index[at, :count]
+            dens = product[at]
+            if count < m:  # boundary-split: the product of the first m - 1
+                dens = X[at, :-1].sum(axis=1) % basis.order_array @ basis.radix
+            needs.setdefault(one, []).extend(nums.ravel().tolist())
+            needs.setdefault(twist, []).extend(dens.tolist())
+            quotients.append((rule, rows, nums.tolist(), dens.tolist()))
+    gauss = {coords: _gauss_fill(ring, coords, indices) for coords, indices in needs.items()}
+    for (_, lemma, exponent, twist, scale, factor, _), rows, nums, dens in quotients:
+        above, below = gauss[one], gauss[twist]
+        for c, num, den in zip(rows, nums, dens):
+            value = _gauss_quotient([above[i] for i in num], below[den], scale)
+            out[c] = Expected.power(exponent, lemma, value if factor is None else factor * value)
 
     if split:
         # a = 0 with a trivial product: split off the last nontrivial character
@@ -701,10 +697,11 @@ def jacobi_expected_table(
         keep = np.arange(m) != last[:, None]
         rest = X[rows][keep].reshape(len(rows), m - 1, -1)
         subs = jacobi_expected_table(ring, rest, ring.one, cap)
-        for c, sign, sub in zip(split, signs[rows, last].tolist(), subs):
+        zero = Expected.zero("zero-twist-split")
+        for c, sign, sub in zip(split, character_signs(ring)[index[rows, last]].tolist(), subs):
             scale = sign * ring.unit_count
             if sub.kind == "zero":
-                out[c] = Expected.zero("zero-twist-split")
+                out[c] = zero
             elif sub.value is not None:
                 out[c] = Expected.exact(scale * sub.value, "zero-twist-split")
             else:
@@ -717,8 +714,12 @@ def jacobi_expected_table(
     for j, rows in reduce.items():
         projected = project_exponents(ring, X[rows], j)
         sub = jacobi_expected_table(ring.reduced(j), projected, ring.reduce(a, j), cap)
+        shift, scale, shifted = Fraction(j * (m - 1)), q ** (j * (m - 1)), {}
         for c, e in zip(rows, sub):
-            out[c] = e.shift_power(Fraction(j * (m - 1)), q ** (j * (m - 1)), "digit-reduction")
+            # the rows of a shared sub-class share its shifted expectation too
+            if id(e) not in shifted:
+                shifted[id(e)] = e.shift_power(shift, scale, "digit-reduction")
+            out[c] = shifted[id(e)]
     return out
 
 

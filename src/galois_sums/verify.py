@@ -32,7 +32,6 @@ import numpy as np
 from .characters import (
     character_exponents,
     character_levels,
-    enumerate_characters,
     project_exponents,
 )
 from .codebook import (
@@ -51,7 +50,7 @@ from .sums import (
     canonical_twists,
     count_unit_solutions,
     count_unit_solutions_brute,
-    gauss_sum,
+    gauss_law,
     gauss_table,
     jacobi_brute_table,
     jacobi_expected_table,
@@ -112,20 +111,13 @@ def verify_gauss_laws(seed: int = 0, tol: float = 1e-6) -> SuiteResult:
     rng = random.Random(seed)
     for p, n, s in GAUSS_RINGS:
         ring = cached_ring(p, n, s)
-        units = ring.units()
-        twists = []
-        for b in canonical_twists(ring):
-            twists.append(b)
-            twists.append(b * rng.choice(units))
+        units, levels, bad = ring.units(), character_levels(ring).tolist(), 0
+        twists = [t for b in canonical_twists(ring) for t in (b, b * rng.choice(units))]
         for b in twists:
-            gauss_table(ring, b)
-        bad = 0
-        total = 0
-        for chi in enumerate_characters(ring):
-            for b in twists:
-                total += 1
-                if not gauss_sum(chi, b).agrees(ring.q, tol):
-                    bad += 1
+            laws = [gauss_law(ring, level, b) for level in range(n + 1)]  # one per level
+            for value, level in zip(gauss_table(ring, b), levels):
+                bad += not SumValue(value, laws[level], ring.unit_count).agrees(ring.q, tol)
+        total = len(levels) * len(twists)
         result.add(f"{ring}", bad == 0, f"{total - bad}/{total} twists agree")
     return result
 

@@ -42,7 +42,8 @@ from galois_sums import (
     tilde_jacobi_brute,
     tilde_jacobi_classify,
 )
-from galois_sums.characters import root_table
+from galois_sums.characters import character_exponents, root_table
+from galois_sums.verify import _tuples as verify_tuples
 
 from conftest import ring
 
@@ -491,10 +492,15 @@ def gauss_table_values(r, twists):
     chars = enumerate_characters(r)
     for b in twists:
         sums_module.gauss_table(r, b)
-    n_cached = sum(1 for key in r._cache if key[0] == "gauss")
+    n_cached = cached_gauss_count(r)
     values = [gauss_sum(chi, b).value for b in twists for chi in chars]
-    assert sum(1 for key in r._cache if key[0] == "gauss") == n_cached  # all were hits
+    assert cached_gauss_count(r) == n_cached  # all were hits
     return values
+
+
+def cached_gauss_count(r):
+    """Gauss values cached on ring r, over every twist."""
+    return sum(len(v) for key, v in r._cache.items() if key[0] == "gauss")
 
 
 def test_gauss_table_is_bitwise_gauss_value():
@@ -515,7 +521,8 @@ def test_gauss_sum_fills_only_its_own_entry():
     r = build_ring(2, 2, 2)
     chi = enumerate_characters(r)[5]
     gauss_sum(chi, r.one)
-    assert [key for key in r._cache if key[0] == "gauss"] == [("gauss", chi.exponents, r.one.coords)]
+    gauss = {key: list(v) for key, v in r._cache.items() if key[0] == "gauss"}
+    assert gauss == {("gauss", r.one.coords): [chi.index]}
 
 
 @pytest.mark.parametrize("key, m, k", [((3, 2, 1), 3, 1), ((2, 2, 2), 3, 2), ((3, 2, 1), 4, 2)])
@@ -959,20 +966,26 @@ def test_expected_table_is_bitwise_single_calls(case):
             assert expected_fields(e) == expected_fields(single)
 
 
-def expectation_digest(m):
-    """sha256[:16] over every expectation of jacobi-m2 (m = 2) or jacobi-m3 (m = 3),
-    in the suite's order: ring, tuple in itertools.product order, canonical twist."""
+def digest_of(expectations):
+    """sha256[:16] over one line per expectation: every field, values as IEEE hex."""
     lines = []
-    for key in SMALL_RINGS:
-        r = ring(*key)
-        X = all_tuples(r, m)
-        tables = [sums_module.jacobi_expected_table(r, X, a) for a in canonical_twists(r)]
-        for row in zip(*tables):
-            for e in row:
-                kind, lemma, exponent, integer, value = expected_fields(e)
-                v = "None" if value is None else ",".join(value)
-                lines.append(f"{kind}|{lemma}|{exponent}|{integer}|{v}")
+    for e in expectations:
+        kind, lemma, exponent, integer, value = expected_fields(e)
+        v = "None" if value is None else ",".join(value)
+        lines.append(f"{kind}|{lemma}|{exponent}|{integer}|{v}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def twist_major(r, X):
+    """The expectations of X at every canonical twist: tuple-major, twist-minor."""
+    tables = [sums_module.jacobi_expected_table(r, X, a) for a in canonical_twists(r)]
+    return [e for row in zip(*tables) for e in row]
+
+
+def expectation_digest(m):
+    """The digest of every expectation of jacobi-m2 (m = 2) or jacobi-m3 (m = 3),
+    in the suite's order: ring, tuple in itertools.product order, canonical twist."""
+    return digest_of(e for key in SMALL_RINGS for e in twist_major(ring(*key), all_tuples(ring(*key), m)))
 
 
 @pytest.mark.parametrize("m, digest", [(2, "a614dca08d4fa6ba"), (3, "e1d89d2ab63d4db0")])
@@ -980,6 +993,69 @@ def test_jacobi_suite_expectations_are_pinned(m, digest):
     """Measured on the scalar dispatch that the table replaced; a change on
     purpose updates these digests and says so."""
     assert expectation_digest(m) == digest
+
+
+def every_tuple(r, m):
+    """Every m-tuple of r's characters in itertools.product order, as exponents."""
+    return verify_tuples(character_exponents(r), m)
+
+
+def tilde_draw_expectations(seed=1, trials=500):
+    """tilde_jacobi_classify_table over the draws of verify's tilde-cases suite at
+    this seed, one table per (ring, m, k, a) domain, in draw order."""
+    rng = random.Random(seed)
+    rings = [ring(*key) for key in SMALL_RINGS]
+    char_lists = {r.key: [tuple(e) for e in character_exponents(r).tolist()] for r in rings}
+    draws = []
+    for _ in range(trials):
+        r = rng.choice(rings)
+        m = rng.choice([2, 3])
+        k = rng.randrange(1, m)
+        tup = [rng.choice(char_lists[r.key]) for _ in range(m)]
+        draws.append((r, k, tup, rng.choice(r.elements())))
+    domains = {}
+    for i, (r, k, tup, a) in enumerate(draws):
+        domains.setdefault((r.key, len(tup), k, a.coords), []).append(i)
+    out = [None] * trials
+    for trial in domains.values():
+        r, k, _, a = draws[trial[0]]
+        X = np.array([draws[i][2] for i in trial])
+        for i, e in zip(trial, sums_module.tilde_jacobi_classify_table(r, X, k, a)):
+            out[i] = e
+    return out
+
+
+DISPATCH_CASES = {
+    "GR(3^3,3^3) m=2": lambda: twist_major(ring(3, 3, 1), every_tuple(ring(3, 3, 1), 2)),
+    "GR(3^3,3^3) m=3": lambda: twist_major(ring(3, 3, 1), every_tuple(ring(3, 3, 1), 3)),
+    "GR(2^3,2^6) m=2": lambda: twist_major(ring(2, 3, 2), every_tuple(ring(2, 3, 2), 2)),
+    "GR(2^3,2^6) m=3": lambda: twist_major(ring(2, 3, 2), every_tuple(ring(2, 3, 2), 3)),
+    "Z/27 level mismatch": lambda: twist_major(ring(3, 3, 1), mismatch_tuples(ring(3, 3, 1))),
+    "m=4 sample": lambda: twist_major(*table_cases()[4]),
+    "tilde-cases draws": tilde_draw_expectations,
+}
+
+
+@pytest.mark.parametrize(
+    "case, count, digest",
+    [
+        ("GR(3^3,3^3) m=2", 1296, "4a5a062b7489c425"),
+        ("GR(3^3,3^3) m=3", 23328, "750a3c19dc6a6bf1"),
+        ("GR(2^3,2^6) m=2", 9216, "5e7c0d3f02654030"),
+        ("GR(2^3,2^6) m=3", 442368, "0863764b6ec1607b"),
+        ("Z/27 level mismatch", 48, "811617bd04cdc906"),
+        ("m=4 sample", 240, "4404a670e5151324"),
+        ("tilde-cases draws", 500, "8ea8a4b221510eef"),
+    ],
+)
+def test_dispatch_expectations_are_pinned(case, count, digest):
+    """Every pair and triple over an n = 3 ring of each p at every canonical twist,
+    the Z/27 level-mismatch pairs, the m = 4 sample and the mixed-domain draws.
+    Measured on the per-row law calls that the class table replaced; a change on
+    purpose updates these digests and says so."""
+    expectations = DISPATCH_CASES[case]()
+    assert len(expectations) == count
+    assert digest_of(expectations) == digest
 
 
 def test_level_mismatch_zero_fires_and_brute_force_agrees(z27):
@@ -1000,7 +1076,7 @@ def test_every_dispatch_lemma_fires(z27):
     level-mismatch pairs include every lemma string of the dispatch."""
     source = "".join(
         inspect.getsource(f)
-        for f in (sums_module.jacobi_expected_table, sums_module._pair_law, sums_module._multi_law)
+        for f in (sums_module.jacobi_expected_table, sums_module._jacobi_class)
     )
     lemmas = set(re.findall(r'"([a-z]+(?:-[a-z]+)+)"', source))
     assert len(lemmas) == 16
