@@ -18,8 +18,9 @@ order of their exponent tuples.  character_levels holds the triviality level
 of every character.  For j >= 1 the layer (1 + p^j R)/(1 + p^(j+1) R) is
 isomorphic to R/pR, so 1 + p^k R is generated by the s(n - k) elements
 1 + p^j xi^i (k <= j < n, i < s), and a level is read at those s(n - 1)
-generators alone.  The section map and the character table are read from the
-exponent and dlog arrays.
+generators alone.  The section map (an exponent table, one row per
+residue-field element) and the character table are read from the exponent
+and dlog arrays; exponent_array checks every exponent array taken as input.
 """
 from __future__ import annotations
 
@@ -367,10 +368,10 @@ class MultCharacter:
     def __init__(self, ring: GaloisRing, exponents):
         self.ring = ring
         self.basis = decompose_unit_group(ring)
-        exps = tuple(e % d for e, d in zip(exponents, self.basis.orders))
-        if len(exps) != len(self.basis.orders):
-            raise ValueError("exponent tuple has wrong length")
-        self.exponents = exps
+        exponents, r = tuple(exponents), len(self.basis.orders)
+        if len(exponents) != r:  # checked before zip could truncate
+            raise ValueError(f"exponent tuples over {ring} need r = {r} entries, got {len(exponents)}")
+        self.exponents = tuple(e % d for e, d in zip(exponents, self.basis.orders))
 
     @classmethod
     def trivial(cls, ring: GaloisRing) -> MultCharacter:
@@ -464,6 +465,19 @@ def product_character(chars) -> MultCharacter:
 # characters as exponent arrays: the last axis of X holds one exponent tuple
 
 
+def exponent_array(ring: GaloisRing, X) -> np.ndarray:
+    """X as a new int64 array reduced mod the generator orders, one exponent tuple per last axis.
+
+    The input contract of every function taking characters as an exponent
+    array: ValueError unless the last axis holds exactly r entries.
+    """
+    basis = decompose_unit_group(ring)
+    X, r = np.asarray(X, dtype=np.int64), len(basis.orders)
+    if X.shape[-1:] != (r,):
+        raise ValueError(f"exponent tuples over {ring} need r = {r} entries, got shape {X.shape}")
+    return X % basis.order_array
+
+
 def character_exponents(ring: GaloisRing) -> np.ndarray:
     """(count x r) exponents of every character, in enumerate_characters order."""
     orders = decompose_unit_group(ring).orders
@@ -472,8 +486,9 @@ def character_exponents(ring: GaloisRing) -> np.ndarray:
 
 def character_numerators(ring: GaloisRing, X, w: RingElement) -> np.ndarray:
     """chi(w) = exp(2 pi i num / L) at a unit w for each exponent tuple of X: num mod L."""
-    basis = decompose_unit_group(ring)
-    return (X * basis.scale) @ np.array(_dlog_row(ring, w)) % basis.lcm_order
+    basis, X = decompose_unit_group(ring), exponent_array(ring, X)
+    X *= basis.scale
+    return X @ np.array(_dlog_row(ring, w)) % basis.lcm_order
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +521,14 @@ class SubgroupCharacter:
 
 
 @ring_table
-def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCharacter]:
-    """For each a in F_q the chosen character of R* restricting to phi_a.
+def _section_map(ring: GaloisRing, section: str) -> np.ndarray:
+    """Read-only (q x r) exponents of the chosen character of R* restricting to phi_a.
 
-    section = "lex-min" picks the lexicographically smallest exponent tuple
-    with the right restriction (so the a = 0 section is the trivial
-    character); "lex-max" picks the largest and exists to demonstrate that
-    downstream quantities do not depend on the choice.  A restriction is an
+    Row i is the section at the i-th element of field.elements().  section =
+    "lex-min" picks the lexicographically smallest exponent tuple with the
+    right restriction (so the a = 0 section is the trivial character);
+    "lex-max" picks the largest and exists to demonstrate that downstream
+    quantities do not depend on the choice.  A restriction is an
     additive character of F_q, fixed by its values at the s points
     1 + p^(n-1) xi^i, so its signature there is keyed as one integer below q;
     the keys come from the exponent and dlog arrays, in blocks of characters
@@ -551,21 +567,17 @@ def _section_map(ring: GaloisRing, section: str) -> dict[tuple[int, ...], MultCh
     # phi_a's signature tr(a xi^i) at the basis points, by the bilinear form tr(xi^i xi^j)
     targets = (field.coord_array() @ trace_form(field) % p @ place).tolist()
 
-    out: dict[tuple[int, ...], MultCharacter] = {}
     for a, target in zip(field.elements(), targets):
-        index = by_sig.get(target)
-        if index is None:
+        if target not in by_sig:
             raise BrokenInvariant(f"no character of R* restricts to phi_{a.coords}")
-        exps = np.unravel_index(index, basis.orders)
-        out[a.coords] = MultCharacter(ring, tuple(int(e) for e in exps))
-    return out
+    return np.stack(np.unravel_index([by_sig[t] for t in targets], basis.orders), axis=1)
 
 
 def extend_phi(ring: GaloisRing, a: RingElement, section: str = "lex-min") -> MultCharacter:
     """A character of all of R* whose restriction to 1 + p^(n-1) R is phi_a."""
     field = ring.residue_field()
     field._check_same(a)
-    return _section_map(ring, section)[a.coords]
+    return MultCharacter(ring, _section_map(ring, section)[field._index(a.coords)].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +605,7 @@ def lift_exponents(ring: GaloisRing, X, k: int) -> np.ndarray:
     generator of this ring's unit group fixes the exponent there.
     """
     target, basis = ring.reduced(k), decompose_unit_group(ring)
-    X = np.asarray(X, dtype=np.int64) % decompose_unit_group(target).orders
+    X = exponent_array(target, X)
     images = np.array([g.coords for g in basis.generators], dtype=np.int64) % target.pn
     return _exponents_at(target, X, target.index_of(images), basis.orders)
 
@@ -612,8 +624,7 @@ def project_exponents(ring: GaloisRing, X, k: int) -> np.ndarray:
     Each character must be trivial on 1 + p^(n-k) R; its value at the lift of
     each generator of the quotient's unit group fixes the exponent there.
     """
-    basis = decompose_unit_group(ring)
-    X = np.asarray(X, dtype=np.int64) % basis.orders
+    basis, X = decompose_unit_group(ring), exponent_array(ring, X)
     if (character_levels(ring)[X @ basis.radix] > max(ring.n - k, 0)).any():
         raise ValueError(f"character is not trivial on 1 + p^{ring.n - k} R")
     target = decompose_unit_group(ring.reduced(k))
@@ -639,9 +650,6 @@ def character_table_json(ring: GaloisRing) -> list[dict]:
 
 
 def section_json(ring: GaloisRing, section: str = "lex-min") -> list[dict]:
-    field = ring.residue_field()
-    smap = _section_map(ring, section)
-    return [
-        {"a": list(a.coords), "exponents": list(smap[a.coords].exponents)}
-        for a in field.elements()
-    ]
+    """The section map: each a of the residue field with the exponents of its section."""
+    exponents, field = _section_map(ring, section).tolist(), ring.residue_field()
+    return [{"a": list(a.coords), "exponents": e} for a, e in zip(field.elements(), exponents)]

@@ -150,8 +150,10 @@ def cmd_chars(args) -> int:
 
 def cmd_gauss(args) -> int:
     ring = _build_ring(args)
-    chi = _parse_chars(ring, args.char)[0]
-    b = _parse_element(ring, args.b)
+    chars = _parse_chars(ring, args.char)
+    if len(chars) != 1:
+        raise ValueError(f"--char takes one exponent tuple, got {len(chars)}")
+    chi, b = chars[0], _parse_element(ring, args.b)
     sv = gauss_sum(chi, b)
     agree = sv.agrees(ring.q, args.tol if args.tol > 0 else None)
     payload = sv.to_json()

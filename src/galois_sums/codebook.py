@@ -24,10 +24,10 @@ import numpy as np
 
 from .characters import (
     MultCharacter,
+    _section_map,
     character_exponents,
     decompose_unit_group,
     dlog_matrix,
-    extend_phi,
     lift_character,
     lift_exponents,
     root_table,
@@ -124,11 +124,11 @@ def _row_exponents(params: CodebookParams) -> tuple[list, np.ndarray]:
     product of characters adds exponents mod the generator orders.
     """
     ring = params.ring
-    orders = np.array(decompose_unit_group(ring).orders, dtype=np.int64)
+    orders = decompose_unit_group(ring).order_array
     red_chars = character_exponents(ring.reduced(1))
     fq = ring.residue_field().elements()
     lifts = lift_exponents(ring, red_chars, 1)
-    sects = np.array([extend_phi(ring, a, params.section).exponents for a in fq], dtype=np.int64)
+    sects = _section_map(ring, params.section)  # row i: the section at fq[i]
     head = sects + lift_character(params.psi0, ring).exponents
     tail = (lifts[:, None] + sects[None]).reshape(-1, len(orders))
     shape = (len(head),) + (len(tail),) * (params.m - 1)
@@ -191,7 +191,7 @@ def build_codebook(
     L = basis.lcm_order
     labels, X = _row_exponents(params)  # X is F x m x r
     nontrivial = X.any(axis=2)
-    X *= L // np.array(basis.orders, dtype=np.int64)
+    X *= basis.scale
     # row L is the structural zero
     roots = np.append(root_table(L), 0j).view(np.float64).reshape(L + 1, 2)
 

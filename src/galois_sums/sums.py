@@ -12,7 +12,8 @@ The brute-force kernel sums C character tuples over one domain at once into
 a (C x M) integer count matrix: row c counts, per j, the terms of tuple c
 equal to exp(2 pi i j / M).  Every row becomes complex the same way, over
 ascending j, so a sum in a table (jacobi_brute_table, gauss_table) is
-bit-identical to the same sum computed alone.
+bit-identical to the same sum computed alone.  The functions that take one
+tuple of MultCharacter objects are each the C = 1 row of a table function.
 
 The closed form is dispatched over tables too: jacobi_expected_table takes
 C exponent tuples and one canonical twist a (jacobi_expected is its C = 1
@@ -46,6 +47,7 @@ from .characters import (
     character_signs,
     decompose_unit_group,
     dlog_matrix,
+    exponent_array,
     project_exponents,
     root_table,
 )
@@ -250,8 +252,8 @@ def solved_domain(ring: GaloisRing, m: int, k: int, a: RingElement) -> np.ndarra
     return np.column_stack([x.repeat(len(y)) for x in xs] + [np.tile(y, len(index)), index.ravel()])
 
 
-def _root_counts(ring: GaloisRing, X, k: int, a: RingElement, b=None) -> np.ndarray:
-    """Exact root counts of the C exponent tuples of X (C x m x r) over the solved domain.
+def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None) -> np.ndarray:
+    """Exact root counts of the C reduced exponent tuples of X (C x m x r) over the solved domain.
 
     Row c of the (C x M) int64 result counts per j the terms of tuple c equal
     to exp(2 pi i j / M), alone or in a batch.  Per chunk of tuples, x_i has a
@@ -264,7 +266,7 @@ def _root_counts(ring: GaloisRing, X, k: int, a: RingElement, b=None) -> np.ndar
     Gauss sum), two adds, one compare and one bincount into m M bins per
     tuple, folded mod M.  A chunk takes max(1, BLOCK CHAR_BLOCK // |R|)
     tuples and a block BLOCK min(chunk, CHAR_BLOCK) terms: besides the result
-    and the reduced X with its kill mask, temporaries hold (m + 8) max(|R|,
+    and the scaled X with its kill mask, temporaries hold (m + 8) max(|R|,
     BLOCK CHAR_BLOCK) + 2 chunk m M int64s.
     """
     basis = decompose_unit_group(ring)
@@ -272,8 +274,7 @@ def _root_counts(ring: GaloisRing, X, k: int, a: RingElement, b=None) -> np.ndar
     M = basis.lcm_order if b is None else math.lcm(basis.lcm_order, pn)
     if b is not None:  # tr(b x) = sum_i x_i tr(b xi^i) over the polynomial-basis coordinates
         extra = coords @ (trace_form(ring) @ b.coords % pn) % pn * (M // pn)
-    X = np.asarray(X, dtype=np.int64) % basis.orders  # the one copy of X
-    X *= basis.scale * (M // basis.lcm_order)
+    X = X * (basis.scale * (M // basis.lcm_order))  # the one copy of X
     count, m = X.shape[:2]
     kill, off_unit = X.any(axis=2), ~ring.unit_mask()
     kill[:, -1] |= k >= m
@@ -314,12 +315,10 @@ def _complex_rows(counts: np.ndarray) -> list[complex]:
 
 
 def _exponent_tuples(ring: GaloisRing, X) -> np.ndarray:
-    """X as a (C x m x r) int64 array of m >= 2 exponent tuples; ValueError otherwise."""
-    X, r = np.asarray(X, dtype=np.int64), len(decompose_unit_group(ring).orders)
+    """X as a (C x m x r) exponent_array of m >= 2 characters per tuple; ValueError otherwise."""
+    X = exponent_array(ring, X)
     if X.ndim != 3 or X.shape[1] < 2:
         raise ValueError("need at least two characters")
-    if X.shape[2] != r:
-        raise ValueError(f"exponent tuples over {ring} need r = {r} entries, got {X.shape[2]}")
     return X
 
 
@@ -337,9 +336,20 @@ def _domain_sums(ring: GaloisRing, X, k: int | None, a: RingElement, cap: int):
     return _complex_rows(_root_counts(ring, X, k, a)), terms
 
 
+def _single(chars) -> tuple[GaloisRing, np.ndarray]:
+    """A tuple of MultCharacter as its ring and the (1 x m x r) exponents of a C = 1 table row."""
+    chars = list(chars)
+    if len(chars) < 2:
+        raise ValueError("need at least two characters")
+    ring = chars[0].ring
+    if any(c.ring.key != ring.key for c in chars[1:]):
+        raise RingMismatch("characters over different rings")
+    return ring, np.array([[c.exponents for c in chars]], dtype=np.int64)
+
+
 def _domain_sum(chars, k: int | None, a: RingElement, cap: int) -> SumValue:
     """One character tuple (C = 1) over the solved domain."""
-    values, terms = _domain_sums(_check_chars(chars), [[c.exponents for c in chars]], k, a, cap)
+    values, terms = _domain_sums(*_single(chars), k, a, cap)
     return SumValue(value=values[0], expected=Expected.unclassified(), terms=terms)
 
 
@@ -358,19 +368,12 @@ def _gauss_fill(ring: GaloisRing, coords: tuple, indices) -> dict[int, complex]:
     values = ring._cache.setdefault(("gauss", coords), {})
     missing = [i for i in dict.fromkeys(indices) if i not in values]
     if missing:
-        basis = decompose_unit_group(ring)
-        place = list(zip(basis.radix.tolist(), basis.orders))
-        X = [[[i // w % d for w, d in place], [0] * len(place)] for i in missing]  # x_2 = -x_1
+        orders = decompose_unit_group(ring).orders
+        X = np.zeros((len(missing), 2, len(orders)), dtype=np.int64)  # x_2 = -x_1
+        X[:, 0].T[:] = np.unravel_index(missing, orders)  # row i of the transpose: e_i
         counts = _root_counts(ring, X, 1, ring.zero, ring.element(coords))
         values.update(zip(missing, _complex_rows(counts)))
     return values
-
-
-def _gauss_value(chi: MultCharacter, b: RingElement) -> complex:
-    index, values = chi.index, chi.ring._cache.get(("gauss", b.coords), ())
-    if index not in values:
-        values = _gauss_fill(chi.ring, b.coords, (index,))
-    return values[index]
 
 
 def gauss_table(ring: GaloisRing, b: RingElement) -> list[complex]:
@@ -410,7 +413,9 @@ def expected_gauss(chi: MultCharacter, b: RingElement) -> Expected:
 
 def gauss_sum(chi: MultCharacter, b: RingElement) -> SumValue:
     chi.ring._check_same(b)
-    return SumValue(_gauss_value(chi, b), expected_gauss(chi, b), chi.ring.unit_count)
+    index = chi.index
+    value = _gauss_fill(chi.ring, b.coords, (index,))[index]
+    return SumValue(value, expected_gauss(chi, b), chi.ring.unit_count)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +441,8 @@ def count_unit_solutions_brute(
     ring: GaloisRing, m: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
 ) -> int:
     """Number of unit m-tuples summing to a, by enumerating the solved domain."""
-    return int(_domain_sum([MultCharacter.trivial(ring)] * m, None, a, cap).value.real)
+    trivial = np.zeros((1, m, len(decompose_unit_group(ring).orders)), dtype=np.int64)
+    return int(_domain_sums(ring, trivial, None, a, cap)[0][0].real)
 
 
 def s_cardinality_qn(q: int, n: int, m: int, k: int) -> int:
@@ -452,20 +458,9 @@ def s_cardinality(ring: GaloisRing, m: int, k: int) -> int:
 # Jacobi sums: brute force
 
 
-def _check_chars(chars) -> GaloisRing:
-    chars = list(chars)
-    if len(chars) < 2:
-        raise ValueError("need at least two characters")
-    ring = chars[0].ring
-    for c in chars[1:]:
-        if c.ring.key != ring.key:
-            raise RingMismatch("characters over different rings")
-    return ring
-
-
 def jacobi_brute(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> SumValue:
     """Direct sum over the unit tuples with coordinate sum a (x_m solved, kept when a unit)."""
-    return _domain_sum(list(chars), None, a, cap)
+    return _domain_sum(chars, None, a, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +490,8 @@ def _twist_scalars(ring: GaloisRing, X, a: RingElement) -> tuple[RingElement, li
         return ring.zero, [RootOfUnity.make(0, 1)] * len(X)
     k, u = ring.valuation(a)
     canon, w = (ring.one, a) if k == 0 else (ring.p_power(k), _lift_unit(ring, u, k))
-    basis = decompose_unit_group(ring)
-    prod = np.asarray(X, dtype=np.int64).sum(axis=1) % basis.orders
-    nums = character_numerators(ring, prod, w).tolist()
-    return canon, [RootOfUnity.make(v, basis.lcm_order) for v in nums]
+    nums = character_numerators(ring, X.sum(axis=1), w).tolist()
+    return canon, [RootOfUnity.make(v, decompose_unit_group(ring).lcm_order) for v in nums]
 
 
 def canonicalize(chars, a: RingElement) -> tuple[RingElement, RootOfUnity]:
@@ -508,9 +501,7 @@ def canonicalize(chars, a: RingElement) -> tuple[RingElement, RootOfUnity]:
     of the quotient ring, t is lifted back via its Teichmuller digit string
     (padded with zeros) and the scalar is the product character at that lift.
     """
-    chars = list(chars)
-    ring = _check_chars(chars)
-    canon, scalars = _twist_scalars(ring, [[c.exponents for c in chars]], a)
+    canon, scalars = _twist_scalars(*_single(chars), a)
     return canon, scalars[0]
 
 
@@ -641,8 +632,7 @@ def jacobi_expected_table(
         raise ValueError(f"{a} is not canonical; use canonicalize() first")
     if not len(X):
         return []
-    basis = decompose_unit_group(ring)
-    X = _exponent_tuples(ring, X) % basis.order_array
+    basis, X = decompose_unit_group(ring), _exponent_tuples(ring, X)
     m = X.shape[1]
     q, n = ring.q, ring.n
     if n == 1:
@@ -725,18 +715,16 @@ def jacobi_expected_table(
 
 def jacobi_expected(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> Expected:
     """Closed-form value/magnitude of J_a for a canonical twist a (one row of the table)."""
-    chars = list(chars)
-    ring = _check_chars(chars)
-    return jacobi_expected_table(ring, [[c.exponents for c in chars]], a, cap)[0]
+    return jacobi_expected_table(*_single(chars), a, cap)[0]
 
 
 def jacobi(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> SumValue:
-    """Brute-force J_a together with its closed-form expectation."""
-    chars = list(chars)
-    brute = jacobi_brute(chars, a, cap=cap)
-    canon, scalar = canonicalize(chars, a)
-    base = jacobi_expected(chars, canon, cap=cap)
-    return SumValue(value=brute.value, expected=base.rotated(scalar, base.lemma), terms=brute.terms)
+    """Brute-force J_a together with its closed-form expectation, each a C = 1 table row."""
+    ring, X = _single(chars)
+    values, terms = _domain_sums(ring, X, None, a, cap)
+    canon, scalars = _twist_scalars(ring, X, a)
+    base = jacobi_expected_table(ring, X, canon, cap)[0]
+    return SumValue(value=values[0], expected=base.rotated(scalars[0], base.lemma), terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +741,7 @@ def tilde_jacobi_brute(
     chars, k: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
 ) -> SumValue:
     """Sum of extended character products over the mixed domain S."""
-    return _domain_sum(list(chars), k, a, cap)
+    return _domain_sum(chars, k, a, cap)
 
 
 def tilde_jacobi_brute_table(
@@ -775,7 +763,9 @@ def tilde_jacobi_classify_table(
     free block the sum is a Jacobi sum, canonicalized as a batch.
     """
     ring._check_same(a)
-    X = np.asarray(X, dtype=np.int64) % decompose_unit_group(ring).orders
+    if not len(X):
+        return []
+    X = _exponent_tuples(ring, X)
     m = X.shape[1]
     _check_k(k, m)
     nontrivial = X.any(axis=2)
@@ -798,6 +788,5 @@ def tilde_jacobi_classify(
     chars, k: int, a: RingElement, cap: int = DEFAULT_TERM_CAP
 ) -> Expected:
     """Expected value of the modified sum (one row of tilde_jacobi_classify_table)."""
-    chars = list(chars)
-    ring = _check_chars(chars)
-    return tilde_jacobi_classify_table(ring, [[c.exponents for c in chars]], k, a, cap)[0]
+    ring, X = _single(chars)
+    return tilde_jacobi_classify_table(ring, X, k, a, cap)[0]

@@ -379,6 +379,23 @@ def test_character_numerators_at_a_non_unit_raise_not_a_unit(z9, gr4_16):
         characters.character_numerators(z9, X, gr4_16.one)
 
 
+def test_exponent_tuples_of_the_wrong_width_are_refused(z9, z27):
+    for bad in [(1, 2, 3), (1,)]:  # a longer tuple was cut to r by zip
+        with pytest.raises(ValueError, match="r = 2 entries"):
+            characters.MultCharacter(z9, bad)
+    transports = [  # each takes exponent tuples over a ring with r = 2
+        lambda X: characters.lift_exponents(z27, X, 1),
+        lambda X: characters.project_exponents(z27, X, 2),
+        lambda X: characters.character_numerators(z27, X, z27.one),
+    ]
+    for transport in transports:
+        for X in ([[1]], [[1, 0, 0]], [], 1):
+            with pytest.raises(ValueError, match="r = 2 entries"):
+                transport(X)
+    X = characters.exponent_array(z27, [[3, 11], [-1, -1]])
+    assert X.dtype == np.int64 and X.tolist() == [[1, 2], [1, 8]]
+
+
 @pytest.mark.parametrize("key", REFERENCE_RINGS)
 def test_levels_match_per_element_definition(key):
     r = ring(*key)

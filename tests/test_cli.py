@@ -229,6 +229,53 @@ def test_subcommands_reject_options_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jacobi", *RING, "--chars", "1,2,3;1,0", "--a", "1"),  # an over-long first tuple
+        ("gauss", *RING, "--char", "1,2,7", "--b", "1"),
+        ("codebook", *RING, "-m", "3", "-k", "1", "--psi0", "1,5"),  # psi0 lives over Z/3: r = 1
+        ("gauss", *RING, "--char", "1,1;0,2", "--b", "1"),  # two tuples where one is read
+    ],
+)
+def test_exponent_tuples_of_the_wrong_count_or_width_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "r = " in err or "one exponent tuple" in err
+
+
+# sha256[:16] of the --json output of single-tuple sums, each taken before
+# the single-tuple calls became C = 1 rows of the table functions
+SINGLE_SUMS = [
+    (("gauss", *RING, "--char", "1,1", "--b", "1"), "primitive-unit-twist", "78f347256af3f797"),
+    (("gauss", "-p", "2", "-n", "2", "-s", "2", "--char", "1,0,0", "--b", "p"),
+     "matched-ideal-twist", "27570f5b9ecd9891"),
+    (("jacobi", *RING, "--chars", "1,1;1,1", "--a", "1"), "gauss-quotient-pair", "e42ce81d21232712"),
+    (("jacobi", "-p", "3", "-n", "3", "-s", "1", "--chars", "1,3;1,6;0,3", "--a", "1"),
+     "digit-reduction", "e8878a78f179cf35"),
+    (("jacobi", *RING, "--chars", "1,1;1,2;0,0", "--a", "0"), "zero-twist-split", "1d721516d7bd1f33"),
+    # non-canonical twists: the value is rotated by the product character at the twist
+    (("jacobi", *RING, "--chars", "1,1;0,1", "--a", "2"), "gauss-quotient-pair", "725a7422dc1d236f"),
+    (("jacobi", "-p", "3", "-n", "3", "-s", "1", "--chars", "1,1;1,2", "--a", "6"),
+     "gauss-quotient-ideal-pair", "151de26c2d7461bb"),
+    (("tilde-jacobi", *RING, "--chars", "1,1;1,2", "--a", "2", "-k", "1"),
+     "unit-restricted", "9dce35d2e6ee614a"),
+    (("tilde-jacobi", *RING, "--chars", "1,1;0,0;1,1", "--a", "1", "-k", "1"),
+     "mixed-free-block", "c956274fa3b2c89f"),
+]
+
+
+@pytest.mark.parametrize("argv, lemma, digest", SINGLE_SUMS)
+def test_single_sum_json_is_pinned(capsys, argv, lemma, digest):
+    """gauss, jacobi and tilde-jacobi --json, byte for byte.
+
+    A change to the output on purpose updates these digests and says so.
+    """
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["lemma"] == lemma
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_subcommands_take_the_options_they_read(capsys):
     code, out, _ = run(capsys, "gauss", *RING, "--char", "1,1", "--b", "1", "--tol", "1e-6")
     assert code == 0 and "agree: True" in out

@@ -511,7 +511,7 @@ def test_gauss_table_is_bitwise_gauss_value():
     table = gauss_table_values(r, twists(r))
     fresh = build_ring(3, 2, 2)
     chars = enumerate_characters(fresh)
-    single = [sums_module._gauss_value(chi, b) for b in twists(fresh) for chi in chars]
+    single = [gauss_sum(chi, b).value for b in twists(fresh) for chi in chars]
     assert np.array_equal(bits(table), bits(single))
     for (b, chi), value in zip(itertools.product(twists(r), enumerate_characters(r)), table):
         assert abs(value - brute_gauss(r, chi, b)) <= term_tolerance(r.unit_count)
@@ -1117,6 +1117,19 @@ def test_expected_table_rejects_bad_input(z9):
         sums_module.jacobi_expected_table(z9, np.zeros((3, 2, 3), dtype=np.int64), z9.one)
 
 
+def assert_rejects_bad_input(z9, table):
+    """table(X, a) refuses fewer than two characters, a width other than r and a foreign twist."""
+    X = all_tuples(z9, 2)
+    with pytest.raises(ValueError, match="two characters"):
+        table(X[:, :1], z9.one)
+    with pytest.raises(ValueError, match="r = 2 entries"):
+        table(np.zeros((3, 2, 3), dtype=np.int64), z9.one)
+    with pytest.raises(ValueError, match="r = 2 entries"):
+        table(np.zeros((3, 2, 1), dtype=np.int64), z9.one)
+    with pytest.raises(RingMismatch):
+        table(X, ring(2, 2, 2).one)
+
+
 @pytest.mark.parametrize("k", [None, 1])  # None: jacobi_brute_table, else the mixed domain
 def test_brute_tables_reject_bad_input(z9, k):
     def table(X, a=z9.one):
@@ -1128,14 +1141,17 @@ def test_brute_tables_reject_bad_input(z9, k):
     empty = table(X[:0])
     assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == np.complex128
     assert table([]).shape == (0,)
-    with pytest.raises(ValueError, match="two characters"):
-        table(X[:, :1])
+    assert_rejects_bad_input(z9, table)
+
+
+def test_classify_table_rejects_bad_input_as_the_brute_tables_do(z9):
+    def table(X, a=z9.one):
+        return sums_module.tilde_jacobi_classify_table(z9, X, 1, a)
+
+    assert table(all_tuples(z9, 2)[:0]) == [] and table([]) == []
+    assert_rejects_bad_input(z9, table)
     with pytest.raises(ValueError, match="r = 2 entries"):
-        table(np.zeros((3, 2, 3), dtype=np.int64))
-    with pytest.raises(ValueError, match="r = 2 entries"):
-        table(np.zeros((3, 2, 1), dtype=np.int64))
-    with pytest.raises(RingMismatch):
-        table(X, ring(2, 2, 2).one)
+        table(np.ones((1, 3, 1)))  # was broadcast and classified
 
 
 def test_canonical_twists_are_cached_copies(z27):
