@@ -520,6 +520,10 @@ class SubgroupCharacter:
         return RootOfUnity.make(self.field.trace(self.a * x), self.ring.p)
 
 
+# the section choices of _section_map; the first is the default
+SECTIONS = ("lex-min", "lex-max")
+
+
 @ring_table
 def _section_map(ring: GaloisRing, section: str) -> np.ndarray:
     """Read-only (q x r) exponents of the chosen character of R* restricting to phi_a.
@@ -534,7 +538,7 @@ def _section_map(ring: GaloisRing, section: str) -> np.ndarray:
     the keys come from the exponent and dlog arrays, in blocks of characters
     scanned from the chosen end until all q keys are seen.
     """
-    if section not in ("lex-min", "lex-max"):
+    if section not in SECTIONS:
         raise ValueError(f"unknown section {section!r}")
     if ring.n < 2:
         raise ValueError("phi_a needs characteristic exponent n >= 2")

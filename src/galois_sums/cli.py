@@ -13,6 +13,7 @@ import json
 import sys
 
 from .characters import (
+    SECTIONS,
     MultCharacter,
     character_table_json,
     decompose_unit_group,
@@ -313,7 +314,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--a-mode", choices=["unit", "zero", "ideal"], default="unit")
     sp.add_argument("--psi0", help="exponent tuple over the quotient ring")
-    sp.add_argument("--section", default="lex-min", choices=["lex-min", "lex-max"])
+    sp.add_argument("--section", default="lex-min", choices=SECTIONS)
     sp.add_argument("--export", help="write the matrix to this path")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.set_defaults(fn=cmd_codebook)

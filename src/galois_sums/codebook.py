@@ -23,6 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .characters import (
+    SECTIONS,
     MultCharacter,
     _section_map,
     character_exponents,
@@ -67,6 +68,8 @@ class CodebookParams:
             raise ValueError("m must be >= 2")
         if not 1 <= self.k <= self.m - 1:
             raise ValueError("need 1 <= k <= m - 1")
+        if self.section not in SECTIONS:
+            raise ValueError(f"unknown section {self.section!r}")
         self.ring._check_same(self.a)
         if self.psi0 is None:
             self.psi0 = MultCharacter.trivial(self.ring.reduced(1))

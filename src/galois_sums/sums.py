@@ -265,9 +265,11 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
     a term costs one gather (none for x_m when its table is all zero, as in a
     Gauss sum), two adds, one compare and one bincount into m M bins per
     tuple, folded mod M.  A chunk takes max(1, BLOCK CHAR_BLOCK // |R|)
-    tuples and a block BLOCK min(chunk, CHAR_BLOCK) terms: besides the result
-    and the scaled X with its kill mask, temporaries hold (m + 8) max(|R|,
-    BLOCK CHAR_BLOCK) + 2 chunk m M int64s.
+    tuples and a block BLOCK CHAR_BLOCK // chunk domain rows, so up to
+    BLOCK CHAR_BLOCK terms however few the tuples (a single sum of that many
+    terms is one block): besides the result and the scaled X with its kill
+    mask, temporaries hold (m + 8) max(|R|, BLOCK CHAR_BLOCK) + 2 chunk m M
+    int64s.
     """
     basis = decompose_unit_group(ring)
     size, pn, coords, extra = ring.element_count, ring.pn, ring.coord_array(), 0
@@ -290,9 +292,9 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
         tables %= M
         tables[kill[c0:c1].T[:, :, None] & off_unit] = dump
         tables[0] += np.arange(c1 - c0)[:, None] * (m * M)
-        budget = BLOCK * min(c1 - c0, CHAR_BLOCK) // (c1 - c0)  # domain rows per block
-        solved = tables[-1].any()  # else x_m adds nothing, as in a Gauss sum
-        for xs, y, index in _solved_blocks(ring, m, k, a, max(1, budget)):
+        budget = BLOCK * CHAR_BLOCK // (c1 - c0)  # domain rows per block, >= 1 as c1 - c0 <= nb
+        solved = kill[c0:c1, -1].any()  # else x_m's table is all zero, as in a Gauss sum
+        for xs, y, index in _solved_blocks(ring, m, k, a, budget):
             shape = (c1 - c0, *index.shape)
             terms = tables[-1].take(index, axis=1) if solved else np.zeros(shape, dtype=np.int64)
             terms += tables[-2].take(y, axis=1)[:, None, :]

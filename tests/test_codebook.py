@@ -368,6 +368,7 @@ def test_import_rejects_malformed_payloads():
         ),
         lambda d: d["params"].pop("ring"),
         lambda d: d["params"].update(psi0=[0, 0]),  # two exponents over Z/3, whose r is 1
+        lambda d: d["params"].update(section="bogus"),
     ]
     blobs = [variant(edit) for edit in bad] + [
         json.dumps(good["rows"]).encode(),  # a list, not an object

@@ -708,38 +708,72 @@ def test_kernel_temporaries_stay_within_the_stated_bound(monkeypatch):
     (C x m) kill mask, and at most (m + 8) max(|R|, BLOCK CHAR_BLOCK) +
     2 chunk m M int64 entries of temporaries; 16 kB more covers the
     interpreter's own objects.  Without blocking the 120 x 1728 terms alone
-    would take 1.6 MB.
+    would take 1.6 MB.  A single sum (C = 1, chunk 1) takes blocks of up to
+    BLOCK CHAR_BLOCK terms too: its 1728 terms run as 2 blocks, where
+    blocks of BLOCK terms would take 7, and stay within the same bound.
     """
     monkeypatch.setattr(sums_module, "BLOCK", 256)
     monkeypatch.setattr(sums_module, "CHAR_BLOCK", 4)
     r = ring(2, 2, 2)  # |R| = 16, 12 units, M = L = 6
-    X = sampled_tuples(r, 4, 120, 21)
     M, size = decompose_unit_group(r).lcm_order, r.element_count
-    chunk = max(1, 256 * 4 // size)
-    bound = (4 + 8) * max(size, 256 * 4) + 2 * chunk * 4 * M
-    sums_module._root_counts(r, X, 4, r.one)  # tables built, caches warm
-    tracemalloc.start()
-    try:
-        counts = sums_module._root_counts(r, X, 4, r.one)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert counts.sum() > 0
-    held = counts.nbytes + X.nbytes + X.shape[0] * X.shape[1]
-    assert peak <= held + 8 * bound + 16_000, (peak, held, 8 * bound)
+    for X in (sampled_tuples(r, 4, 120, 21), sampled_tuples(r, 4, 1, 22)):
+        chunk = min(len(X), max(1, 256 * 4 // size))
+        bound = (4 + 8) * max(size, 256 * 4) + 2 * chunk * 4 * M
+        sums_module._root_counts(r, X, 4, r.one)  # tables built, caches warm
+        tracemalloc.start()
+        try:
+            counts = sums_module._root_counts(r, X, 4, r.one)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() > 0
+        held = counts.nbytes + X.nbytes + X.shape[0] * X.shape[1]
+        assert peak <= held + 8 * bound + 16_000, (len(X), peak, held, 8 * bound)
 
-    # the compare sends every killed term to one bin: no bincount grows past chunk m M + 1
-    lengths = []
+        # the compare sends every killed term to one bin: no bincount grows past chunk m M + 1
+        lengths = []
 
-    def bincount(x, *args, **kwargs):
-        out = real(x, *args, **kwargs)
-        lengths.append(len(out))
-        return out
+        def bincount(x, *args, **kwargs):
+            out = real(x, *args, **kwargs)
+            lengths.append(len(out))
+            return out
 
-    real = np.bincount
-    monkeypatch.setattr(np, "bincount", bincount)
-    assert np.array_equal(sums_module._root_counts(r, X, 4, r.one), counts)
-    assert lengths and max(lengths) == chunk * 4 * M + 1
+        real = np.bincount
+        monkeypatch.setattr(np, "bincount", bincount)
+        assert np.array_equal(sums_module._root_counts(r, X, 4, r.one), counts)
+        monkeypatch.setattr(np, "bincount", real)
+        assert lengths and max(lengths) == chunk * 4 * M + 1
+        assert len(X) > 1 or len(lengths) == 2  # blocks of 85 and 59 rows of 12 terms
+
+
+def test_kernel_blocks_count_terms_not_tuples(monkeypatch):
+    """Every block holds up to BLOCK CHAR_BLOCK terms, whatever the chunk size.
+
+    A single m = 3 Jacobi sum over GR(2^4, 2^8) has 192^2 = 36,864 terms and
+    runs as one block; a batch of CHAR_BLOCK tuples shares each block's
+    solve, so it takes BLOCK CHAR_BLOCK // CHAR_BLOCK = BLOCK domain rows
+    at a time, as many terms as the single sum's one block may hold.
+    """
+    most = sums_module.BLOCK * sums_module.CHAR_BLOCK
+    r = ring(2, 4, 2)
+    chars = enumerate_characters(r)
+    rows = []
+
+    def counted(*args):
+        for xs, y, index in real(*args):
+            rows.append(index.size)
+            yield xs, y, index
+
+    real = sums_module._solved_blocks
+    monkeypatch.setattr(sums_module, "_solved_blocks", counted)
+    sv = jacobi_brute([chars[5], chars[77], chars[100]], r.scalar(3))
+    assert sv.terms == 36_864 and rows == [36_864]
+
+    rows.clear()
+    X = sampled_tuples(r, 3, sums_module.CHAR_BLOCK, 23)
+    sums_module.jacobi_brute_table(r, X, r.scalar(3))
+    assert len(rows) > 1 and sum(rows) == 36_864
+    assert max(rows) * len(X) <= most
 
 
 # ---------------------------------------------------------------------------
