@@ -12,8 +12,15 @@ The brute-force kernel sums C character tuples over one domain at once into
 a (C x M) integer count matrix: row c counts, per j, the terms of tuple c
 equal to exp(2 pi i j / M).  Every row becomes complex the same way, over
 ascending j, so a sum in a table (jacobi_brute_table, gauss_table) is
-bit-identical to the same sum computed alone.  The functions that take one
-tuple of MultCharacter objects are each the C = 1 row of a table function.
+bit-identical to the same sum computed alone.  A table sums each orbit of
+the domain's symmetry once: permuting characters within the unit block
+x_1..x_k or within the free block x_{k+1}..x_m maps the solved domain onto
+itself, so such tuples have equal count rows, bin for bin, and bit-equal
+values (see _domain_sums).  The functions that take one tuple of
+MultCharacter objects are each the C = 1 row of a table function.
+
+One agreement rule decides brute value against expectation (agreement):
+for one sum in SumValue.agrees, for a whole table in agrees_table.
 
 The closed form is dispatched over tables too: jacobi_expected_table takes
 C exponent tuples and one canonical twist a (jacobi_expected is its C = 1
@@ -111,6 +118,11 @@ class Expected:
             return abs(self.value)
         return None
 
+    def facts(self, q: int) -> tuple[float, complex]:
+        """(magnitude, pinned value) for the agreement rule, NaN where the law gives none."""
+        mag = self.magnitude(q)
+        return math.nan if mag is None else mag, math.nan if self.value is None else self.value
+
     def shift_power(self, j: Fraction, c: int, lemma: str) -> Expected:
         """Expectation of c * (this sum) where c = q**j exactly."""
         if self.kind == "power_of_q":
@@ -172,17 +184,9 @@ class SumValue:
         return term_tolerance(self.terms)
 
     def agrees(self, q: int, tol: float | None = None) -> bool:
-        """Within tol of the expected magnitude and, when pinned, the value.
-
-        An unclassified expectation predicts nothing, so it never agrees.
-        """
+        """The agreement rule for this one sum; tol defaults to its term tolerance."""
         tol = self.tolerance if tol is None else tol
-        mag = self.expected.magnitude(q)
-        if mag is None or abs(abs(self.value) - mag) > tol:
-            return False
-        if self.expected.value is not None and abs(self.value - self.expected.value) > tol:
-            return False
-        return True
+        return bool(agreement(self.value, *self.expected.facts(q), tol))
 
     def to_json(self) -> dict:
         return {
@@ -191,6 +195,27 @@ class SumValue:
             "terms": self.terms,
             "lemma": self.expected.lemma,
         }
+
+
+def agreement(values, magnitudes, pinned, tol):
+    """The one agreement rule, for one sum (scalars) or per row (arrays).
+
+    A value agrees when |abs(value) - magnitude| <= tol and, where a value
+    is pinned (pinned is not NaN), |value - pinned| <= tol too.  A NaN
+    magnitude, an unclassified law's, never agrees.
+    """
+    unpinned = pinned != pinned  # NaN
+    return (abs(abs(values) - magnitudes) <= tol) & (unpinned | (abs(values - pinned) <= tol))
+
+
+def agrees_table(values, expected: list[Expected], q: int, tol) -> np.ndarray:
+    """agreement per row of a table of sums and their expectations."""
+    laws = {id(e): e for e in expected}  # the rows of a class share one Expected: read it once
+    slot = {key: i for i, key in enumerate(laws)}
+    at = np.fromiter([slot[id(e)] for e in expected], dtype=np.intp, count=len(expected))
+    facts = np.array([e.facts(q) for e in laws.values()], dtype=np.complex128).reshape(-1, 2)
+    magnitudes, pinned = facts[at].T
+    return agreement(np.asarray(values, dtype=np.complex128), magnitudes.real, pinned, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +285,10 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
     table of X_i . dlog(x) mod M at every element x (M the lcm of the
     unit-group orders, and of p^n when a twist b adds tr(b x) to x_1's table:
     a Gauss sum is m = 2, k = 1, a = 0, chi_2 trivial), killed on the
-    non-units where chi_i is nontrivial and for x_m when k >= m.  Over the
+    non-units where chi_i is nontrivial and for x_m when k >= m.  The twist
+    term is one |R|-long product, x . (tr(b xi^i) mod p^n) M / p^n: each of
+    its entries lies below s p^n M, so it stays in int64 until the table's
+    one reduction mod M.  Over the
     broadcast blocks of _solved_blocks, whose solve the chunk's tuples share,
     a term costs one gather (none for x_m when its table is all zero, as in a
     Gauss sum), two adds, one compare and one bincount into m M bins per
@@ -275,7 +303,7 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
     size, pn, coords, extra = ring.element_count, ring.pn, ring.coord_array(), 0
     M = basis.lcm_order if b is None else math.lcm(basis.lcm_order, pn)
     if b is not None:  # tr(b x) = sum_i x_i tr(b xi^i) over the polynomial-basis coordinates
-        extra = coords @ (trace_form(ring) @ b.coords % pn) % pn * (M // pn)
+        extra = coords @ (trace_form(ring) @ b.coords % pn * (M // pn))
     X = X * (basis.scale * (M // basis.lcm_order))  # the one copy of X
     count, m = X.shape[:2]
     kill, off_unit = X.any(axis=2), ~ring.unit_mask()
@@ -325,7 +353,16 @@ def _exponent_tuples(ring: GaloisRing, X) -> np.ndarray:
 
 
 def _domain_sums(ring: GaloisRing, X, k: int | None, a: RingElement, cap: int):
-    """Sums over the solved domain for k (None: m) and terms per sum, capped before the kernel."""
+    """Sums over the solved domain for k (None: m) and terms per sum, capped before the kernel.
+
+    One kernel row per orbit: the domain is symmetric within its unit block
+    x_1..x_k and within its free block x_{k+1}..x_m (one block of m for a
+    Jacobi sum), so tuples whose character indices sort to the same rows
+    within each block have equal count rows, bin for bin, which
+    _complex_rows turns into bit-equal values.  The distinct sorted rows go
+    to _root_counts and every tuple reads its orbit's value; a single tuple
+    has nothing to share and skips the key.
+    """
     ring._check_same(a)
     if not len(X):
         return [], 0
@@ -335,7 +372,17 @@ def _domain_sums(ring: GaloisRing, X, k: int | None, a: RingElement, cap: int):
     terms = ring.unit_count ** min(k, m - 1) * ring.element_count ** max(m - 1 - k, 0)
     if terms > cap:
         raise TooLarge(f"{terms} tuples exceeds cap {cap}")
-    return _complex_rows(_root_counts(ring, X, k, a)), terms
+    if len(X) == 1:
+        return _complex_rows(_root_counts(ring, X, k, a)), terms
+    basis = decompose_unit_group(ring)
+    count, index = math.prod(basis.orders), X @ basis.radix  # characters; their indices
+    index[:, :k].sort(axis=1)
+    index[:, k:].sort(axis=1)
+    # one int64 per row where count^m fits, else the rows themselves: never a wrapped key
+    key = index @ count ** np.arange(m - 1, -1, -1) if count ** m <= 2 ** 63 - 1 else index
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    values = _complex_rows(_root_counts(ring, X[first], k, a))
+    return [values[i] for i in inverse.tolist()], terms
 
 
 def _single(chars) -> tuple[GaloisRing, np.ndarray]:

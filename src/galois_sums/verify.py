@@ -6,6 +6,12 @@ subcommand runs and what the acceptance tests run; those tests assert every
 check except the pinned published constants below.  Any label that can fail
 explains itself.
 
+Each table is decided at once: the Gauss, Jacobi and mixed-domain suites
+compare a whole table of brute values with its expectations by the one
+agreement rule (sums.agrees_table), and the recursion suite compares its
+stated and corrected factors by one array comparison each.  Detail strings
+are built only for the rows that fail, in tuple-major, twist-minor order.
+
 Three checks in these suites pin reference constants that brute force
 refutes; they are kept as stated rather than patched to pass.  Each such
 check is paired with a companion check of the corrected quantity:
@@ -46,7 +52,7 @@ from .codebook import (
 from .ring import GaloisRing, build_ring
 from .sums import (
     Expected,
-    SumValue,
+    agrees_table,
     canonical_twists,
     count_unit_solutions,
     count_unit_solutions_brute,
@@ -111,13 +117,14 @@ def verify_gauss_laws(seed: int = 0, tol: float = 1e-6) -> SuiteResult:
     rng = random.Random(seed)
     for p, n, s in GAUSS_RINGS:
         ring = cached_ring(p, n, s)
-        units, levels, bad = ring.units(), character_levels(ring).tolist(), 0
+        units, levels, values, expected = ring.units(), character_levels(ring).tolist(), [], []
         twists = [t for b in canonical_twists(ring) for t in (b, b * rng.choice(units))]
         for b in twists:
             laws = [gauss_law(ring, level, b) for level in range(n + 1)]  # one per level
-            for value, level in zip(gauss_table(ring, b), levels):
-                bad += not SumValue(value, laws[level], ring.unit_count).agrees(ring.q, tol)
-        total = len(levels) * len(twists)
+            values += gauss_table(ring, b)
+            expected += [laws[level] for level in levels]
+        total = len(expected)
+        bad = total - int(agrees_table(values, expected, ring.q, tol).sum())
         result.add(f"{ring}", bad == 0, f"{total - bad}/{total} twists agree")
     return result
 
@@ -138,23 +145,20 @@ def _jacobi_failures(ring: GaloisRing, m: int, tol: float) -> tuple[int, int, li
     X = _tuples(character_exponents(ring), m)
     unclassified, failures = 0, []
     for i, a in enumerate(canonical_twists(ring)):
-        brute = jacobi_brute_table(ring, X, a).tolist()
-        for c, (value, e) in enumerate(zip(brute, jacobi_expected_table(ring, X, a))):
-            if e.kind == "unclassified":
-                unclassified += 1
-            ok, msg = _jacobi_case_ok(ring, value, e, tol)
-            if not ok:
-                failures.append((c, i, msg))
+        brute, expected = jacobi_brute_table(ring, X, a), jacobi_expected_table(ring, X, a)
+        for c in np.flatnonzero(~agrees_table(brute, expected, ring.q, tol)).tolist():
+            e = expected[c]
+            unclassified += e.kind == "unclassified"  # never agrees
+            failures.append((c, i, _jacobi_miss(ring, complex(brute[c]), e)))
     return len(X) * (ring.n + 1), unclassified, failures
 
 
-def _jacobi_case_ok(ring: GaloisRing, brute: complex, e: Expected, tol: float) -> tuple[bool, str]:
+def _jacobi_miss(ring: GaloisRing, brute: complex, e: Expected) -> str:
+    """The detail of a brute value that disagrees with its expectation."""
     if e.kind == "unclassified":
-        return False, "unclassified"
-    if SumValue(brute, e, terms=0).agrees(ring.q, tol):  # tol is explicit: terms unused
-        return True, ""
+        return "unclassified"
     value = "" if e.value is None else f" = {e.value:.6g}"
-    return False, f"brute={brute:.6g} expected |J| = {e.magnitude(ring.q):.6g}{value} ({e.lemma})"
+    return f"brute={brute:.6g} expected |J| = {e.magnitude(ring.q):.6g}{value} ({e.lemma})"
 
 
 def verify_jacobi_pairs(tol: float = 1e-6) -> SuiteResult:
@@ -202,28 +206,25 @@ def verify_recursion(tol: float = 1e-6) -> SuiteResult:
                 continue
             X = _tuples(exponents[character_levels(ring) <= n - k], 2)
             twists = canonical_twists(ring)
-            lhs_tables = [jacobi_brute_table(ring, X, a) for a in twists]
             projected = project_exponents(ring, X, k)
-            rhs_tables = [
-                jacobi_brute_table(ring.reduced(k), projected, ring.reduce(a, k)) for a in twists
-            ]
-            stated_bad = 0
-            corrected_bad = 0
-            total = 0
+            # (C x twists): tuple-major, twist-minor, the order of the first witness
+            lhs = np.stack([jacobi_brute_table(ring, X, a) for a in twists], axis=1)
+            rhs = np.stack(
+                [jacobi_brute_table(ring.reduced(k), projected, ring.reduce(a, k)) for a in twists],
+                axis=1,
+            )
+            total = lhs.size
+            stated = np.flatnonzero(abs(lhs - q ** (m * k) * rhs) > tol)
+            stated_bad = len(stated)
+            corrected_bad = int((abs(lhs - q ** (k * (m - 1)) * rhs) > tol).sum())
             witness = ""
-            for c, pair in enumerate(X.tolist()):
-                for lhs_table, rhs_table, a in zip(lhs_tables, rhs_tables, twists):
-                    total += 1
-                    lhs, rhs = complex(lhs_table[c]), complex(rhs_table[c])
-                    if abs(lhs - q ** (m * k) * rhs) > tol:
-                        stated_bad += 1
-                        if not witness:
-                            witness = (
-                                f"chars {tuple(pair[0])},{tuple(pair[1])} a={a.coords}: "
-                                f"J={lhs:.6g} but q^(mk)*J'={q ** (m * k) * rhs:.6g}"
-                            )
-                    if abs(lhs - q ** (k * (m - 1)) * rhs) > tol:
-                        corrected_bad += 1
+            if stated_bad:
+                c, i = divmod(int(stated[0]), len(twists))
+                pair, left, right = X[c].tolist(), complex(lhs[c, i]), complex(rhs[c, i])
+                witness = (
+                    f"chars {tuple(pair[0])},{tuple(pair[1])} a={twists[i].coords}: "
+                    f"J={left:.6g} but q^(mk)*J'={q ** (m * k) * right:.6g}"
+                )
             result.add(
                 f"{ring} k={k} stated factor q^(mk)",
                 stated_bad == 0,
@@ -406,19 +407,22 @@ def verify_tilde_cases(seed: int = 1, trials: int = 500, tol: float = 1e-6) -> S
         brute = tilde_jacobi_brute_table(ring, X, k, a).tolist()
         for i, v, e in zip(trial, brute, tilde_jacobi_classify_table(ring, X, k, a)):
             values[i], expected[i] = v, e
-    bad = 0
-    witness = ""
+    ok = np.empty(trials, dtype=bool)
+    for ring in rings:  # one table per ring: the magnitude laws read q
+        at = [i for i, draw in enumerate(draws) if draw[0] is ring]
+        ok[at] = agrees_table([values[i] for i in at], [expected[i] for i in at], ring.q, tol)
     cases: dict[str, int] = {}
-    for (ring, k, tup, a), value, e in zip(draws, values, expected):
+    for e in expected:
         cases[e.lemma] = cases.get(e.lemma, 0) + 1
-        if not SumValue(value, e, terms=0).agrees(ring.q, tol):  # tol is explicit: terms unused
-            bad += 1
-            if not witness:
-                witness = f"{ring} chars={tup} k={k} a={a.coords}: brute {value:.6g} vs {e}"
+    bad = np.flatnonzero(~ok).tolist()
+    witness = ""
+    if bad:
+        (ring, k, tup, a), value, e = draws[bad[0]], values[bad[0]], expected[bad[0]]
+        witness = f"{ring} chars={tup} k={k} a={a.coords}: brute {value:.6g} vs {e}"
     split = ", ".join(f"{k}={v}" for k, v in sorted(cases.items()))
     result.add(
         f"{trials} random configurations",
-        bad == 0,
+        not bad,
         witness or f"all agree; case split: {split}",
     )
     return result

@@ -9,12 +9,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import galois_sums.sums as sums_module
+import galois_sums.verify as verify_module
 from galois_sums import (
     AdditiveCharacter,
     Expected,
@@ -1196,3 +1198,171 @@ def test_canonical_twists_are_cached_copies(z27):
     assert all(sums_module.is_canonical(t) for t in canonical_twists(z27))
     assert not sums_module.is_canonical(z27.scalar(2))
     assert not sums_module.is_canonical(z27.scalar(6))
+
+
+# ---------------------------------------------------------------------------
+# one kernel row per orbit of the domain's symmetry
+
+ORBIT_RINGS = [(3, 3, 1), (2, 2, 2), (3, 2, 2)]
+
+
+def domain_table(r, X, k, a):
+    """jacobi_brute_table for k None, else tilde_jacobi_brute_table."""
+    if k is None:
+        return sums_module.jacobi_brute_table(r, X, a)
+    return sums_module.tilde_jacobi_brute_table(r, X, k, a)
+
+
+def block_shuffled(row, k, rng):
+    """row with its unit block (the first k) and its free block each shuffled in place."""
+    head, tail = list(row[:k]), list(row[k:])
+    rng.shuffle(head)
+    rng.shuffle(tail)
+    return head + tail
+
+
+@pytest.mark.parametrize("key", ORBIT_RINGS)
+def test_orbit_tables_are_bitwise_single_calls(key):
+    """Permuted and repeated tuples read their orbit's row, bit for bit the C = 1 call.
+
+    For the mixed domain, swapping x_k and x_{k+1} crosses the unit/free
+    boundary: that tuple is another orbit and must not be merged.  The first
+    row, a level-1 character psi and trivial ones, shows it at m = 2, k = 1,
+    a = 1: J(psi, 1) sums psi over the units, 0, while J(1, psi) sums psi
+    over the units y with 1 - y a unit, -q^(n-1).
+    """
+    r = ring(*key)
+    rng = random.Random(repr(key))
+    psi = character_exponents(r)[sums_module.character_levels(r) == 1][0]
+    for m in (2, 3, 4):
+        for k in [None, *range(1, m)]:
+            block = m if k is None else k
+            rows = [[psi] + [0 * psi] * (m - 1), *sampled_tuples(r, m, 3, m)]
+            rows += [block_shuffled(row, block, rng) for row in rows] + [rows[1]]
+            if k is not None:
+                swapped = list(rows[0])
+                swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
+                rows.append(swapped)
+            X = np.array(rows, dtype=np.int64)
+            table = domain_table(r, X, k, r.one)
+            single = [domain_table(r, X[c : c + 1], k, r.one)[0] for c in range(len(X))]
+            assert np.array_equal(table.view(np.uint64), np.array(single).view(np.uint64))
+            if (m, k) == (2, 1):
+                assert abs(single[0]) < 1e-9 and abs(single[-1] + r.q ** (r.n - 1)) < 1e-9
+
+
+def test_every_orbit_reaches_the_kernel_once(monkeypatch):
+    """All 12^3 triples over GR(2^2, 2^4) are C(14, 3) = 364 multisets; with k = 1 or 2
+    the blocks sort apart, 12 x C(13, 2) = 936 rows."""
+    r = ring(2, 2, 2)
+    reached = []
+
+    def counted(ring_, X, *args):
+        reached.append(len(X))
+        return real(ring_, X, *args)
+
+    real = sums_module._root_counts
+    monkeypatch.setattr(sums_module, "_root_counts", counted)
+    X = all_tuples(r, 3)
+    assert len(X) == 1728
+    sums_module.jacobi_brute_table(r, X, r.one)
+    sums_module.tilde_jacobi_brute_table(r, X, 1, r.one)
+    sums_module.tilde_jacobi_brute_table(r, X, 2, r.one)
+    assert reached == [364, 936, 936]
+
+
+def test_orbit_key_never_wraps(monkeypatch):
+    """Over Z/4 (2 characters) with m = 66, count^m = 2^66 does not fit in int64.
+
+    A radix key wrapped mod 2^64 would merge the rows with 64, 65 and 66
+    nontrivial characters (each key is 2^t - 1 = -1 mod 2^64).  The kernel,
+    stubbed here, returns each tuple's position as its value, so every row
+    shows which tuple its orbit was summed at.
+    """
+    r = ring(2, 2, 1)
+    m, rng = 66, random.Random(66)
+    rows = []
+    for t in (64, 65, 66, 64, 1):
+        row = [1] * t + [0] * (m - t)
+        rng.shuffle(row)
+        rows.append(row)
+    X = character_exponents(r)[rows]  # character 1 is the nontrivial one
+    seen = []
+
+    def positions(ring_, X, k, a):
+        seen.append(X.any(axis=2).sum(axis=1).tolist())  # the orbit: its nontrivial count
+        return np.arange(len(X), dtype=np.int64)[:, None]
+
+    monkeypatch.setattr(sums_module, "_root_counts", positions)
+    table = sums_module.jacobi_brute_table(r, X, r.one, cap=2 ** 66)
+    (orbits,) = seen
+    assert sorted(orbits) == [1, 64, 65, 66]
+    assert [orbits[int(v.real)] for v in table] == [64, 65, 66, 64, 1]
+
+
+# ---------------------------------------------------------------------------
+# the one agreement rule, over tables
+
+
+def row_agrees(value, e, q, tol):
+    """The agreement rule as one loop body over Python scalars: the oracle."""
+    mag = e.magnitude(q)
+    if mag is None or abs(abs(value) - mag) > tol:
+        return False
+    if e.value is not None and abs(value - e.value) > tol:
+        return False
+    return True
+
+
+def test_agrees_table_is_the_row_rule():
+    tol, q = 1e-6, 4
+    laws = [
+        (Expected.unclassified(), [0j, 8 + 0j]),
+        (Expected.zero("z"), [0j, 1e-7j, 2 * tol + 0j]),
+        (Expected.of_integer(-3, "i"), [-3 + 0j, 3 + 0j, -3 + 2 * tol]),
+        (Expected.power(Fraction(3, 2), "p"), [8 + 0j, -8j, 8 + 2 * tol, 8.5 + 0j]),
+        (Expected.power(Fraction(1), "v", value=4j), [4j, -4j, 4j + 2j * tol, 4 + 0j]),
+        (Expected.exact(1 + 1j, "e"), [1 + 1j, 1 - 1j, 1 + 1j + 2 * tol]),
+    ]
+    values = [v for _, vs in laws for v in vs]
+    expected = [e for e, vs in laws for _ in vs]
+    want = [row_agrees(v, e, q, tol) for v, e in zip(values, expected)]
+    assert want == [False, False, True, True, False, True, False, False, True, True, False, False,
+                    True, False, False, False, True, False, False]
+    assert sums_module.agrees_table(values, expected, q, tol).tolist() == want
+    assert [SumValue(v, e, terms=0).agrees(q, tol) for v, e in zip(values, expected)] == want
+    assert not sums_module.agrees_table([0j], [Expected.unclassified()], q, float("inf"))[0]
+    assert sums_module.agrees_table([], [], q, tol).shape == (0,)
+
+    r = ring(2, 2, 2)
+    X = all_tuples(r, 3)
+    for a in canonical_twists(r):
+        brute = sums_module.jacobi_brute_table(r, X, a)
+        expected = sums_module.jacobi_expected_table(r, X, a)
+        for t in (1e-6, 1e-14):  # the second makes rows disagree by rounding
+            want = [row_agrees(v, e, r.q, t) for v, e in zip(brute.tolist(), expected)]
+            assert sums_module.agrees_table(brute, expected, r.q, t).tolist() == want
+
+
+def test_a_moved_brute_value_turns_exactly_its_row_red(monkeypatch):
+    r = verify_module.cached_ring(2, 2, 2)
+    twist = canonical_twists(r)[1]
+    X = verify_tuples(character_exponents(r), 3)
+    expected = sums_module.jacobi_expected_table(r, X, twist)
+    row = next(c for c, e in enumerate(expected) if e.kind == "power_of_q" and e.value is not None)
+    real = verify_module.jacobi_brute_table
+
+    def moved(ring_, X, a):
+        table = real(ring_, X, a)
+        if ring_ is r and a == twist:
+            table[row] += 0.5
+        return table
+
+    monkeypatch.setattr(verify_module, "jacobi_brute_table", moved)
+    e, brute = expected[row], complex(real(r, X, twist)[row]) + 0.5
+    want = (
+        f"brute={brute:.6g} expected |J| = {e.magnitude(r.q):.6g} = {e.value:.6g} ({e.lemma})"
+    )
+    assert verify_module._jacobi_failures(r, 3, 1e-6) == (1728 * 3, 0, [(row, 1, want)])
+    result = verify_module.verify_jacobi_triples()
+    assert [(c.label, c.detail) for c in result.checks if not c.ok] == [(f"{r} agreement", want)]
