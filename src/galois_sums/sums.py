@@ -12,12 +12,8 @@ The brute-force kernel sums C character tuples over one domain at once into
 a (C x M) integer count matrix: row c counts, per j, the terms of tuple c
 equal to exp(2 pi i j / M).  Every row becomes complex the same way, over
 ascending j, so a sum in a table (jacobi_brute_table, gauss_table) is
-bit-identical to the same sum computed alone.  A table sums each orbit of
-the domain's symmetry once: permuting characters within the unit block
-x_1..x_k or within the free block x_{k+1}..x_m maps the solved domain onto
-itself, so such tuples have equal count rows, bin for bin, and bit-equal
-values (see _domain_sums).  The functions that take one tuple of
-MultCharacter objects are each the C = 1 row of a table function.
+bit-identical to the same sum computed alone.  The functions that take one
+tuple of MultCharacter objects are each the C = 1 row of a table function.
 
 One agreement rule decides brute value against expectation (agreement):
 for one sum in SumValue.agrees, for a whole table in agrees_table.
@@ -353,16 +349,7 @@ def _exponent_tuples(ring: GaloisRing, X) -> np.ndarray:
 
 
 def _domain_sums(ring: GaloisRing, X, k: int | None, a: RingElement, cap: int):
-    """Sums over the solved domain for k (None: m) and terms per sum, capped before the kernel.
-
-    One kernel row per orbit: the domain is symmetric within its unit block
-    x_1..x_k and within its free block x_{k+1}..x_m (one block of m for a
-    Jacobi sum), so tuples whose character indices sort to the same rows
-    within each block have equal count rows, bin for bin, which
-    _complex_rows turns into bit-equal values.  The distinct sorted rows go
-    to _root_counts and every tuple reads its orbit's value; a single tuple
-    has nothing to share and skips the key.
-    """
+    """Sums over the solved domain for k (None: m) and terms per sum, capped before the kernel."""
     ring._check_same(a)
     if not len(X):
         return [], 0
@@ -372,17 +359,7 @@ def _domain_sums(ring: GaloisRing, X, k: int | None, a: RingElement, cap: int):
     terms = ring.unit_count ** min(k, m - 1) * ring.element_count ** max(m - 1 - k, 0)
     if terms > cap:
         raise TooLarge(f"{terms} tuples exceeds cap {cap}")
-    if len(X) == 1:
-        return _complex_rows(_root_counts(ring, X, k, a)), terms
-    basis = decompose_unit_group(ring)
-    count, index = math.prod(basis.orders), X @ basis.radix  # characters; their indices
-    index[:, :k].sort(axis=1)
-    index[:, k:].sort(axis=1)
-    # one int64 per row where count^m fits, else the rows themselves: never a wrapped key
-    key = index @ count ** np.arange(m - 1, -1, -1) if count ** m <= 2 ** 63 - 1 else index
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    values = _complex_rows(_root_counts(ring, X[first], k, a))
-    return [values[i] for i in inverse.tolist()], terms
+    return _complex_rows(_root_counts(ring, X, k, a)), terms
 
 
 def _single(chars) -> tuple[GaloisRing, np.ndarray]:

@@ -1201,106 +1201,6 @@ def test_canonical_twists_are_cached_copies(z27):
 
 
 # ---------------------------------------------------------------------------
-# one kernel row per orbit of the domain's symmetry
-
-ORBIT_RINGS = [(3, 3, 1), (2, 2, 2), (3, 2, 2)]
-
-
-def domain_table(r, X, k, a):
-    """jacobi_brute_table for k None, else tilde_jacobi_brute_table."""
-    if k is None:
-        return sums_module.jacobi_brute_table(r, X, a)
-    return sums_module.tilde_jacobi_brute_table(r, X, k, a)
-
-
-def block_shuffled(row, k, rng):
-    """row with its unit block (the first k) and its free block each shuffled in place."""
-    head, tail = list(row[:k]), list(row[k:])
-    rng.shuffle(head)
-    rng.shuffle(tail)
-    return head + tail
-
-
-@pytest.mark.parametrize("key", ORBIT_RINGS)
-def test_orbit_tables_are_bitwise_single_calls(key):
-    """Permuted and repeated tuples read their orbit's row, bit for bit the C = 1 call.
-
-    For the mixed domain, swapping x_k and x_{k+1} crosses the unit/free
-    boundary: that tuple is another orbit and must not be merged.  The first
-    row, a level-1 character psi and trivial ones, shows it at m = 2, k = 1,
-    a = 1: J(psi, 1) sums psi over the units, 0, while J(1, psi) sums psi
-    over the units y with 1 - y a unit, -q^(n-1).
-    """
-    r = ring(*key)
-    rng = random.Random(repr(key))
-    psi = character_exponents(r)[sums_module.character_levels(r) == 1][0]
-    for m in (2, 3, 4):
-        for k in [None, *range(1, m)]:
-            block = m if k is None else k
-            rows = [[psi] + [0 * psi] * (m - 1), *sampled_tuples(r, m, 3, m)]
-            rows += [block_shuffled(row, block, rng) for row in rows] + [rows[1]]
-            if k is not None:
-                swapped = list(rows[0])
-                swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
-                rows.append(swapped)
-            X = np.array(rows, dtype=np.int64)
-            table = domain_table(r, X, k, r.one)
-            single = [domain_table(r, X[c : c + 1], k, r.one)[0] for c in range(len(X))]
-            assert np.array_equal(table.view(np.uint64), np.array(single).view(np.uint64))
-            if (m, k) == (2, 1):
-                assert abs(single[0]) < 1e-9 and abs(single[-1] + r.q ** (r.n - 1)) < 1e-9
-
-
-def test_every_orbit_reaches_the_kernel_once(monkeypatch):
-    """All 12^3 triples over GR(2^2, 2^4) are C(14, 3) = 364 multisets; with k = 1 or 2
-    the blocks sort apart, 12 x C(13, 2) = 936 rows."""
-    r = ring(2, 2, 2)
-    reached = []
-
-    def counted(ring_, X, *args):
-        reached.append(len(X))
-        return real(ring_, X, *args)
-
-    real = sums_module._root_counts
-    monkeypatch.setattr(sums_module, "_root_counts", counted)
-    X = all_tuples(r, 3)
-    assert len(X) == 1728
-    sums_module.jacobi_brute_table(r, X, r.one)
-    sums_module.tilde_jacobi_brute_table(r, X, 1, r.one)
-    sums_module.tilde_jacobi_brute_table(r, X, 2, r.one)
-    assert reached == [364, 936, 936]
-
-
-def test_orbit_key_never_wraps(monkeypatch):
-    """Over Z/4 (2 characters) with m = 66, count^m = 2^66 does not fit in int64.
-
-    A radix key wrapped mod 2^64 would merge the rows with 64, 65 and 66
-    nontrivial characters (each key is 2^t - 1 = -1 mod 2^64).  The kernel,
-    stubbed here, returns each tuple's position as its value, so every row
-    shows which tuple its orbit was summed at.
-    """
-    r = ring(2, 2, 1)
-    m, rng = 66, random.Random(66)
-    rows = []
-    for t in (64, 65, 66, 64, 1):
-        row = [1] * t + [0] * (m - t)
-        rng.shuffle(row)
-        rows.append(row)
-    X = character_exponents(r)[rows]  # character 1 is the nontrivial one
-    seen = []
-
-    def positions(ring_, X, k, a):
-        seen.append(X.any(axis=2).sum(axis=1).tolist())  # the orbit: its nontrivial count
-        return np.arange(len(X), dtype=np.int64)[:, None]
-
-    monkeypatch.setattr(sums_module, "_root_counts", positions)
-    table = sums_module.jacobi_brute_table(r, X, r.one, cap=2 ** 66)
-    (orbits,) = seen
-    assert sorted(orbits) == [1, 64, 65, 66]
-    assert [orbits[int(v.real)] for v in table] == [64, 65, 66, 64, 1]
-
-
-# ---------------------------------------------------------------------------
 # the one agreement rule, over tables
 
 
