@@ -18,9 +18,11 @@ order of their exponent tuples.  character_levels holds the triviality level
 of every character.  For j >= 1 the layer (1 + p^j R)/(1 + p^(j+1) R) is
 isomorphic to R/pR, so 1 + p^k R is generated by the s(n - k) elements
 1 + p^j xi^i (k <= j < n, i < s), and a level is read at those s(n - 1)
-generators alone.  The section map (an exponent table, one row per
-residue-field element) and the character table are read from the exponent
-and dlog arrays; exponent_array checks every exponent array taken as input.
+generators alone.  character_numerators is the one array evaluator of
+characters (X_i (L / d_i) . dlog(w) mod L): the levels, the signs chi(-1),
+the section map (an exponent table, one row per residue-field element) and
+the transports along the reduction map read characters through it, and
+exponent_array checks every exponent array taken as input.
 """
 from __future__ import annotations
 
@@ -310,12 +312,9 @@ class _DlogView(Mapping):
         return self.ring.unit_count
 
 
-def _scaled_exponents(basis: UnitGroupBasis, start: int, stop: int) -> np.ndarray:
-    """X_i = e_i * (L / d_i) for characters [start, stop) in enumerate_characters order.
-
-    A character's value at a unit w is exp(2 pi i (X . dlog(w)) / L).
-    """
-    return np.stack(np.unravel_index(np.arange(start, stop), basis.orders), axis=1) * basis.scale
+def _exponent_block(basis: UnitGroupBasis, start: int, stop: int) -> np.ndarray:
+    """(stop - start) x r exponents of characters [start, stop) in enumerate_characters order."""
+    return np.stack(np.unravel_index(np.arange(start, stop), basis.orders), axis=1)
 
 
 @ring_table
@@ -332,12 +331,12 @@ def character_levels(ring: GaloisRing) -> np.ndarray:
     basis = decompose_unit_group(ring)
     layers, eye = np.arange(1, ring.n), np.eye(ring.s, dtype=np.int64)
     points = (ring.p ** layers[:, None, None] * eye + eye[0]).reshape(-1, ring.s)
-    rows = dlog_matrix(ring)[ring.index_of(points)].T  # r x s(n - 1), layer by layer
+    units = ring.index_of(points)  # s(n - 1) generators, layer by layer
     count = math.prod(basis.orders)
     levels = np.empty(count, dtype=np.int8)
     for start in range(0, count, CHAR_BLOCK):
-        x = _scaled_exponents(basis, start, min(start + CHAR_BLOCK, count))
-        live = ((x @ rows) % basis.lcm_order).reshape(len(x), -1, ring.s).any(axis=2)
+        x = _exponent_block(basis, start, min(start + CHAR_BLOCK, count))
+        live = character_numerators(ring, x, units).reshape(len(x), -1, ring.s).any(axis=2)
         level = 1 + (live * layers).max(axis=1, initial=0)
         level[~x.any(axis=1)] = 0
         levels[start : start + len(x)] = level
@@ -350,7 +349,8 @@ def character_signs(ring: GaloisRing) -> np.ndarray:
 
     Cached per ring.
     """
-    num = character_numerators(ring, character_exponents(ring), -ring.one)
+    minus_one = [ring._index((-ring.one).coords)]
+    num = character_numerators(ring, character_exponents(ring), minus_one)[:, 0]
     if (2 * num % decompose_unit_group(ring).lcm_order).any():
         raise BrokenInvariant("a character takes a value other than +1 or -1 at -1")
     return np.where(num == 0, 1, -1).astype(np.int8)
@@ -480,15 +480,23 @@ def exponent_array(ring: GaloisRing, X) -> np.ndarray:
 
 def character_exponents(ring: GaloisRing) -> np.ndarray:
     """(count x r) exponents of every character, in enumerate_characters order."""
-    orders = decompose_unit_group(ring).orders
-    return np.stack(np.unravel_index(np.arange(math.prod(orders)), orders), axis=-1)
+    basis = decompose_unit_group(ring)
+    return _exponent_block(basis, 0, math.prod(basis.orders))
 
 
-def character_numerators(ring: GaloisRing, X, w: RingElement) -> np.ndarray:
-    """chi(w) = exp(2 pi i num / L) at a unit w for each exponent tuple of X: num mod L."""
+def character_numerators(ring: GaloisRing, X, units) -> np.ndarray:
+    """chi(w) = exp(2 pi i num / L) for each exponent tuple of X at each unit w: num mod L.
+
+    units is a 1-D array of element indices, and the result (... x len(units))
+    holds X_i (L / d_i) . dlog(w) mod L; NotAUnit when an index is not a unit.
+    """
     basis, X = decompose_unit_group(ring), exponent_array(ring, X)
+    units = np.asarray(units, dtype=np.int64)
+    inside = units[~ring.unit_mask()[units]]
+    if inside.size:
+        raise NotAUnit(f"element index {inside[0]} of {ring} lies in the maximal ideal")
     X *= basis.scale
-    return X @ np.array(_dlog_row(ring, w)) % basis.lcm_order
+    return X @ dlog_matrix(ring)[units].T % basis.lcm_order
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +554,8 @@ def _section_map(ring: GaloisRing, section: str) -> np.ndarray:
     field = ring.residue_field()
     p, L = ring.p, basis.lcm_order
     eye = np.eye(field.s, dtype=np.int64)
-    points = p ** (ring.n - 1) * eye + eye[0]  # 1 + p^(n-1) xi^i
-    w, place = dlog_matrix(ring)[ring.index_of(points)].T, p ** np.arange(field.s)
+    units = ring.index_of(p ** (ring.n - 1) * eye + eye[0])  # 1 + p^(n-1) xi^i
+    place = p ** np.arange(field.s)
 
     count = math.prod(basis.orders)
     starts = range(0, count, CHAR_BLOCK)
@@ -556,7 +564,7 @@ def _section_map(ring: GaloisRing, section: str) -> np.ndarray:
     by_sig: dict[int, int] = {}
     for start in starts:
         stop = min(start + CHAR_BLOCK, count)
-        num = (_scaled_exponents(basis, start, stop) @ w) % L
+        num = character_numerators(ring, _exponent_block(basis, start, stop), units)
         if (num * p % L).any():
             raise BrokenInvariant("a character takes a non-p-th root of unity on 1 + p^(n-1) R")
         sig = num * p // L @ place
@@ -594,9 +602,8 @@ def _exponents_at(ring: GaloisRing, X, units: np.ndarray, orders) -> np.ndarray:
     Row c, column i is e with chi_c(units[i]) = exp(2 pi i e / orders[i]);
     BrokenInvariant when a value's order does not divide orders[i].
     """
-    basis = decompose_unit_group(ring)
-    L, d = basis.lcm_order, np.array(orders, dtype=np.int64)
-    num = (X * basis.scale) @ dlog_matrix(ring)[units].T % L * d
+    L, d = decompose_unit_group(ring).lcm_order, np.array(orders, dtype=np.int64)
+    num = character_numerators(ring, X, units) * d
     if (num % L).any():
         raise BrokenInvariant(f"a character at a generator has order beyond {d}")
     return num // L % d

@@ -149,6 +149,11 @@ def cmd_chars(args) -> int:
     return EXIT_OK
 
 
+def _agrees(ring: GaloisRing, sv: SumValue, tol: float) -> bool:
+    """The one --tol rule: agreement within the larger of tol and the sum's term tolerance."""
+    return sv.agrees(ring.q, max(tol, sv.tolerance))
+
+
 def cmd_gauss(args) -> int:
     ring = _build_ring(args)
     chars = _parse_chars(ring, args.char)
@@ -156,7 +161,7 @@ def cmd_gauss(args) -> int:
         raise ValueError(f"--char takes one exponent tuple, got {len(chars)}")
     chi, b = chars[0], _parse_element(ring, args.b)
     sv = gauss_sum(chi, b)
-    agree = sv.agrees(ring.q, args.tol if args.tol > 0 else None)
+    agree = _agrees(ring, sv, args.tol)
     payload = sv.to_json()
     payload["ring"] = ring.to_json()
     payload["agree"] = agree
@@ -186,7 +191,7 @@ def cmd_jacobi(args) -> int:
     sv = jacobi(chars, a, cap=args.cap_terms)
     if args.inject_disagreement:
         sv.value += 1.0
-    agree = sv.agrees(ring.q, max(args.tol, sv.tolerance))
+    agree = _agrees(ring, sv, args.tol)
     text = (
         f"J = {sv.value:.12g}  expected {sv.expected.kind} ({sv.expected.lemma})  "
         f"terms {sv.terms}  agree: {agree}"
@@ -202,7 +207,7 @@ def cmd_tilde_jacobi(args) -> int:
     brute = tilde_jacobi_brute(chars, args.k, a, cap=args.cap_terms)
     expected = tilde_jacobi_classify(chars, args.k, a, cap=args.cap_terms)
     sv = SumValue(brute.value, expected, brute.terms)
-    agree = sv.agrees(ring.q, max(args.tol, sv.tolerance))
+    agree = _agrees(ring, sv, args.tol)
     text = (
         f"J~ = {sv.value:.12g}  expected {expected.kind} ({expected.lemma})  agree: {agree}"
     )

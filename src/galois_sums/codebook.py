@@ -36,8 +36,10 @@ from .characters import (
 from .errors import (
     CodebookError,
     DegenerateDimensions,
+    GaloisSumsError,
     NotAUnit,
     NotPrimePower,
+    SizeLimit,
     TooLarge,
 )
 from .ring import GaloisRing, RingElement, factorize
@@ -151,11 +153,7 @@ def s_indices(params: CodebookParams) -> np.ndarray:
     return solved_domain(params.ring, params.m, params.k, params.a)
 
 
-def build_codebook(
-    params: CodebookParams,
-    allow_nonunit_a: bool = False,
-    entry_cap: int = DEFAULT_ENTRY_CAP,
-) -> Codebook:
+def build_codebook(params: CodebookParams, allow_nonunit_a: bool = False) -> Codebook:
     """Assemble the full N x K matrix of the construction.
 
     The main optimality statement requires a unit twist a; passing a in the
@@ -181,8 +179,8 @@ def build_codebook(
     K = s_cardinality(ring, m, k)
     f_count = q * ring.unit_count ** (m - 1)
     N = f_count + K
-    if N * K > entry_cap:
-        raise TooLarge(f"{N} x {K} entries exceeds cap {entry_cap}")
+    if N * K > DEFAULT_ENTRY_CAP:
+        raise TooLarge(f"{N} x {K} entries exceeds cap {DEFAULT_ENTRY_CAP}")
 
     columns = s_indices(params)
     if len(columns) != K:
@@ -480,11 +478,13 @@ class Table2Row:
 
 
 TABLE2_DEFAULT_Q = (11, 19, 31, 53, 81, 121, 179, 256)
+TABLE2_NMK = (2, 3, 1)
 
 
-def table2(q_list=None, n: int = 2, m: int = 3, k: int = 1) -> list[Table2Row]:
-    """Analytic parameter table for the default (n, m, k) = (2, 3, 1) family."""
+def table2(q_list=None) -> list[Table2Row]:
+    """Analytic parameter table for the (n, m, k) = (2, 3, 1) family."""
     qs = TABLE2_DEFAULT_Q if q_list is None else tuple(q_list)
+    n, m, k = TABLE2_NMK
     out = []
     for q in qs:
         if not is_prime_power(q):
@@ -559,9 +559,10 @@ def import_codebook(data: bytes) -> Codebook:
 
     Each distinct number text is parsed once, by float as json does by
     default, and every occurrence shares that float.  Raises CodebookError
-    when the data is not a JSON object with the export's parameters, when N
-    and K disagree with the parameters, or when the rows are not N rows of
-    2K numbers.
+    when the data is not a JSON object with the export's parameters (a ring
+    or parameters the package refuses included), when N and K disagree with
+    the parameters, or when the rows are not N rows of 2K numbers; SizeLimit
+    when the ring exceeds the element cap.
     """
     try:
         payload = json.loads(data.decode(), parse_float=_ParsedFloats().__getitem__)
@@ -576,7 +577,9 @@ def import_codebook(data: bytes) -> Codebook:
             section=meta["section"],
         )
         N, K = meta["N"], meta["K"]
-    except (ValueError, TypeError, KeyError) as exc:
+    except SizeLimit:
+        raise
+    except (ValueError, TypeError, KeyError, GaloisSumsError) as exc:
         raise CodebookError(f"not a codebook export: {exc!r}") from None
     size = codebook_size(ring.q, ring.n, params.m, params.k)
     if (N, K) != size:

@@ -15,8 +15,8 @@ degree s, is monic and has reduced coefficients; x has order p^s - 1 modulo
 (h, p) (so the reduction is irreducible and primitive); x^(q-1) = 1 modulo
 (h, p^n), i.e. h divides x^(q-1) - 1; xi^(q-1) = 1 with q - 1 distinct
 powers; and the Teichmuller residues mod p are distinct.  t^q = t then holds
-for every t = xi^i (and t = 0).  The tables are the Teichmuller set with its
-discrete logs against xi, a lookup from residues mod p to Teichmuller
+for every t = xi^i (and t = 0).  The tables are the Teichmuller set (0,
+then the powers of xi), a lookup from residues mod p to Teichmuller
 representatives (teich_lift and the digits of teichmuller_decompose are
 lookups, equal to x^(q^(n-1)) on every element), the Frobenius coordinate
 map, and the trace as a linear form: the weights tr(xi^i), each computed
@@ -52,15 +52,14 @@ from .errors import (
 DEFAULT_ELEMENT_CAP = 1 << 20
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def _exceeds(p: int, e: int, cap: int) -> bool:
+    """p**e > cap for p >= 2, by a product that stops once it passes cap."""
+    power = 1
+    for _ in range(e):
+        power *= p
+        if power > cap:
+            return True
+    return False
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -139,7 +138,7 @@ class RingParams:
     s: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
+        if factorize(self.p) != {self.p: 1}:
             raise ValueError(f"p must be prime, got {self.p}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
@@ -287,7 +286,7 @@ class RingElement:
 
 
 class GaloisRing:
-    """Immutable context for GR(p^n, p^ns): modulus, Teichmuller table, dlogs."""
+    """Immutable context for GR(p^n, p^ns): modulus, Teichmuller table, Frobenius and trace."""
 
     def __init__(
         self,
@@ -297,16 +296,14 @@ class GaloisRing:
         modulus: Polynomial | None = None,
         element_cap: int = DEFAULT_ELEMENT_CAP,
     ):
+        if p > 1 and n > 0 and s > 0 and _exceeds(p, n * s, element_cap):
+            raise SizeLimit(f"p = {p}, n = {n}, s = {s} exceeds the cap of {element_cap} elements")
         self.params = RingParams(p, n, s)
         self.p, self.n, self.s = p, n, s
         self.q = self.params.q
         self.pn = p ** n
         self.element_count = self.q ** n
         self.unit_count = self.q ** n - self.q ** (n - 1)
-        if self.element_count > element_cap:
-            raise SizeLimit(
-                f"ring would have {self.element_count} elements, cap is {element_cap}"
-            )
         if modulus is None:
             modulus = find_basic_primitive_poly(p, n, s)
         self._validate_modulus(modulus)
@@ -349,7 +346,6 @@ class GaloisRing:
             raise InvalidModulus("powers of xi are not distinct")
         self.xi_powers = [RingElement(self, c) for c in powers]
         self.teich_set = [self.zero] + self.xi_powers
-        self.dlog_T = {c: i for i, c in enumerate(powers)}
         p = self.p
         self._teich_of = {tuple(c % p for c in t.coords): t for t in self.teich_set}
         if len(self._teich_of) != self.q:
@@ -584,14 +580,8 @@ class GaloisRing:
         }
 
     @classmethod
-    def from_json(cls, data: dict, element_cap: int = DEFAULT_ELEMENT_CAP) -> GaloisRing:
-        return cls(
-            data["p"],
-            data["n"],
-            data["s"],
-            modulus=Polynomial(tuple(data["modulus"])),
-            element_cap=element_cap,
-        )
+    def from_json(cls, data: dict) -> GaloisRing:
+        return cls(data["p"], data["n"], data["s"], modulus=Polynomial(tuple(data["modulus"])))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GaloisRing) and self.key == other.key

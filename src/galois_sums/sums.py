@@ -20,8 +20,10 @@ for one sum in SumValue.agrees, for a whole table in agrees_table.
 
 The closed form is dispatched over tables too: jacobi_expected_table takes
 C exponent tuples and one canonical twist a (jacobi_expected is its C = 1
-call).  A base ring that is a field (n = 1) is evaluated by brute force.
-Otherwise each tuple gets one integer class code from per-ring tables: the
+call); another twist p^k u is rotated by chi_1...chi_m(u), read by
+characters.character_numerators at u's coordinate lift (canonicalize).  A
+base ring that is a field (n = 1) is evaluated by brute force.  Otherwise
+each tuple gets one integer class code from per-ring tables: the
 levels of its characters, of their product, and chi_m(-1).  The code
 indexes the ring's class table for (m, a), whose entries _jacobi_class
 fills once per class from the laws: a constant shared by every row of the
@@ -58,8 +60,8 @@ from .errors import BrokenInvariant, RingMismatch, TooLarge
 from .ring import GaloisRing, RingElement, ring_table, trace_form
 
 DEFAULT_TERM_CAP = 10 ** 7
-# sizes of the brute-force kernel's tuple chunks and term blocks (see _root_counts)
-BLOCK, CHAR_BLOCK = 4096, 64
+# terms per block of the brute-force kernel, and |R| times its tuples per chunk (see _root_counts)
+TERM_BUDGET = 1 << 18
 
 
 def term_tolerance(terms: int) -> float:
@@ -119,42 +121,29 @@ class Expected:
         mag = self.magnitude(q)
         return math.nan if mag is None else mag, math.nan if self.value is None else self.value
 
-    def shift_power(self, j: Fraction, c: int, lemma: str) -> Expected:
-        """Expectation of c * (this sum) where c = q**j exactly."""
-        if self.kind == "power_of_q":
-            return Expected(
-                "power_of_q",
-                lemma,
-                exponent=self.exponent + j,
-                value=None if self.value is None else self.value * c,
-            )
-        if self.kind == "zero":
-            return Expected.zero(lemma)
+    def _times(self, c, j, lemma: str) -> Expected:
+        """Expectation of c * (this sum) for |c| = q**j; an integer law stays one while c is an int."""
+        if c == 1 or self.kind == "zero":
+            return Expected(self.kind, lemma, self.exponent, self.integer, self.value)
         if self.kind == "integer":
-            return Expected.of_integer(self.integer * c, lemma)
+            if isinstance(c, int):
+                return Expected.of_integer(self.integer * c, lemma)
+            return Expected.exact(self.integer * c, lemma)
+        if self.kind == "power_of_q":
+            value = None if self.value is None else self.value * c
+            return Expected("power_of_q", lemma, self.exponent + j if j else self.exponent, value=value)
         if self.kind == "exact":
             return Expected.exact(self.value * c, lemma)
         return Expected.unclassified()
 
+    def shift_power(self, j: Fraction, c: int, lemma: str) -> Expected:
+        """Expectation of c * (this sum) where c = q**j exactly."""
+        return self._times(c, j, lemma)
+
     def rotated(self, w: RootOfUnity, lemma: str) -> Expected:
-        """Expectation of w * (this sum) for a root of unity w."""
-        if w.is_one or self.kind == "zero":
-            return Expected(self.kind, lemma, self.exponent, self.integer, self.value)
-        wc = w.to_complex()
-        if self.kind == "integer":
-            if 2 * w.numerator == w.order:
-                return Expected.of_integer(-self.integer, lemma)
-            return Expected.exact(self.integer * wc, lemma)
-        if self.kind == "power_of_q":
-            return Expected(
-                "power_of_q",
-                lemma,
-                exponent=self.exponent,
-                value=None if self.value is None else self.value * wc,
-            )
-        if self.kind == "exact":
-            return Expected.exact(self.value * wc, lemma)
-        return Expected.unclassified()
+        """Expectation of w * (this sum) for a root of unity w (-1 keeps an integer law)."""
+        c = 1 if w.is_one else -1 if 2 * w.numerator == w.order else w.to_complex()
+        return self._times(c, 0, lemma)
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -288,12 +277,11 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
     broadcast blocks of _solved_blocks, whose solve the chunk's tuples share,
     a term costs one gather (none for x_m when its table is all zero, as in a
     Gauss sum), two adds, one compare and one bincount into m M bins per
-    tuple, folded mod M.  A chunk takes max(1, BLOCK CHAR_BLOCK // |R|)
-    tuples and a block BLOCK CHAR_BLOCK // chunk domain rows, so up to
-    BLOCK CHAR_BLOCK terms however few the tuples (a single sum of that many
-    terms is one block): besides the result and the scaled X with its kill
-    mask, temporaries hold (m + 8) max(|R|, BLOCK CHAR_BLOCK) + 2 chunk m M
-    int64s.
+    tuple, folded mod M.  A chunk takes max(1, TERM_BUDGET // |R|) tuples
+    and a block TERM_BUDGET // chunk domain rows, so up to TERM_BUDGET terms
+    however few the tuples (a single sum of that many terms is one block):
+    besides the result and the scaled X with its kill mask, temporaries hold
+    (m + 8) max(|R|, TERM_BUDGET) + 2 chunk m M int64s.
     """
     basis = decompose_unit_group(ring)
     size, pn, coords, extra = ring.element_count, ring.pn, ring.coord_array(), 0
@@ -305,7 +293,7 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
     kill, off_unit = X.any(axis=2), ~ring.unit_mask()
     kill[:, -1] |= k >= m
     counts = np.zeros((count, M), dtype=np.int64)
-    nb = max(1, BLOCK * CHAR_BLOCK // size)
+    nb = max(1, TERM_BUDGET // size)
     buffer = np.empty(m * min(nb, count) * size, dtype=np.int64)  # the tables of a chunk
     for c0 in range(0, count, nb):
         c1 = min(c0 + nb, count)
@@ -316,7 +304,7 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
         tables %= M
         tables[kill[c0:c1].T[:, :, None] & off_unit] = dump
         tables[0] += np.arange(c1 - c0)[:, None] * (m * M)
-        budget = BLOCK * CHAR_BLOCK // (c1 - c0)  # domain rows per block, >= 1 as c1 - c0 <= nb
+        budget = TERM_BUDGET // (c1 - c0)  # domain rows per block, >= 1 as c1 - c0 <= nb
         solved = kill[c0:c1, -1].any()  # else x_m's table is all zero, as in a Gauss sum
         for xs, y, index in _solved_blocks(ring, m, k, a, budget):
             shape = (c1 - c0, *index.shape)
@@ -514,34 +502,24 @@ def _twist_scalars(ring: GaloisRing, X, a: RingElement) -> tuple[RingElement, li
     ring._check_same(a)
     if a.is_zero:
         return ring.zero, [RootOfUnity.make(0, 1)] * len(X)
-    k, u = ring.valuation(a)
-    canon, w = (ring.one, a) if k == 0 else (ring.p_power(k), _lift_unit(ring, u, k))
-    nums = character_numerators(ring, X.sum(axis=1), w).tolist()
+    k, u = ring.valuation(a)  # a = p^k u exactly, u read at its coordinates in R
+    canon = ring.one if k == 0 else ring.p_power(k)
+    nums = character_numerators(ring, X.sum(axis=1), [ring._index(u.coords)])[:, 0].tolist()
     return canon, [RootOfUnity.make(v, decompose_unit_group(ring).lcm_order) for v in nums]
 
 
 def canonicalize(chars, a: RingElement) -> tuple[RingElement, RootOfUnity]:
     """Reduce the twist to {0, 1, p^k} and return the scalar character factor.
 
-    For a unit a the scalar is chi_1...chi_m(a); for a = p^k t with t a unit
-    of the quotient ring, t is lifted back via its Teichmuller digit string
-    (padded with zeros) and the scalar is the product character at that lift.
+    J_a = chi_1...chi_m(u) J_{p^k} for a = p^k u with u a unit of R.  For a
+    unit a, u = a; otherwise valuation gives u as a unit of the quotient ring
+    with a = p^k u exactly, and its coordinates, read in R, are the lift.  Any
+    lift serves where J_{p^k} != 0: substituting x_i -> w x_i for w in
+    1 + p^(n-k) R shows the product character is then trivial there, so lifts
+    differ in the scalar only for vanishing sums.
     """
     canon, scalars = _twist_scalars(*_single(chars), a)
     return canon, scalars[0]
-
-
-def _lift_unit(ring: GaloisRing, u: RingElement, k: int) -> RingElement:
-    """Lift a unit of GR(p^(n-k), .) into R via its Teichmuller digits."""
-    reduced = ring.reduced(k)
-    digits = reduced.teichmuller_decompose(u)
-    out = ring.zero
-    for i, d in enumerate(digits):
-        if d.is_zero:
-            continue
-        e = reduced.dlog_T[d.coords]
-        out = out + ring.scalar(ring.p ** i) * ring.xi_powers[e]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,13 @@ def cached_ring(p: int, n: int, s: int) -> GaloisRing:
 GAUSS_RINGS = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2)]
 SMALL_RINGS = [(3, 2, 1), (2, 2, 2)]
 RECURSION_RINGS = [(3, 3, 1), (2, 3, 2)]
+# agreement tolerance of the sum suites, and of the codebook norms and peaks
+SUM_TOL, PEAK_TOL = 1e-6, 1e-9
+# random configurations of the mixed-domain suite
+TILDE_TRIALS = 500
 
 
-def verify_gauss_laws(seed: int = 0, tol: float = 1e-6) -> SuiteResult:
+def verify_gauss_laws(seed: int = 0) -> SuiteResult:
     """Brute |G(chi, lambda_b)| against the magnitude law on all test rings."""
     result = SuiteResult("gauss-laws")
     rng = random.Random(seed)
@@ -124,7 +128,7 @@ def verify_gauss_laws(seed: int = 0, tol: float = 1e-6) -> SuiteResult:
             values += gauss_table(ring, b)
             expected += [laws[level] for level in levels]
         total = len(expected)
-        bad = total - int(agrees_table(values, expected, ring.q, tol).sum())
+        bad = total - int(agrees_table(values, expected, ring.q, SUM_TOL).sum())
         result.add(f"{ring}", bad == 0, f"{total - bad}/{total} twists agree")
     return result
 
@@ -136,7 +140,7 @@ def _tuples(exponents, m: int) -> np.ndarray:
     return np.stack([exponents[i] for i in at], axis=1)
 
 
-def _jacobi_failures(ring: GaloisRing, m: int, tol: float) -> tuple[int, int, list]:
+def _jacobi_failures(ring: GaloisRing, m: int) -> tuple[int, int, list]:
     """Brute J_a against its expectation for every m-tuple of characters and canonical twist a.
 
     Returns the case count, the unclassified count and the failures as
@@ -146,7 +150,7 @@ def _jacobi_failures(ring: GaloisRing, m: int, tol: float) -> tuple[int, int, li
     unclassified, failures = 0, []
     for i, a in enumerate(canonical_twists(ring)):
         brute, expected = jacobi_brute_table(ring, X, a), jacobi_expected_table(ring, X, a)
-        for c in np.flatnonzero(~agrees_table(brute, expected, ring.q, tol)).tolist():
+        for c in np.flatnonzero(~agrees_table(brute, expected, ring.q, SUM_TOL)).tolist():
             e = expected[c]
             unclassified += e.kind == "unclassified"  # never agrees
             failures.append((c, i, _jacobi_miss(ring, complex(brute[c]), e)))
@@ -161,24 +165,24 @@ def _jacobi_miss(ring: GaloisRing, brute: complex, e: Expected) -> str:
     return f"brute={brute:.6g} expected |J| = {e.magnitude(ring.q):.6g}{value} ({e.lemma})"
 
 
-def verify_jacobi_pairs(tol: float = 1e-6) -> SuiteResult:
+def verify_jacobi_pairs() -> SuiteResult:
     """All ordered character pairs x all canonical twists, brute vs closed form."""
     result = SuiteResult("jacobi-m2")
     for p, n, s in SMALL_RINGS:
         ring = cached_ring(p, n, s)
-        total, _, failures = _jacobi_failures(ring, 2, tol)
+        total, _, failures = _jacobi_failures(ring, 2)
         # the message of the last failure in tuple-major, twist-minor order
         worst = max(failures)[2] if failures else ""
         result.add(f"{ring}", not failures, worst or f"{total} cases agree")
     return result
 
 
-def verify_jacobi_triples(tol: float = 1e-6) -> SuiteResult:
+def verify_jacobi_triples() -> SuiteResult:
     """All character triples x all canonical twists; dispatch never unclassified."""
     result = SuiteResult("jacobi-m3")
     for p, n, s in SMALL_RINGS:
         ring = cached_ring(p, n, s)
-        total, unclassified, failures = _jacobi_failures(ring, 3, tol)
+        total, unclassified, failures = _jacobi_failures(ring, 3)
         failures = [f for f in failures if f[2] != "unclassified"]
         worst = max(failures)[2] if failures else ""
         result.add(f"{ring} agreement", not failures, worst or f"{total} cases agree")
@@ -186,7 +190,7 @@ def verify_jacobi_triples(tol: float = 1e-6) -> SuiteResult:
     return result
 
 
-def verify_recursion(tol: float = 1e-6) -> SuiteResult:
+def verify_recursion() -> SuiteResult:
     """Reduction of pairs of non-primitive characters to the quotient ring.
 
     The "stated factor" checks use the scale q^(mk) that the reference
@@ -214,9 +218,9 @@ def verify_recursion(tol: float = 1e-6) -> SuiteResult:
                 axis=1,
             )
             total = lhs.size
-            stated = np.flatnonzero(abs(lhs - q ** (m * k) * rhs) > tol)
+            stated = np.flatnonzero(abs(lhs - q ** (m * k) * rhs) > SUM_TOL)
             stated_bad = len(stated)
-            corrected_bad = int((abs(lhs - q ** (k * (m - 1)) * rhs) > tol).sum())
+            corrected_bad = int((abs(lhs - q ** (k * (m - 1)) * rhs) > SUM_TOL).sum())
             witness = ""
             if stated_bad:
                 c, i = divmod(int(stated[0]), len(twists))
@@ -264,17 +268,18 @@ def verify_counting() -> SuiteResult:
     return result
 
 
-def _build_and_scan(p, n, s, a_spec, allow_nonunit=False):
+def _build_and_scan(p, n, s, a_spec):
+    """The m = 3, k = 1 codebook at twist a_spec ("unit", "zero" or "ideal") and its scan."""
     ring = cached_ring(p, n, s)
     a = ring.one if a_spec == "unit" else (ring.zero if a_spec == "zero" else ring.p_power(1))
     params = CodebookParams(ring=ring, m=3, k=1, a=a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cb = build_codebook(params, allow_nonunit_a=allow_nonunit)
+        cb = build_codebook(params, allow_nonunit_a=a_spec != "unit")
     return cb, imax_exhaustive(cb)
 
 
-def verify_codebook_attainment(tol: float = 1e-9) -> SuiteResult:
+def verify_codebook_attainment() -> SuiteResult:
     """Exhaustive peak correlation of the q = 3 and q = 4 builds.
 
     The q = 4 peak-equals-formula check fails by design: rows whose character
@@ -292,12 +297,12 @@ def verify_codebook_attainment(tol: float = 1e-9) -> SuiteResult:
         norms = np.linalg.norm(cb.rows, axis=1)
         result.add(
             f"{ring} unit norms",
-            bool(np.max(np.abs(norms - 1.0)) <= tol),
+            bool(np.max(np.abs(norms - 1.0)) <= PEAK_TOL),
             f"max deviation {np.max(np.abs(norms - 1.0)):.3g}",
         )
         result.add(
             f"{ring} peak equals formula",
-            abs(rep.imax_measured - rep.imax_formula) <= tol,
+            abs(rep.imax_measured - rep.imax_formula) <= PEAK_TOL,
             f"measured {rep.imax_measured:.12g}, formula {rep.imax_formula:.12g}, "
             f"witness rows {rep.pair_argmax}",
         )
@@ -349,7 +354,7 @@ def verify_table2() -> SuiteResult:
     return result
 
 
-def verify_remark_paths(tol: float = 1e-9) -> SuiteResult:
+def verify_remark_paths() -> SuiteResult:
     """Degenerate-twist builds at q = 3 against their stated peaks.
 
     Both stated peak values fail by design: the zero-twist and ideal-twist
@@ -360,12 +365,12 @@ def verify_remark_paths(tol: float = 1e-9) -> SuiteResult:
     stated = {"zero": 0.6, "ideal": 27 ** 0.5 / 10}
     unit_peak = imax_formula(3, 2, 3)
     for mode in ("zero", "ideal"):
-        cb, rep = _build_and_scan(3, 2, 1, mode, allow_nonunit=True)
+        cb, rep = _build_and_scan(3, 2, 1, mode)
         case = "a0" if mode == "zero" else "aM"
         formula = imax_remark(3, 2, 3, case)
         result.add(
             f"{mode} twist peak equals stated value",
-            abs(rep.imax_measured - stated[mode]) <= tol,
+            abs(rep.imax_measured - stated[mode]) <= PEAK_TOL,
             f"measured {rep.imax_measured:.12g}, stated {stated[mode]:.12g}, "
             f"closed form as written {formula:.12g}, witness rows {rep.pair_argmax}",
         )
@@ -377,7 +382,7 @@ def verify_remark_paths(tol: float = 1e-9) -> SuiteResult:
     return result
 
 
-def verify_tilde_cases(seed: int = 1, trials: int = 500, tol: float = 1e-6) -> SuiteResult:
+def verify_tilde_cases(seed: int = 1) -> SuiteResult:
     """Random mixed-domain sums against the four-way classification.
 
     Every configuration is drawn first; both routes then run once per
@@ -388,7 +393,7 @@ def verify_tilde_cases(seed: int = 1, trials: int = 500, tol: float = 1e-6) -> S
     rings = [cached_ring(*t) for t in SMALL_RINGS]
     char_lists = {r.key: [tuple(e) for e in character_exponents(r).tolist()] for r in rings}
     draws = []
-    for _ in range(trials):
+    for _ in range(TILDE_TRIALS):
         ring = rng.choice(rings)
         chars_all = char_lists[ring.key]
         m = rng.choice([2, 3])
@@ -399,18 +404,18 @@ def verify_tilde_cases(seed: int = 1, trials: int = 500, tol: float = 1e-6) -> S
     domains: dict[tuple, list[int]] = {}
     for i, (ring, k, tup, a) in enumerate(draws):
         domains.setdefault((ring.key, len(tup), k, a.coords), []).append(i)
-    values: list = [None] * trials
-    expected: list = [None] * trials
+    values: list = [None] * TILDE_TRIALS
+    expected: list = [None] * TILDE_TRIALS
     for trial in domains.values():
         ring, k, _, a = draws[trial[0]]
         X = np.array([draws[i][2] for i in trial])
         brute = tilde_jacobi_brute_table(ring, X, k, a).tolist()
         for i, v, e in zip(trial, brute, tilde_jacobi_classify_table(ring, X, k, a)):
             values[i], expected[i] = v, e
-    ok = np.empty(trials, dtype=bool)
+    ok = np.empty(TILDE_TRIALS, dtype=bool)
     for ring in rings:  # one table per ring: the magnitude laws read q
         at = [i for i, draw in enumerate(draws) if draw[0] is ring]
-        ok[at] = agrees_table([values[i] for i in at], [expected[i] for i in at], ring.q, tol)
+        ok[at] = agrees_table([values[i] for i in at], [expected[i] for i in at], ring.q, SUM_TOL)
     cases: dict[str, int] = {}
     for e in expected:
         cases[e.lemma] = cases.get(e.lemma, 0) + 1
@@ -421,7 +426,7 @@ def verify_tilde_cases(seed: int = 1, trials: int = 500, tol: float = 1e-6) -> S
         witness = f"{ring} chars={tup} k={k} a={a.coords}: brute {value:.6g} vs {e}"
     split = ", ".join(f"{k}={v}" for k, v in sorted(cases.items()))
     result.add(
-        f"{trials} random configurations",
+        f"{TILDE_TRIALS} random configurations",
         not bad,
         witness or f"all agree; case split: {split}",
     )

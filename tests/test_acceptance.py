@@ -20,6 +20,7 @@ from galois_sums.characters import MultCharacter, project_character
 from galois_sums.codebook import _row_exponents
 from galois_sums.sums import count_unit_solutions, jacobi_brute
 from galois_sums.verify import (
+    PEAK_TOL,
     RECURSION_RINGS,
     Check,
     SuiteResult,
@@ -93,19 +94,19 @@ def _class_law(cb, pair):
 
 
 def test_criterion_1_gauss_laws():
-    result = verify_gauss_laws(seed=0, tol=1e-6)
+    result = verify_gauss_laws(seed=0)
     failures = report(1, "Gauss-sum magnitude laws on all seven rings", result)
     assert result.passed, failures
 
 
 def test_criterion_2_jacobi_pairs():
-    result = verify_jacobi_pairs(tol=1e-6)
+    result = verify_jacobi_pairs()
     failures = report(2, "all character pairs x canonical twists", result)
     assert result.passed, failures
 
 
 def test_criterion_3_jacobi_triples():
-    result = verify_jacobi_triples(tol=1e-6)
+    result = verify_jacobi_triples()
     failures = report(3, "all character triples, dispatch total and correct", result)
     assert result.passed, failures
 
@@ -127,7 +128,7 @@ def test_criterion_4_reduction_scale():
     The test asserts the four suite checks of q^(k(m-1)) and recomputes this
     witness by brute force against the hand counts.
     """
-    result = verify_recursion(tol=1e-6)
+    result = verify_recursion()
     corrected = [c for c in result.checks if "corrected factor q^(k(m-1))" in c.label]
     assert len(corrected) == 4
     m = 2
@@ -191,8 +192,8 @@ def test_criterion_6_codebook_attainment():
     asserts the q = 4 peak is 2/7 within the suite's 1e-9, cross-checked by
     the dot product of the witness rows and by the reduced-ring Jacobi sum.
     """
-    tol = 1e-9
-    result = verify_codebook_attainment(tol=tol)
+    tol = PEAK_TOL
+    result = verify_codebook_attainment()
     cb, rep = _build_and_scan(2, 2, 2, "unit")
     i, j = rep.pair_argmax
     dot = np.vdot(cb.rows[j], cb.rows[i])
@@ -239,11 +240,9 @@ def test_criterion_8_degenerate_twists():
     witness pair is equal up to a unit phase, the ideal-twist Jacobi route,
     and both suite checks that the peaks exceed the unit-twist peak 1/3.
     """
-    tol = 1e-9
-    result = verify_remark_paths(tol=tol)
-    scans = {
-        mode: _build_and_scan(3, 2, 1, mode, allow_nonunit=True) for mode in ("zero", "ideal")
-    }
+    tol = PEAK_TOL
+    result = verify_remark_paths()
+    scans = {mode: _build_and_scan(3, 2, 1, mode) for mode in ("zero", "ideal")}
     derived = []
     for mode, (cb, rep) in scans.items():
         i, j = rep.pair_argmax
@@ -276,6 +275,6 @@ def test_criterion_8_degenerate_twists():
 
 
 def test_criterion_9_mixed_domain_cases():
-    result = verify_tilde_cases(seed=1, trials=500, tol=1e-6)
+    result = verify_tilde_cases(seed=1)
     failures = report(9, "500 random mixed-domain sums against the case split", result)
     assert result.passed, failures

@@ -372,11 +372,13 @@ def test_eval_unit_at_a_non_unit_raises_not_a_unit(z9, gr4_16):
 
 
 def test_character_numerators_at_a_non_unit_raise_not_a_unit(z9, gr4_16):
-    X = characters.character_exponents(z9)
-    with pytest.raises(NotAUnit):
-        characters.character_numerators(z9, X, z9.scalar(3))  # used to raise KeyError
-    with pytest.raises(RingMismatch):
-        characters.character_numerators(z9, X, gr4_16.one)
+    for r in (z9, gr4_16):
+        X = characters.character_exponents(r)
+        units, inside = r.unit_indices(), np.flatnonzero(~r.unit_mask())
+        for bad in ([inside[0]], [units[0], inside[-1]], inside):
+            with pytest.raises(NotAUnit):
+                characters.character_numerators(r, X, bad)
+        assert characters.character_numerators(r, X, units[:0]).shape == (len(X), 0)
 
 
 def test_exponent_tuples_of_the_wrong_width_are_refused(z9, z27):
@@ -386,7 +388,7 @@ def test_exponent_tuples_of_the_wrong_width_are_refused(z9, z27):
     transports = [  # each takes exponent tuples over a ring with r = 2
         lambda X: characters.lift_exponents(z27, X, 1),
         lambda X: characters.project_exponents(z27, X, 2),
-        lambda X: characters.character_numerators(z27, X, z27.one),
+        lambda X: characters.character_numerators(z27, X, [z27._index(z27.one.coords)]),
     ]
     for transport in transports:
         for X in ([[1]], [[1, 0, 0]], [], 1):
@@ -455,15 +457,20 @@ def test_exponent_arrays_match_per_character_definitions(key):
     assert X.tolist() == [list(c.exponents) for c in chars]
     assert (X @ basis.radix).tolist() == [c.index for c in chars] == list(range(len(chars)))
     signs = characters.character_signs(r).tolist()
-    rng = random.Random(21)
-    for w in [-r.one] + rng.sample(r.units(), 3):
-        nums = characters.character_numerators(r, X, w).tolist()
-        for chi, num, sign in zip(chars, nums, signs):
-            v = chi.eval_unit(w)
-            assert (v.numerator, v.order) == (num, basis.lcm_order)
-            if w == -r.one:
-                assert sign == chi.sign_at_minus_one() == (1 if v.is_one else -1)
-                assert 2 * v.numerator % v.order == 0
+    units = r.units()
+    some = slice(None, None, max(1, len(chars) // 24))  # every character on the small rings
+    nums = characters.character_numerators(r, X[some], r.unit_indices())  # every unit at once
+    assert nums.shape == (len(chars[some]), len(units))
+    for chi, row in zip(chars[some], nums.tolist()):
+        assert row == [chi.eval_unit(w).numerator for w in units]
+    minus_one = r._index((-r.one).coords)
+    at = characters.character_numerators(r, X[None], [minus_one, minus_one])  # leading axes kept
+    assert at.shape == (1, len(chars), 2) and (at[0, some].T == nums[:, units.index(-r.one)]).all()
+    for chi, num, sign in zip(chars, at[0, :, 0].tolist(), signs):
+        v = chi.eval_unit(-r.one)
+        assert (v.numerator, v.order) == (num, basis.lcm_order)
+        assert sign == chi.sign_at_minus_one() == (1 if v.is_one else -1)
+        assert 2 * v.numerator % v.order == 0
 
 
 @pytest.mark.parametrize("key", [k for k in REFERENCE_RINGS if k[1] >= 2])

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,17 @@ def test_bad_prime_exits_2(capsys):
     code, _, err = run(capsys, "ring", "-p", "4", "-n", "2", "-s", "1")
     assert code == 2
     assert "prime" in err
+
+
+@pytest.mark.parametrize("shape", [("2", "20", "1000"), ("10000000000000061", "1", "1")])
+def test_oversize_rings_exit_3_at_once(capsys, shape):
+    """A 6,000-digit element count, and a 17-digit prime p whose trial division
+    would take minutes: the element cap refuses both first, without the count."""
+    p, n, s = shape
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ring", "-p", p, "-n", n, "-s", s)
+    assert code == 3 and "exceeds the cap" in err and len(err) < 200
+    assert time.perf_counter() - start < 1.0
 
 
 def test_chars_listing(capsys):
@@ -75,6 +87,28 @@ def test_jacobi_primitive_triple(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["agree"] is True
+
+
+def test_gauss_jacobi_and_tilde_jacobi_read_tol_by_one_rule(capsys):
+    """Each sum agrees within the larger of --tol and its term tolerance.
+
+    The Gauss sum over GR(2^5, 2^15) has 28,672 terms and a rounding error
+    of 6.7e-12, above --tol 1e-12 but within its term tolerance 2.9e-8.
+    """
+    big = ("-p", "2", "-n", "5", "-s", "3")
+    for argv in [
+        ("gauss", *big, "--char", "5,9,1,0,0", "--b", "1"),
+        ("jacobi", "-p", "3", "-n", "2", "-s", "1", "--chars", "1,1;1,1", "--a", "1"),
+        ("tilde-jacobi", "-p", "3", "-n", "2", "-s", "1", "--chars", "1,1;1,2", "--a", "2", "-k", "1"),
+    ]:
+        code, out, _ = run(capsys, *argv, "--tol", "1e-12")
+        assert code == 0 and "agree: True" in out, argv
+    code, _, _ = run(
+        capsys,
+        "jacobi", "-p", "3", "-n", "2", "-s", "1",
+        "--chars", "0,0;0,0", "--a", "1", "--inject-disagreement", "--tol", "2",
+    )
+    assert code == 0  # a value moved by 1 agrees within --tol 2
 
 
 def test_jacobi_disagreement_injection_exits_4(capsys):

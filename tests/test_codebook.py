@@ -18,6 +18,7 @@ from galois_sums import (
     DegenerateDimensions,
     NotAUnit,
     NotPrimePower,
+    SizeLimit,
     TooLarge,
     asymptotic_ratio,
     build_codebook,
@@ -158,10 +159,11 @@ def test_unit_requirement():
         build_codebook(CodebookParams(ring=r, m=2, k=1, a=r.zero), allow_nonunit_a=True)
 
 
-def test_entry_cap():
+def test_entry_cap(monkeypatch):
     r = ring(3, 2, 1)
+    monkeypatch.setattr(codebook_module, "DEFAULT_ENTRY_CAP", 100)
     with pytest.raises(TooLarge):
-        build_codebook(CodebookParams(ring=r, m=3, k=1, a=r.one), entry_cap=100)
+        build_codebook(CodebookParams(ring=r, m=3, k=1, a=r.one))
 
 
 def test_remark_formulas_as_written():
@@ -379,6 +381,24 @@ def test_import_rejects_malformed_payloads():
     for blob in blobs:
         with pytest.raises(CodebookError):
             import_codebook(blob)
+
+
+def test_import_refuses_rings_the_package_refuses_as_codebook_errors():
+    """A payload ring with n = 1 (BadLevel) or with a modulus that does not divide
+    x^(q-1) - 1 (InvalidModulus) is a CodebookError; an oversize ring stays SizeLimit."""
+    cb = build((3, 2, 1), m=2, k=1)
+    good = json.loads(export_codebook(cb, fmt="json"))
+
+    def variant(**ring_):
+        payload = json.loads(json.dumps(good))
+        payload["params"]["ring"].update(ring_)
+        return json.dumps(payload).encode()
+
+    for ring_ in ({"n": 1, "modulus": [1, 1]}, {"modulus": [7, 1]}):
+        with pytest.raises(CodebookError, match="BadLevel|InvalidModulus"):
+            import_codebook(variant(**ring_))
+    with pytest.raises(SizeLimit):
+        import_codebook(variant(n=20, s=1000))
 
 
 def test_import_parses_every_spelling_with_float():

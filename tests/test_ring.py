@@ -33,8 +33,9 @@ def poly_mul_plain(a, b, mod):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        RingParams(4, 2, 1)
+    for p in (4, 91, 1, 0, -3):  # factorize is the one primality routine
+        with pytest.raises(ValueError, match="prime"):
+            RingParams(p, 2, 1)
     with pytest.raises(ValueError):
         RingParams(3, 0, 1)
     with pytest.raises(ValueError):
@@ -186,6 +187,13 @@ def test_ring_tables_are_memoised_per_ring_and_read_only():
 def test_size_cap():
     with pytest.raises(SizeLimit):
         build_ring(2, 2, 2, element_cap=8)
+    # the cap comes before the primality test and before q^n: neither a
+    # 6,000-digit element count nor trial division of a 17-digit prime
+    for shape in [(2, 20, 1000), (10_000_000_000_000_061, 1, 1), (4, 20, 1000)]:
+        with pytest.raises(SizeLimit, match="exceeds the cap of 1048576 elements"):
+            build_ring(*shape)
+    with pytest.raises(ValueError, match="prime"):  # p = 1 is refused, not multiplied
+        build_ring(1, 10 ** 18, 1)
 
 
 def test_inverse_in_z9(z9):

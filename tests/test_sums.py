@@ -44,7 +44,8 @@ from galois_sums import (
     tilde_jacobi_brute,
     tilde_jacobi_classify,
 )
-from galois_sums.characters import character_exponents, root_table
+from galois_sums import characters
+from galois_sums.characters import RootOfUnity, character_exponents, root_table
 from galois_sums.verify import _tuples as verify_tuples
 
 from conftest import ring
@@ -215,6 +216,62 @@ def test_canonicalize_teichmuller_lift_example(z9):
     assert abs(lhs - rhs) < 1e-9
 
 
+def teichmuller_lift(ring_, u, k):
+    """The unit of R whose Teichmuller digits are those of the unit u of ring_.reduced(k).
+
+    Each digit xi^e of u is read as the same power of R's xi, the missing
+    digits as zero: the lift canonicalize took before the coordinate lift.
+    """
+    reduced = ring_.reduced(k)
+    log = {t.coords: e for e, t in enumerate(reduced.xi_powers)}
+    out = ring_.zero
+    for i, d in enumerate(reduced.teichmuller_decompose(u)):
+        if not d.is_zero:
+            out = out + ring_.scalar(ring_.p ** i) * ring_.xi_powers[log[d.coords]]
+    return out
+
+
+def test_the_coordinate_lift_changes_the_twist_scalar_only_for_vanishing_sums():
+    """J_a = chi_1...chi_m(u) J_{p^k} for a = p^k u reads u at its coordinates in R.
+
+    Every m = 2 and m = 3 tuple over GR(2^2, 2^4) and every pair over Z/27,
+    at every nonzero non-unit a: the scalar equals the Teichmuller-lift
+    scalar wherever |J_{p^k}| exceeds its term tolerance, the two lifts do
+    differ on some vanishing sums, and the rotated expectations are
+    bit-identical either way.
+    """
+    checked = changed = 0
+    for key, m in [((2, 2, 2), 2), ((2, 2, 2), 3), ((3, 3, 1), 2)]:
+        r = ring(*key)
+        X = verify_tuples(character_exponents(r), m)
+        L, tol = decompose_unit_group(r).lcm_order, term_tolerance(r.unit_count ** (m - 1))
+        tables = {}
+        for a in r.elements():
+            if a.is_zero or a.is_unit:
+                continue
+            k, u = r.valuation(a)
+            assert r.scalar(r.p ** k) * r.element(u.coords) == a
+            canon, scalars = sums_module._twist_scalars(r, X, a)
+            if k not in tables:
+                tables[k] = (
+                    sums_module.jacobi_brute_table(r, X, canon),
+                    sums_module.jacobi_expected_table(r, X, canon),
+                )
+            brute, expected = tables[k]
+            lift = teichmuller_lift(r, u, k)
+            assert r.scalar(r.p ** k) * lift == a
+            nums = characters.character_numerators(r, X.sum(axis=1), [r._index(lift.coords)])
+            ref = [RootOfUnity.make(v, L) for v in nums[:, 0].tolist()]
+            for scalar, want, value, e in zip(scalars, ref, brute.tolist(), expected):
+                if abs(value) > tol:
+                    assert scalar == want, (key, m, a.coords)
+                    checked += 1
+                changed += scalar != want
+                got = e.rotated(scalar, "unit-restricted")
+                assert repr(got) == repr(e.rotated(want, "unit-restricted"))
+    assert checked and changed
+
+
 @pytest.mark.parametrize("key", [(3, 2, 1), (2, 2, 2)])
 def test_dispatch_complete_and_correct_m2(key):
     r = ring(*key)
@@ -350,6 +407,37 @@ def test_expected_gauss_field_case(f4):
     assert abs(abs(gauss_sum(nontriv, f4.one).value) - 2.0) < 1e-9
 
 
+def test_rotation_and_shift_are_one_law_transform():
+    """rotated (|w| = 1) and shift_power (q^j) scale a law alike; an integer stays an integer
+    under an int factor (w = -1, q^j) and becomes exact under any other root of unity."""
+    one, minus, sixth = RootOfUnity(0, 6), RootOfUnity(3, 6), RootOfUnity(1, 6)
+    w = sixth.to_complex()
+    laws = [
+        Expected.zero("z"), Expected.of_integer(-3, "i"), Expected.power(Fraction(3, 2), "p"),
+        Expected.power(Fraction(1), "v", value=4j), Expected.exact(1 + 1j, "e"), Expected.unclassified(),
+    ]
+    for e in laws:
+        assert e.rotated(one, "r") == Expected(e.kind, "r", e.exponent, e.integer, e.value)
+    want = {
+        (minus, "i"): Expected.of_integer(3, "r"),
+        (sixth, "i"): Expected.exact(-3 * w, "r"),
+        (minus, "v"): Expected.power(Fraction(1), "r", value=4j * -1),
+        (sixth, "p"): Expected.power(Fraction(3, 2), "r"),
+        (sixth, "e"): Expected.exact((1 + 1j) * w, "r"),
+    }
+    for (root, lemma), expect in want.items():
+        e = next(x for x in laws if x.lemma == lemma)
+        assert repr(e.rotated(root, "r")) == repr(expect)
+    assert laws[0].rotated(sixth, "r") == Expected.zero("r")
+    assert laws[-1].rotated(sixth, "r") == Expected.unclassified()
+    shifted = [e.shift_power(Fraction(2), 9, "s") for e in laws]
+    assert shifted[:5] == [
+        Expected.zero("s"), Expected.of_integer(-27, "s"), Expected.power(Fraction(7, 2), "s"),
+        Expected.power(Fraction(3), "s", value=36j), Expected.exact(9 + 9j, "s"),
+    ]
+    assert shifted[5] == Expected.unclassified()
+
+
 def test_unclassified_expectation_never_agrees():
     sv = SumValue(0j, Expected.unclassified(), terms=6)
     assert not sv.agrees(3)
@@ -447,7 +535,7 @@ def test_brute_sums_independent_of_block_size(monkeypatch):
         ]
 
     default = sums()
-    monkeypatch.setattr(sums_module, "BLOCK", 7)
+    monkeypatch.setattr(sums_module, "TERM_BUDGET", 7 * 64)
     assert sums() == default
 
 
@@ -564,8 +652,7 @@ def test_tables_independent_of_block_sizes(monkeypatch):
         ]
 
     default = tables()
-    monkeypatch.setattr(sums_module, "BLOCK", 7)
-    monkeypatch.setattr(sums_module, "CHAR_BLOCK", 3)
+    monkeypatch.setattr(sums_module, "TERM_BUDGET", 7 * 3)
     for got, want in zip(tables(), default):
         assert np.array_equal(bits(got), bits(want))
 
@@ -638,10 +725,10 @@ def kernel_tuples(r, m, rng):
 def test_kernel_matches_per_term_references(monkeypatch, key, sizes):
     """Jacobi (k = m) and mixed-domain (every k < m) sums for m = 2..5, and Gauss sums.
 
-    sizes=(BLOCK, CHAR_BLOCK) = (3, 2): a chunk holds one tuple (|R| >= 4), so
+    sizes=(3, 2), a TERM_BUDGET of 3 x 2 = 6: a chunk holds one tuple (|R| >= 4), so
     every call has several chunks, and the broadcast coordinate (at least 2
-    units) runs over several blocks of at most 3 terms; the exact counts keep
-    every value bit-identical to the default sizes.
+    units) runs over several blocks of at most 6 terms; the exact counts keep
+    every value bit-identical to the default budget.
     """
     r = ring(*key)
     rng = random.Random(repr(key))
@@ -668,8 +755,7 @@ def test_kernel_matches_per_term_references(monkeypatch, key, sizes):
 
     if sizes is not None:
         default = values()
-        monkeypatch.setattr(sums_module, "BLOCK", sizes[0])
-        monkeypatch.setattr(sums_module, "CHAR_BLOCK", sizes[1])
+        monkeypatch.setattr(sums_module, "TERM_BUDGET", sizes[0] * sizes[1])
     got = values()
     if sizes is not None:
         for g, d in zip(got, default):
@@ -707,15 +793,14 @@ def test_kernel_temporaries_stay_within_the_stated_bound(monkeypatch):
     """Peak traced memory of one kernel call against its docstring's bound.
 
     Besides the (C x M) result, the call holds the reduced copy of X and its
-    (C x m) kill mask, and at most (m + 8) max(|R|, BLOCK CHAR_BLOCK) +
+    (C x m) kill mask, and at most (m + 8) max(|R|, TERM_BUDGET) +
     2 chunk m M int64 entries of temporaries; 16 kB more covers the
     interpreter's own objects.  Without blocking the 120 x 1728 terms alone
     would take 1.6 MB.  A single sum (C = 1, chunk 1) takes blocks of up to
-    BLOCK CHAR_BLOCK terms too: its 1728 terms run as 2 blocks, where
-    blocks of BLOCK terms would take 7, and stay within the same bound.
+    TERM_BUDGET terms too: its 1728 terms run as 2 blocks, where
+    blocks of 256 terms would take 7, and stay within the same bound.
     """
-    monkeypatch.setattr(sums_module, "BLOCK", 256)
-    monkeypatch.setattr(sums_module, "CHAR_BLOCK", 4)
+    monkeypatch.setattr(sums_module, "TERM_BUDGET", 256 * 4)
     r = ring(2, 2, 2)  # |R| = 16, 12 units, M = L = 6
     M, size = decompose_unit_group(r).lcm_order, r.element_count
     for X in (sampled_tuples(r, 4, 120, 21), sampled_tuples(r, 4, 1, 22)):
@@ -749,14 +834,14 @@ def test_kernel_temporaries_stay_within_the_stated_bound(monkeypatch):
 
 
 def test_kernel_blocks_count_terms_not_tuples(monkeypatch):
-    """Every block holds up to BLOCK CHAR_BLOCK terms, whatever the chunk size.
+    """Every block holds up to TERM_BUDGET terms, whatever the chunk size.
 
     A single m = 3 Jacobi sum over GR(2^4, 2^8) has 192^2 = 36,864 terms and
-    runs as one block; a batch of CHAR_BLOCK tuples shares each block's
-    solve, so it takes BLOCK CHAR_BLOCK // CHAR_BLOCK = BLOCK domain rows
-    at a time, as many terms as the single sum's one block may hold.
+    runs as one block; a batch of 64 tuples shares each block's solve, so it
+    takes TERM_BUDGET // 64 domain rows at a time, as many terms as the
+    single sum's one block may hold.
     """
-    most = sums_module.BLOCK * sums_module.CHAR_BLOCK
+    most = sums_module.TERM_BUDGET
     r = ring(2, 4, 2)
     chars = enumerate_characters(r)
     rows = []
@@ -772,7 +857,7 @@ def test_kernel_blocks_count_terms_not_tuples(monkeypatch):
     assert sv.terms == 36_864 and rows == [36_864]
 
     rows.clear()
-    X = sampled_tuples(r, 3, sums_module.CHAR_BLOCK, 23)
+    X = sampled_tuples(r, 3, 64, 23)
     sums_module.jacobi_brute_table(r, X, r.scalar(3))
     assert len(rows) > 1 and sum(rows) == 36_864
     assert max(rows) * len(X) <= most
@@ -1263,6 +1348,6 @@ def test_a_moved_brute_value_turns_exactly_its_row_red(monkeypatch):
     want = (
         f"brute={brute:.6g} expected |J| = {e.magnitude(r.q):.6g} = {e.value:.6g} ({e.lemma})"
     )
-    assert verify_module._jacobi_failures(r, 3, 1e-6) == (1728 * 3, 0, [(row, 1, want)])
+    assert verify_module._jacobi_failures(r, 3) == (1728 * 3, 0, [(row, 1, want)])
     result = verify_module.verify_jacobi_triples()
     assert [(c.label, c.detail) for c in result.checks if not c.ok] == [(f"{r} agreement", want)]
