@@ -42,7 +42,7 @@ from .errors import (
     SizeLimit,
     TooLarge,
 )
-from .ring import GaloisRing, RingElement, factorize
+from .ring import GaloisRing, RingElement
 from .sums import s_cardinality, s_cardinality_qn, solved_domain
 
 DEFAULT_ENTRY_CAP = 10 ** 8
@@ -453,8 +453,57 @@ def asymptotic_ratio(q: int, n: int, m: int, k: int) -> float:
     return imax_formula(q, n, m) / welch_bound(N, K)
 
 
+# Miller-Rabin at the first 13 primes decides every n below MR_BOUND
+# (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < MR_BOUND."""
+    if n < 2:
+        return False
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
+    d = (n - 1) >> r
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root(q: int, e: int) -> int:
+    """floor(q^(1/e)) for q >= 1, by Newton's method on integers from above."""
+    x = 1 << -(-q.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def is_prime_power(q: int) -> bool:
-    return q > 1 and len(factorize(q)) == 1
+    """q = p^e for a prime p; TooLarge for q >= MR_BOUND, where the bases no longer decide.
+
+    For the largest e <= log2 q with an exact e-th root r, r is no perfect
+    power, so q is a prime power exactly when r is prime.
+    """
+    if q >= MR_BOUND:
+        raise TooLarge(f"q = {q} is past the primality test's bound {MR_BOUND}")
+    for e in range(q.bit_length() - 1, 0, -1) if q > 1 else ():
+        r = _root(q, e)
+        if r ** e == q:
+            return _is_prime(r)
+    return False
 
 
 @dataclass
@@ -485,10 +534,11 @@ def table2(q_list=None) -> list[Table2Row]:
     """Analytic parameter table for the (n, m, k) = (2, 3, 1) family."""
     qs = TABLE2_DEFAULT_Q if q_list is None else tuple(q_list)
     n, m, k = TABLE2_NMK
-    out = []
-    for q in qs:
+    for q in qs:  # every q checked before any row is computed
         if not is_prime_power(q):
             raise NotPrimePower(f"{q} is not a prime power")
+    out = []
+    for q in qs:
         N, K = codebook_size(q, n, m, k)
         out.append(
             Table2Row(

@@ -194,11 +194,25 @@ def agreement(values, magnitudes, pinned, tol):
 
 
 def agrees_table(values, expected: list[Expected], q: int, tol) -> np.ndarray:
-    """agreement per row of a table of sums and their expectations."""
+    """agreement per row of a table of sums and their expectations.
+
+    Each distinct Expected is read once; each magnitude but an exact law's
+    once per (kind, exponent, integer), the exponent keyed by its ratio.
+    """
     laws = {id(e): e for e in expected}  # the rows of a class share one Expected: read it once
     slot = {key: i for i, key in enumerate(laws)}
     at = np.fromiter([slot[id(e)] for e in expected], dtype=np.intp, count=len(expected))
-    facts = np.array([e.facts(q) for e in laws.values()], dtype=np.complex128).reshape(-1, 2)
+    sizes: dict = {}
+    rows = []
+    for e in laws.values():
+        if e.kind == "exact":
+            rows.append(e.facts(q))
+            continue
+        key = (e.kind, None if e.exponent is None else e.exponent.as_integer_ratio(), e.integer)
+        if key not in sizes:
+            sizes[key] = e.facts(q)[0]
+        rows.append((sizes[key], math.nan if e.value is None else e.value))
+    facts = np.array(rows, dtype=np.complex128).reshape(-1, 2)
     magnitudes, pinned = facts[at].T
     return agreement(np.asarray(values, dtype=np.complex128), magnitudes.real, pinned, tol)
 
@@ -234,26 +248,47 @@ def _minus(groups, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, (t.take(hi.take(x) - lo.take(y)) for hi, lo, t in groups))
 
 
+def _free_axes(ring: GaloisRing, m: int, units: int) -> list[np.ndarray]:
+    """The ranges of x_1..x_{m-1}: the first units coordinates over R*, the rest over R."""
+    return [ring.unit_indices()] * units + [np.arange(ring.element_count)] * (m - 1 - units)
+
+
+@ring_table
+def _solved_at_zero(ring: GaloisRing, m: int, units: int) -> np.ndarray:
+    """x_m = -(x_1 + ... + x_{m-1}) over the whole domain of _solved_blocks at a = 0."""
+    groups, rest = _solve_codes(ring), np.zeros(1, dtype=np.int64)  # index 0 is the zero
+    *prefix, last = _free_axes(ring, m, units)
+    for d in prefix:
+        rest = _minus(groups, rest[:, None], d).ravel()
+    return _minus(groups, rest[:, None], last)
+
+
 def _solved_blocks(ring: GaloisRing, m: int, k: int, a: RingElement, budget: int):
     """{x : x_1..x_k units, x_{k+1}..x_{m-1} arbitrary, x_m = a - sum} in blocks of <= budget rows.
 
     A block is the prefix rows x_1..x_{m-2} (an index array per coordinate, in
     itertools.product order), a slice y of x_{m-1}, and x_m as a (rows x
-    len(y)) index array, each difference taken by _minus.
+    len(y)) index array, each difference taken by _minus.  At a = 0 a domain
+    of at most TERM_BUDGET terms is solved once per (ring, m, units), and its
+    blocks are slices of that read-only solve (_solved_at_zero).
     """
-    units, size, groups = min(k, m - 1), ring.element_count, _solve_codes(ring)
-    *prefix, last = [ring.unit_indices()] * units + [np.arange(size)] * (m - 1 - units)
+    units, groups = min(k, m - 1), _solve_codes(ring)
+    *prefix, last = _free_axes(ring, m, units)
     sizes, step = [len(d) for d in prefix], min(len(last), budget)
     total, rows = math.prod(sizes), max(1, budget // step)
+    memo = a.is_zero and total * len(last) <= TERM_BUDGET
+    solved = _solved_at_zero(ring, m, units) if memo else None
     for p0 in range(0, total, rows):
-        at = np.unravel_index(np.arange(p0, min(p0 + rows, total)), sizes) if sizes else ()
+        p1 = min(p0 + rows, total)
+        at = np.unravel_index(np.arange(p0, p1), sizes) if sizes else ()
         xs = [d.take(i) for d, i in zip(prefix, at)]
-        rest = np.array([ring._index(a.coords)])
-        for x in xs:
-            rest = _minus(groups, rest, x)
+        if not memo:
+            rest = np.array([ring._index(a.coords)])
+            for x in xs:
+                rest = _minus(groups, rest, x)
         for d0 in range(0, len(last), step):
             y = last[d0 : d0 + step]
-            yield xs, y, _minus(groups, rest[:, None], y)
+            yield xs, y, solved[p0:p1, d0 : d0 + step] if memo else _minus(groups, rest[:, None], y)
 
 
 def solved_domain(ring: GaloisRing, m: int, k: int, a: RingElement) -> np.ndarray:
@@ -273,15 +308,17 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
     non-units where chi_i is nontrivial and for x_m when k >= m.  The twist
     term is one |R|-long product, x . (tr(b xi^i) mod p^n) M / p^n: each of
     its entries lies below s p^n M, so it stays in int64 until the table's
-    one reduction mod M.  Over the
-    broadcast blocks of _solved_blocks, whose solve the chunk's tuples share,
-    a term costs one gather (none for x_m when its table is all zero, as in a
-    Gauss sum), two adds, one compare and one bincount into m M bins per
-    tuple, folded mod M.  A chunk takes max(1, TERM_BUDGET // |R|) tuples
-    and a block TERM_BUDGET // chunk domain rows, so up to TERM_BUDGET terms
-    however few the tuples (a single sum of that many terms is one block):
-    besides the result and the scaled X with its kill mask, temporaries hold
-    (m + 8) max(|R|, TERM_BUDGET) + 2 chunk m M int64s.
+    one reduction mod M.  The blocks of _solved_blocks are solved at 0, and
+    x_m at a is a + x_m(0): one gather through the index of a + w, of x_m's
+    chunk table or of each block's index, whichever is smaller.  A term costs
+    one gather (none for x_m when its table is all zero, as in a Gauss sum),
+    two adds and one bincount into m M bins per tuple, folded mod M.  Killed
+    terms lie in [chunk m M, (m + 1) chunk m M), clamped to one bin only where
+    that many bins would outnumber the block's terms.  A chunk
+    takes max(1, TERM_BUDGET // |R|) tuples and a block TERM_BUDGET // chunk
+    domain rows, so up to TERM_BUDGET terms however few the tuples: besides
+    the result, the scaled X with its kill mask and the memoised solve,
+    temporaries hold (m + 8) max(|R|, TERM_BUDGET) + 2 chunk m M int64s.
     """
     basis = decompose_unit_group(ring)
     size, pn, coords, extra = ring.element_count, ring.pn, ring.coord_array(), 0
@@ -292,12 +329,17 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
     count, m = X.shape[:2]
     kill, off_unit = X.any(axis=2), ~ring.unit_mask()
     kill[:, -1] |= k >= m
+    units, shift = min(k, m - 1), None
+    domain = ring.unit_count ** units * size ** (m - 1 - units)  # terms per tuple
+    if not a.is_zero:  # the index of a + w: digit sums of the low codes stay below 2 p^n
+        i = ring._index(a.coords)
+        shift = functools.reduce(np.add, (t.take(lo[i] + lo) for _, lo, t in _solve_codes(ring)))
     counts = np.zeros((count, M), dtype=np.int64)
     nb = max(1, TERM_BUDGET // size)
     buffer = np.empty(m * min(nb, count) * size, dtype=np.int64)  # the tables of a chunk
     for c0 in range(0, count, nb):
         c1 = min(c0 + nb, count)
-        dump = (c1 - c0) * m * M  # the bin of killed terms; every live sum lies below it
+        dump = (c1 - c0) * m * M  # the least killed term; every live sum lies below it
         tables = buffer[: m * (c1 - c0) * size].reshape(m, -1, size)  # contiguous: no copy in place
         np.matmul(X[c0:c1].swapaxes(0, 1), dlog_matrix(ring).T, out=tables)
         tables[0] += extra
@@ -306,14 +348,21 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
         tables[0] += np.arange(c1 - c0)[:, None] * (m * M)
         budget = TERM_BUDGET // (c1 - c0)  # domain rows per block, >= 1 as c1 - c0 <= nb
         solved = kill[c0:c1, -1].any()  # else x_m's table is all zero, as in a Gauss sum
-        for xs, y, index in _solved_blocks(ring, m, k, a, budget):
+        moved = solved and shift is not None  # the translation, of the table or of each index
+        by_table = moved and (c1 - c0) * size < domain
+        if by_table:
+            tables[-1] = tables[-1].take(shift, axis=1)
+        for xs, y, index in _solved_blocks(ring, m, k, ring.zero, budget):
             shape = (c1 - c0, *index.shape)
+            if moved and not by_table:
+                index = shift.take(index)
             terms = tables[-1].take(index, axis=1) if solved else np.zeros(shape, dtype=np.int64)
             terms += tables[-2].take(y, axis=1)[:, None, :]
             if xs:
                 terms += sum(t.take(x, axis=1) for t, x in zip(tables, xs))[:, :, None]
-            np.minimum(terms, dump, out=terms)
-            bins = np.bincount(terms.ravel(), minlength=dump + 1)[:dump]
+            if (m + 1) * dump >= terms.size:
+                np.minimum(terms, dump, out=terms)
+            bins = np.bincount(terms.ravel(), minlength=dump)[:dump]
             counts[c0:c1] += bins.reshape(c1 - c0, m, M).sum(axis=1)
     return counts
 

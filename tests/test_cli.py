@@ -176,6 +176,17 @@ def test_table2_bad_q(capsys):
     assert "prime power" in err
 
 
+def test_table2_large_q_exits_at_once(capsys):
+    """A 17-digit prime is decided by Miller-Rabin, not trial division; a q past
+    the bases' bound is a resource error."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "table2", "10000000000000061")
+    assert code == 0 and "10000000000000061" in out
+    assert time.perf_counter() - start < 1.0
+    code, _, err = run(capsys, "table2", "3317044064679887385961981")
+    assert code == 3 and "bound" in err
+
+
 def test_verify_green_suite(capsys):
     code, out, _ = run(capsys, "verify", "counting")
     assert code == 0

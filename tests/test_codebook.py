@@ -214,6 +214,20 @@ def test_table2_rows():
         table2([12])
 
 
+def test_is_prime_power_by_roots_and_miller_rabin():
+    from galois_sums.ring import factorize
+
+    is_prime_power = codebook_module.is_prime_power
+    assert all(is_prime_power(q) == (len(factorize(q)) == 1) for q in range(20_001))
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine primes
+    assert not is_prime_power(3215031751) and not is_prime_power(3825123056546413051)
+    assert all(map(is_prime_power, [2 ** 61 - 1, (2 ** 31 - 1) ** 2, 10000000000000061]))
+    with pytest.raises(TooLarge):
+        is_prime_power(codebook_module.MR_BOUND)
+    with pytest.raises(TooLarge):  # refused before the first row
+        table2([11, codebook_module.MR_BOUND + 2])
+
+
 def test_export_csv_basis_rows():
     cb = build((3, 2, 1), m=2, k=1)
     data = export_codebook(cb, fmt="csv").decode().splitlines()

@@ -33,7 +33,7 @@ def poly_mul_plain(a, b, mod):
 
 
 def test_params_validation():
-    for p in (4, 91, 1, 0, -3):  # factorize is the one primality routine
+    for p in (4, 91, 1, 0, -3):  # the ring's primality routine is factorize
         with pytest.raises(ValueError, match="prime"):
             RingParams(p, 2, 1)
     with pytest.raises(ValueError):

@@ -817,7 +817,8 @@ def test_kernel_temporaries_stay_within_the_stated_bound(monkeypatch):
         held = counts.nbytes + X.nbytes + X.shape[0] * X.shape[1]
         assert peak <= held + 8 * bound + 16_000, (len(X), peak, held, 8 * bound)
 
-        # the compare sends every killed term to one bin: no bincount grows past chunk m M + 1
+        # killed terms lie below (m + 1) chunk m M; the compare sends them to one bin only
+        # where that many bins would outnumber the block's terms (the 120-tuple chunks)
         lengths = []
 
         def bincount(x, *args, **kwargs):
@@ -829,7 +830,8 @@ def test_kernel_temporaries_stay_within_the_stated_bound(monkeypatch):
         monkeypatch.setattr(np, "bincount", bincount)
         assert np.array_equal(sums_module._root_counts(r, X, 4, r.one), counts)
         monkeypatch.setattr(np, "bincount", real)
-        assert lengths and max(lengths) == chunk * 4 * M + 1
+        assert lengths and max(lengths) <= (4 + 1) * chunk * 4 * M
+        assert len(X) == 1 or max(lengths) == chunk * 4 * M + 1
         assert len(X) > 1 or len(lengths) == 2  # blocks of 85 and 59 rows of 12 terms
 
 
@@ -942,6 +944,86 @@ def test_solved_domain_matches_ring_subtraction(key):
                     last = last - x
                 want.append([r._index(x.coords) for x in row + (last,)])
             assert domain.tolist() == want
+
+
+def direct_root_counts(r, X, k, a):
+    """_root_counts with x_m solved at a itself (the digit solve) and each killed term dropped.
+
+    A term is killed where a nontrivial character, or x_m when k >= m, meets
+    a non-unit; the live exponent sums are counted mod M per tuple.
+    """
+    basis, off_unit = decompose_unit_group(r), ~r.unit_mask()
+    M, m = basis.lcm_order, X.shape[1]
+    tables = (X * basis.scale).transpose(1, 0, 2) @ basis.dlog_matrix.T % M  # (m, C, |R|)
+    dead = X.any(axis=2).T[:, :, None] & off_unit
+    dead[-1] |= (k >= m) & off_unit
+    counts = np.zeros((len(X), M), dtype=np.int64)
+    for xs, y, index in digit_solved_blocks(r, m, k, a, 1 << 30):
+        ends = [(t[-1][:, index], t[-2][:, y][:, None, :]) for t in (tables, dead)]
+        (e, e2), (d, d2) = ends
+        e, d = e + e2, d | d2
+        for i, x in enumerate(xs):
+            e, d = e + tables[i][:, x][:, :, None], d | dead[i][:, x][:, :, None]
+        for c in range(len(X)):
+            counts[c] += np.bincount(e[c][~d[c]] % M, minlength=M)
+    return counts
+
+
+KERNEL_SOLVE_TERMS = 1_500  # per sum, for the direct-solve comparison
+
+
+@pytest.mark.parametrize("budget", [None, 7 * 3])
+@pytest.mark.parametrize("key", SOLVE_RINGS)
+def test_kernel_counts_match_the_direct_solve(monkeypatch, key, budget):
+    """Every m = 2..4, k and C in {1, 7, 64}, at the solve twists and a non-unit.
+
+    The kernel solves its domain at 0 and translates by a; the reference
+    solves at a.  A TERM_BUDGET of 7 x 3 streams every domain past 21 terms
+    in blocks, and takes no memo.
+    """
+    r = ring(*key)
+    if budget is not None:
+        monkeypatch.setattr(sums_module, "TERM_BUDGET", budget)
+    rng = random.Random(repr(key))
+    ideal = [x for x in r.elements() if not x.is_unit]
+    twists = solve_twists(r, rng) + [rng.choice(ideal)]
+    cases = 0
+    for m in (2, 3, 4):
+        for k in range(1, m + 1):
+            units = min(k, m - 1)
+            if r.unit_count ** units * r.element_count ** (m - 1 - units) > KERNEL_SOLVE_TERMS:
+                continue
+            for count in (1, 7, 64):
+                X = sampled_tuples(r, m, count, cases)
+                X[0] = 0  # the all-trivial tuple counts every kept row
+                a = twists[cases % len(twists)]
+                got = sums_module._root_counts(r, X, k, a)
+                assert np.array_equal(got, direct_root_counts(r, X, k, a)), (m, k, count, a)
+                cases += 1
+    assert cases
+
+
+def test_the_twist_free_solve_is_memoised_per_m_and_units(monkeypatch):
+    """One read-only entry per (ring, m, units): k = m - 1 and k = m share it,
+    and a domain past TERM_BUDGET is streamed without an entry."""
+    r = build_ring(2, 2, 2)  # fresh cache; 12 units of 16 elements
+    X3, X4 = sampled_tuples(r, 3, 5, 1), sampled_tuples(r, 4, 5, 2)
+
+    def memo():
+        fn = sums_module._solved_at_zero.__wrapped__
+        return {key[1:]: v for key, v in r._cache.items() if key[0] is fn}
+
+    for k in (2, 3):
+        sums_module._root_counts(r, X3, k, r.one)
+    sums_module._root_counts(r, X3, 1, r.zero)
+    entries = memo()
+    assert set(entries) == {(3, 2), (3, 1)}
+    assert entries[(3, 2)].shape == (12, 12) and entries[(3, 1)].shape == (12, 16)
+    assert not any(v.flags.writeable for v in entries.values())
+    monkeypatch.setattr(sums_module, "TERM_BUDGET", 12 ** 3 - 1)  # m = 4, k = 4: 1,728 terms
+    counts = sums_module._root_counts(r, X4, 4, r.one)
+    assert set(memo()) == {(3, 2), (3, 1)}
+    assert np.array_equal(counts, direct_root_counts(r, X4, 4, r.one))
 
 
 def test_solve_tables_stay_within_eight_ring_sizes():
