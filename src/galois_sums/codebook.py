@@ -499,7 +499,9 @@ def is_prime_power(q: int) -> bool:
     """
     if q >= MR_BOUND:
         raise TooLarge(f"q = {q} is past the primality test's bound {MR_BOUND}")
-    for e in range(q.bit_length() - 1, 0, -1) if q > 1 else ():
+    if q < 2:
+        return False
+    for e in range(q.bit_length() - 1, 0, -1):
         r = _root(q, e)
         if r ** e == q:
             return _is_prime(r)

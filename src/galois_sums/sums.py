@@ -348,13 +348,13 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
         tables[0] += np.arange(c1 - c0)[:, None] * (m * M)
         budget = TERM_BUDGET // (c1 - c0)  # domain rows per block, >= 1 as c1 - c0 <= nb
         solved = kill[c0:c1, -1].any()  # else x_m's table is all zero, as in a Gauss sum
-        moved = solved and shift is not None  # the translation, of the table or of each index
-        by_table = moved and (c1 - c0) * size < domain
-        if by_table:
+        moved = solved and shift is not None  # translate x_m's table once, or else each index
+        if moved and (c1 - c0) * size < domain:
             tables[-1] = tables[-1].take(shift, axis=1)
+            moved = False
         for xs, y, index in _solved_blocks(ring, m, k, ring.zero, budget):
             shape = (c1 - c0, *index.shape)
-            if moved and not by_table:
+            if moved:
                 index = shift.take(index)
             terms = tables[-1].take(index, axis=1) if solved else np.zeros(shape, dtype=np.int64)
             terms += tables[-2].take(y, axis=1)[:, None, :]
