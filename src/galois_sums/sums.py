@@ -250,7 +250,8 @@ def _minus(groups, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _free_axes(ring: GaloisRing, m: int, units: int) -> list[np.ndarray]:
     """The ranges of x_1..x_{m-1}: the first units coordinates over R*, the rest over R."""
-    return [ring.unit_indices()] * units + [np.arange(ring.element_count)] * (m - 1 - units)
+    free = m - 1 - units
+    return [ring.unit_indices()] * units + ([np.arange(ring.element_count)] * free if free else [])
 
 
 @ring_table
@@ -355,8 +356,13 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
         for xs, y, index in _solved_blocks(ring, m, k, ring.zero, budget):
             shape = (c1 - c0, *index.shape)
             if moved:
-                index = shift.take(index)
-            terms = tables[-1].take(index, axis=1) if solved else np.zeros(shape, dtype=np.int64)
+                index = shift[index]
+            if not solved:
+                terms = np.zeros(shape, dtype=np.int64)
+            elif c1 - c0 == 1:  # take copies a read-only index first; indexing reads it in place
+                terms = tables[-1][0][index][None]
+            else:
+                terms = tables[-1].take(index, axis=1)
             terms += tables[-2].take(y, axis=1)[:, None, :]
             if xs:
                 terms += sum(t.take(x, axis=1) for t, x in zip(tables, xs))[:, :, None]
