@@ -354,11 +354,10 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
             tables[-1] = tables[-1].take(shift, axis=1)
             moved = False
         for xs, y, index in _solved_blocks(ring, m, k, ring.zero, budget):
-            shape = (c1 - c0, *index.shape)
             if moved:
                 index = shift[index]
             if not solved:
-                terms = np.zeros(shape, dtype=np.int64)
+                terms = np.zeros((c1 - c0, *index.shape), dtype=np.int64)
             elif c1 - c0 == 1:  # take copies a read-only index first; indexing reads it in place
                 terms = tables[-1][0][index][None]
             else:
