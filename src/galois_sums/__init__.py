@@ -9,7 +9,6 @@ from .errors import (
     InvalidModulus,
     NotAUnit,
     NotInBaseRing,
-    NotInSubgroup,
     NotPrimePower,
     RingMismatch,
     SizeLimit,
@@ -24,19 +23,14 @@ from .ring import (
     find_basic_primitive_poly,
 )
 from .characters import (
-    AdditiveCharacter,
     MultCharacter,
     RootOfUnity,
-    SubgroupCharacter,
     UnitGroupBasis,
     character_levels,
     character_table_json,
     decompose_unit_group,
     enumerate_characters,
     extend_phi,
-    lift_character,
-    product_character,
-    project_character,
     section_json,
 )
 from .sums import (
@@ -46,7 +40,6 @@ from .sums import (
     canonicalize,
     count_unit_solutions,
     count_unit_solutions_brute,
-    expected_gauss,
     gauss_sum,
     jacobi,
     jacobi_brute,

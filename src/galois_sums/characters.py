@@ -1,9 +1,12 @@
-"""Additive and multiplicative characters of a Galois ring.
+"""Multiplicative characters of a Galois ring, as exponent arrays.
 
-Additive characters are twists lambda_b(x) = exp(2 pi i tr(bx) / p^n) of the
-canonical character.  Multiplicative characters are stored as exponent tuples
-against a fixed basis of the unit group R* = T* x (1 + M); values are exact
-roots of unity until a summation kernel converts them to complex doubles.
+A character of the unit group R* = T* x (1 + M) is an exponent tuple against
+a fixed basis of R*, and its values are integer exponents modulo one
+ring-wide order L (character_numerators) until a summation kernel converts
+them to complex doubles through root_table.  MultCharacter wraps one tuple
+for the functions that take characters one sum at a time.  The additive
+characters lambda_b(x) = exp(2 pi i tr(bx) / p^n) have no object here: the
+Gauss sums read tr(bx) through trace_form.
 
 The structural tables are whole-array passes over element indices, each
 built once per ring and cached on it.  The Teichmuller generator xi spans the
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BrokenInvariant, NotAUnit, NotInSubgroup, RingMismatch
+from .errors import BrokenInvariant, NotAUnit, RingMismatch
 from .ring import GaloisRing, RingElement, ring_table, trace_form
 
 
@@ -53,33 +56,12 @@ class RootOfUnity:
     def is_one(self) -> bool:
         return self.numerator == 0
 
-    def __mul__(self, other: RootOfUnity) -> RootOfUnity:
-        order = math.lcm(self.order, other.order)
-        num = self.numerator * (order // self.order) + other.numerator * (
-            order // other.order
-        )
-        return RootOfUnity.make(num, order)
-
-    def conjugate(self) -> RootOfUnity:
-        return RootOfUnity.make(-self.numerator, self.order)
-
-    def reduced(self) -> RootOfUnity:
-        """Lowest-terms copy, for display only."""
-        g = math.gcd(self.numerator, self.order)
-        return RootOfUnity(self.numerator // g, self.order // g)
-
     def to_complex(self) -> complex:
         if self.numerator == 0:
             return complex(1.0)
         if 2 * self.numerator == self.order:
             return complex(-1.0)
         return cmath.exp(2j * cmath.pi * self.numerator / self.order)
-
-    def __str__(self) -> str:
-        r = self.reduced()
-        if r.numerator == 0:
-            return "1"
-        return f"e(2pi*{r.numerator}/{r.order})"
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,30 +74,6 @@ def root_table(order: int) -> np.ndarray:
     roots = np.array([RootOfUnity(j, order).to_complex() for j in range(order)], dtype=complex)
     roots.flags.writeable = False
     return roots
-
-
-class AdditiveCharacter:
-    """lambda_b : x -> exp(2 pi i tr(bx) / p^n)."""
-
-    __slots__ = ("ring", "b")
-
-    def __init__(self, ring: GaloisRing, b: RingElement):
-        ring._check_same(b)
-        self.ring = ring
-        self.b = b
-
-    def eval(self, x: RingElement) -> RootOfUnity:
-        return RootOfUnity.make(self.ring.trace(self.b * x), self.ring.pn)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AdditiveCharacter)
-            and self.ring.key == other.ring.key
-            and self.b == other.b
-        )
-
-    def __hash__(self) -> int:
-        return hash(("add", self.b.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +242,6 @@ def dlog_matrix(ring: GaloisRing) -> np.ndarray:
     return decompose_unit_group(ring).dlog_matrix
 
 
-def _dlog_row(ring: GaloisRing, w: RingElement) -> list[int]:
-    """The dlog_matrix row of the unit w; NotAUnit on the maximal ideal."""
-    ring._check_same(w)
-    i = ring._index(w.coords)
-    if not ring.unit_mask()[i]:
-        raise NotAUnit(f"{w} lies in the maximal ideal")
-    return dlog_matrix(ring)[i].tolist()
-
-
 @dataclass(frozen=True, eq=False)  # equality as a Mapping
 class _DlogView(Mapping):
     """UnitGroupBasis.dlog: the units' dlog_matrix rows keyed by coordinate tuple."""
@@ -303,7 +252,7 @@ class _DlogView(Mapping):
         r = self.ring
         if len(coords) != r.s or not all(0 <= c < r.pn for c in coords) or not r._is_unit(coords):
             raise KeyError(coords)
-        return tuple(_dlog_row(r, RingElement(r, tuple(coords))))
+        return tuple(dlog_matrix(r)[r._index(coords)].tolist())
 
     def __iter__(self):
         return (u.coords for u in self.ring.units())
@@ -382,26 +331,6 @@ class MultCharacter:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def eval_unit(self, x: RingElement) -> RootOfUnity:
-        L, t = self.basis.lcm_order, _dlog_row(self.ring, x)
-        num = sum(e * ti * (L // d) for e, ti, d in zip(self.exponents, t, self.basis.orders))
-        return RootOfUnity.make(num, L)
-
-    def extended_eval(self, x: RingElement) -> complex:
-        """chi(x) for units; on the maximal ideal: 1 if trivial, else 0."""
-        self.ring._check_same(x)
-        if x.is_unit:
-            return self.eval_unit(x).to_complex()
-        return complex(1.0) if self.is_trivial else complex(0.0)
-
-    def trivial_on_subgroup(self, k: int) -> bool:
-        """Trivial on 1 + p^k R; k = 0 is read as the whole unit group.
-
-        The subgroups shrink as k grows, so by minimality of the level this
-        holds exactly when level <= k.
-        """
-        return self.level <= max(k, 0)
-
     @property
     def index(self) -> int:
         """Position in enumerate_characters order: the mixed-radix value of the exponents."""
@@ -415,10 +344,6 @@ class MultCharacter:
         """Triviality level in {0..n}: least k with chi trivial on 1 + p^k R (character_levels)."""
         return int(character_levels(self.ring)[self.index])
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.level == self.ring.n
-
     def __mul__(self, other: MultCharacter) -> MultCharacter:
         if self.ring.key != other.ring.key:
             raise RingMismatch("characters over different rings")
@@ -428,10 +353,6 @@ class MultCharacter:
 
     def inverse(self) -> MultCharacter:
         return MultCharacter(self.ring, tuple(-e for e in self.exponents))
-
-    def sign_at_minus_one(self) -> int:
-        """chi(-1), always +1 or -1, from character_signs."""
-        return int(character_signs(self.ring)[self.index])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -451,14 +372,6 @@ class MultCharacter:
 def enumerate_characters(ring: GaloisRing) -> list[MultCharacter]:
     """All q^n - q^(n-1) multiplicative characters, exponent tuples in lex order."""
     return [MultCharacter(ring, e) for e in character_exponents(ring).tolist()]
-
-
-def product_character(chars) -> MultCharacter:
-    chars = list(chars)
-    out = chars[0]
-    for c in chars[1:]:
-        out = out * c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,32 +413,8 @@ def character_numerators(ring: GaloisRing, X, units) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the subgroup characters phi_a and their extension to R*
-
-
-class SubgroupCharacter:
-    """phi_a on 1 + p^(n-1) R: 1 + p^(n-1) x -> exp(2 pi i tr(a tau_1(x)) / p).
-
-    Here a lives in the residue field F_q and tr is the field trace to F_p.
-    """
-
-    __slots__ = ("ring", "field", "a")
-
-    def __init__(self, ring: GaloisRing, a: RingElement):
-        if ring.n < 2:
-            raise ValueError("phi_a needs characteristic exponent n >= 2")
-        self.ring = ring
-        self.field = ring.residue_field()
-        self.field._check_same(a)
-        self.a = a
-
-    def eval(self, w: RingElement) -> RootOfUnity:
-        pk = self.ring.p ** (self.ring.n - 1)
-        diff = (w - self.ring.one).coords
-        if any(c % pk for c in diff):
-            raise NotInSubgroup(f"{w} is not in 1 + p^{self.ring.n - 1} R")
-        x = self.field.element(tuple((c // pk) % self.ring.p for c in diff))
-        return RootOfUnity.make(self.field.trace(self.a * x), self.ring.p)
+# the extension to R* of the characters phi_a of 1 + p^(n-1) R, where
+# phi_a(1 + p^(n-1) x) = exp(2 pi i tr(a tau_1(x)) / p) for a in F_q
 
 
 # the section choices of _section_map; the first is the default
@@ -621,14 +510,6 @@ def lift_exponents(ring: GaloisRing, X, k: int) -> np.ndarray:
     return _exponents_at(target, X, target.index_of(images), basis.orders)
 
 
-def lift_character(psi: MultCharacter, ring: GaloisRing) -> MultCharacter:
-    """The character psi o tau of R*, for psi over a quotient of this ring."""
-    k = ring.n - psi.ring.n
-    if not 1 <= k <= ring.n - 1 or ring.reduced(k).key != psi.ring.key:
-        raise RingMismatch(f"{psi.ring} is not a quotient of {ring}")
-    return MultCharacter(ring, tuple(lift_exponents(ring, [psi.exponents], k)[0].tolist()))
-
-
 def project_exponents(ring: GaloisRing, X, k: int) -> np.ndarray:
     """Exponents over ring.reduced(k) of the characters given by the exponent tuples of X.
 
@@ -641,12 +522,6 @@ def project_exponents(ring: GaloisRing, X, k: int) -> np.ndarray:
     target = decompose_unit_group(ring.reduced(k))
     lifts = ring.index_of(np.array([g.coords for g in target.generators], dtype=np.int64))
     return _exponents_at(ring, X, lifts, target.orders)
-
-
-def project_character(chi: MultCharacter, k: int) -> MultCharacter:
-    """The character of the quotient ring induced by an (n-k)-or-less-trivial chi."""
-    exps = project_exponents(chi.ring, [chi.exponents], k)[0]
-    return MultCharacter(chi.ring.reduced(k), tuple(exps.tolist()))
 
 
 # ---------------------------------------------------------------------------

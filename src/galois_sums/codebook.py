@@ -29,7 +29,6 @@ from .characters import (
     character_exponents,
     decompose_unit_group,
     dlog_matrix,
-    lift_character,
     lift_exponents,
     root_table,
 )
@@ -39,6 +38,7 @@ from .errors import (
     GaloisSumsError,
     NotAUnit,
     NotPrimePower,
+    RingMismatch,
     SizeLimit,
     TooLarge,
 )
@@ -73,8 +73,11 @@ class CodebookParams:
         if self.section not in SECTIONS:
             raise ValueError(f"unknown section {self.section!r}")
         self.ring._check_same(self.a)
+        quotient = self.ring.reduced(1)
         if self.psi0 is None:
-            self.psi0 = MultCharacter.trivial(self.ring.reduced(1))
+            self.psi0 = MultCharacter.trivial(quotient)
+        if self.psi0.ring.key != quotient.key:
+            raise RingMismatch(f"psi0 is a character of {self.psi0.ring}, not of {quotient}")
 
 
 @dataclass
@@ -134,7 +137,7 @@ def _row_exponents(params: CodebookParams) -> tuple[list, np.ndarray]:
     fq = ring.residue_field().elements()
     lifts = lift_exponents(ring, red_chars, 1)
     sects = _section_map(ring, params.section)  # row i: the section at fq[i]
-    head = sects + lift_character(params.psi0, ring).exponents
+    head = sects + lifts[params.psi0.index]
     tail = (lifts[:, None] + sects[None]).reshape(-1, len(orders))
     shape = (len(head),) + (len(tail),) * (params.m - 1)
     at = np.unravel_index(np.arange(math.prod(shape)), shape)

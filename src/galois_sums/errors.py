@@ -48,6 +48,3 @@ class CodebookError(GaloisSumsError):
 class BrokenInvariant(GaloisSumsError):
     """An identity the algebra guarantees failed, indicating an arithmetic bug."""
 
-
-class NotInSubgroup(GaloisSumsError):
-    """An element lies outside the subgroup a character is defined on."""

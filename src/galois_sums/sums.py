@@ -13,10 +13,14 @@ a (C x M) integer count matrix: row c counts, per j, the terms of tuple c
 equal to exp(2 pi i j / M).  Every row becomes complex the same way, over
 ascending j, so a sum in a table (jacobi_brute_table, gauss_table) is
 bit-identical to the same sum computed alone.  The functions that take one
-tuple of MultCharacter objects are each the C = 1 row of a table function.
+tuple of MultCharacter objects are each the C = 1 row of a table function;
+they read a character through its exponents, index and level only.
 
 One agreement rule decides brute value against expectation (agreement):
-for one sum in SumValue.agrees, for a whole table in agrees_table.
+for one sum in SumValue.agrees, for a whole table in agrees_table.  A Gauss
+sum's law is gauss_law(ring, level, b); every law transform, the rotation by
+a root of unity (Expected.rotated) and the q^j scale of a digit reduction,
+is Expected._times.
 
 The closed form is dispatched over tables too: jacobi_expected_table takes
 C exponent tuples and one canonical twist a (jacobi_expected is its C = 1
@@ -135,10 +139,6 @@ class Expected:
         if self.kind == "exact":
             return Expected.exact(self.value * c, lemma)
         return Expected.unclassified()
-
-    def shift_power(self, j: Fraction, c: int, lemma: str) -> Expected:
-        """Expectation of c * (this sum) where c = q**j exactly."""
-        return self._times(c, j, lemma)
 
     def rotated(self, w: RootOfUnity, lemma: str) -> Expected:
         """Expectation of w * (this sum) for a root of unity w (-1 keeps an integer law)."""
@@ -474,16 +474,11 @@ def gauss_law(ring: GaloisRing, level: int, b: RingElement) -> Expected:
     return Expected.zero("gauss-vanishing")
 
 
-def expected_gauss(chi: MultCharacter, b: RingElement) -> Expected:
-    """Magnitude law for G(chi, lambda_b), split by the valuation of b."""
-    return gauss_law(chi.ring, chi.level, b)
-
-
 def gauss_sum(chi: MultCharacter, b: RingElement) -> SumValue:
     chi.ring._check_same(b)
     index = chi.index
     value = _gauss_fill(chi.ring, b.coords, (index,))[index]
-    return SumValue(value, expected_gauss(chi, b), chi.ring.unit_count)
+    return SumValue(value, gauss_law(chi.ring, chi.level, b), chi.ring.unit_count)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +761,7 @@ def jacobi_expected_table(
         for c, e in zip(rows, sub):
             # the rows of a shared sub-class share its shifted expectation too
             if id(e) not in shifted:
-                shifted[id(e)] = e.shift_power(shift, scale, "digit-reduction")
+                shifted[id(e)] = e._times(scale, shift, "digit-reduction")
             out[c] = shifted[id(e)]
     return out
 

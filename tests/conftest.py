@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from galois_sums import BadLevel, build_ring
+from galois_sums import BadLevel, RootOfUnity, build_ring, decompose_unit_group
 
 
 @lru_cache(maxsize=None)
@@ -28,6 +29,52 @@ def ideal(r, k: int) -> list:
 def one_plus_ideal(r, k: int) -> list:
     """The subgroup 1 + p^k R of the units (k >= 1), in the order of ideal(k)."""
     return [r.one + m for m in ideal(r, k)]
+
+
+# per-element character values, each from its definition, for checking the
+# exponent arrays (character_numerators and the tables read through it) against
+
+
+def additive_value(r, b, x) -> RootOfUnity:
+    """lambda_b(x) = exp(2 pi i tr(bx) / p^n)."""
+    return RootOfUnity.make(r.trace(b * x), r.pn)
+
+
+def eval_unit(chi, x) -> RootOfUnity:
+    """chi(x) at a unit x of chi's ring, over the ring-wide order L.
+
+    chi(prod g_i^(t_i)) = prod exp(2 pi i e_i t_i / d_i) for chi's exponents e
+    and x's exponent tuple t in basis.dlog, which has no key for a non-unit.
+    """
+    r = chi.ring
+    r._check_same(x)
+    basis = decompose_unit_group(r)
+    L, t = basis.lcm_order, basis.dlog[x.coords]
+    num = sum(e * ti * (L // d) for e, ti, d in zip(chi.exponents, t, basis.orders))
+    return RootOfUnity.make(num, L)
+
+
+def extended_eval(chi, x) -> complex:
+    """chi(x) for units; on the maximal ideal: 1 if chi is trivial, else 0."""
+    if x.is_unit:
+        return eval_unit(chi, x).to_complex()
+    return complex(1.0) if chi.is_trivial else complex(0.0)
+
+
+def phi_value(r, a, w) -> RootOfUnity:
+    """phi_a(w) = exp(2 pi i tr(a x) / p) at w = 1 + p^(n-1) x, for a in the residue field."""
+    pk = r.p ** (r.n - 1)
+    diff = (w - r.one).coords
+    if any(c % pk for c in diff):
+        raise ValueError(f"{w} is not in 1 + p^{r.n - 1} R")
+    field = r.residue_field()
+    x = field.element(tuple(c // pk % r.p for c in diff))
+    return RootOfUnity.make(field.trace(a * x), r.p)
+
+
+def phase(w: RootOfUnity) -> Fraction:
+    """The t in [0, 1) with w = exp(2 pi i t): values multiply as their phases add mod 1."""
+    return Fraction(w.numerator, w.order)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from galois_sums.characters import MultCharacter, project_character
+from galois_sums.characters import MultCharacter, project_exponents
 from galois_sums.codebook import _row_exponents
 from galois_sums.sums import count_unit_solutions, jacobi_brute
 from galois_sums.verify import (
@@ -74,7 +74,7 @@ def _class_law(cb, pair):
 
     The rows' characters are those the build used, lift(psi) * section(a)
     (module docstring of galois_sums.codebook).  The ratio characters
-    chi_i / chi'_i are trivial on 1 + pR (otherwise project_character
+    chi_i / chi'_i are trivial on 1 + pR (otherwise project_exponents
     raises), so they project to the residue field F.  When
     the rows vanish off the unit solutions, their inner product is
     J_R(ratio; a) / support, and the fiber count of criterion 4 turns J_R
@@ -85,8 +85,8 @@ def _class_law(cb, pair):
     ring, m = params.ring, params.m
     i, j = pair
     _, X = _row_exponents(params)
-    ratio = [MultCharacter(ring, tuple(e)) for e in (X[i] - X[j]).tolist()]
-    projected = [project_character(c, ring.n - 1) for c in ratio]
+    ratio = project_exponents(ring, X[i] - X[j], ring.n - 1)
+    projected = [MultCharacter(ring.reduced(ring.n - 1), e) for e in ratio.tolist()]
     j_field = jacobi_brute(projected, ring.reduce(params.a, ring.n - 1)).value
     support = count_unit_solutions(ring, m, params.a)
     assert cb.support_sizes[i] == cb.support_sizes[j] == support

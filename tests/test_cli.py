@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import galois_sums
+import galois_sums.cli as cli
 from galois_sums.cli import main
 
 
@@ -89,7 +91,19 @@ def test_jacobi_primitive_triple(capsys):
     assert payload["agree"] is True
 
 
-def test_gauss_jacobi_and_tilde_jacobi_read_tol_by_one_rule(capsys):
+def disagreeing_jacobi(monkeypatch):
+    """Moves every CLI Jacobi value by 1, off its expectation."""
+    jacobi = cli.jacobi
+
+    def moved(*args, **kwargs):
+        sv = jacobi(*args, **kwargs)
+        sv.value += 1.0
+        return sv
+
+    monkeypatch.setattr(cli, "jacobi", moved)
+
+
+def test_gauss_jacobi_and_tilde_jacobi_read_tol_by_one_rule(capsys, monkeypatch):
     """Each sum agrees within the larger of --tol and its term tolerance.
 
     The Gauss sum over GR(2^5, 2^15) has 28,672 terms and a rounding error
@@ -103,20 +117,17 @@ def test_gauss_jacobi_and_tilde_jacobi_read_tol_by_one_rule(capsys):
     ]:
         code, out, _ = run(capsys, *argv, "--tol", "1e-12")
         assert code == 0 and "agree: True" in out, argv
+    disagreeing_jacobi(monkeypatch)
     code, _, _ = run(
         capsys,
-        "jacobi", "-p", "3", "-n", "2", "-s", "1",
-        "--chars", "0,0;0,0", "--a", "1", "--inject-disagreement", "--tol", "2",
+        "jacobi", "-p", "3", "-n", "2", "-s", "1", "--chars", "0,0;0,0", "--a", "1", "--tol", "2",
     )
     assert code == 0  # a value moved by 1 agrees within --tol 2
 
 
-def test_jacobi_disagreement_injection_exits_4(capsys):
-    code, _, _ = run(
-        capsys,
-        "jacobi", "-p", "3", "-n", "2", "-s", "1",
-        "--chars", "0,0;0,0", "--a", "1", "--inject-disagreement",
-    )
+def test_jacobi_disagreement_injection_exits_4(capsys, monkeypatch):
+    disagreeing_jacobi(monkeypatch)
+    code, _, _ = run(capsys, "jacobi", "-p", "3", "-n", "2", "-s", "1", "--chars", "0,0;0,0", "--a", "1")
     assert code == 4
 
 
@@ -272,6 +283,33 @@ def test_subcommands_reject_options_they_do_not_read(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", sorted(set(cli.SUITES) - set(cli.SEEDED_SUITES)))
+def test_verify_seed_on_an_unseeded_suite_exits_2(capsys, suite):
+    """Only the seeded suites and verify all read --seed; any other suite refuses it."""
+    code, out, err = run(capsys, "verify", suite, "--seed", "5")
+    assert code == 2 and out == "" and "takes no --seed" in err
+
+
+def test_public_api_is_pinned():
+    """galois_sums.__all__, sorted: a change to the public API is a deliberate edit here."""
+    assert sorted(galois_sums.__all__) == [
+        "BadLevel", "BrokenInvariant", "Codebook", "CodebookError", "CodebookParams",
+        "DegenerateDimensions", "EvalReport", "Expected", "GaloisRing", "GaloisSumsError",
+        "InvalidModulus", "MultCharacter", "NotAUnit", "NotInBaseRing", "NotPrimePower",
+        "Polynomial", "RingElement", "RingMismatch", "RingParams", "RootOfUnity", "SUITES",
+        "SizeLimit", "SuiteResult", "SumValue", "Table2Row", "TooLarge", "UnitGroupBasis",
+        "asymptotic_ratio", "build_codebook", "build_ring", "canonical_twists", "canonicalize",
+        "character_levels", "character_table_json", "characters", "codebook", "codebook_size",
+        "count_unit_solutions", "count_unit_solutions_brute", "decompose_unit_group",
+        "enumerate_characters", "errors", "export_codebook", "extend_phi",
+        "find_basic_primitive_poly", "gauss_sum", "imax_exhaustive", "imax_formula",
+        "imax_remark", "import_codebook", "jacobi", "jacobi_brute", "jacobi_expected", "ring",
+        "run_suite", "s_cardinality", "s_cardinality_qn", "section_json", "sums", "table2",
+        "term_tolerance", "tilde_jacobi_brute", "tilde_jacobi_classify", "verify",
+        "welch_bound",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -18,12 +18,14 @@ from galois_sums import (
     DegenerateDimensions,
     NotAUnit,
     NotPrimePower,
+    RingMismatch,
     SizeLimit,
     TooLarge,
     asymptotic_ratio,
     build_codebook,
     codebook_size,
     count_unit_solutions,
+    decompose_unit_group,
     enumerate_characters,
     export_codebook,
     imax_exhaustive,
@@ -35,9 +37,9 @@ from galois_sums import (
     welch_bound,
 )
 from galois_sums import codebook as codebook_module
-from galois_sums.characters import extend_phi, lift_character
+from galois_sums.characters import MultCharacter, extend_phi, lift_exponents
 
-from conftest import ring
+from conftest import extended_eval, ring
 
 
 def build(key, m=3, k=1, a_mode="unit", **kw):
@@ -151,6 +153,20 @@ def test_psi0_choice_preserves_parameters():
     assert abs(rep.imax_measured - 1 / 3) < 1e-9
 
 
+def test_psi0_over_another_ring_is_refused():
+    """psi0 must be a character of the quotient one level down, not merely of one with the same r.
+
+    Z/3 and GR(3, 3^2), the quotient of GR(3^2, 3^4), both have a cyclic unit group (r = 1).
+    """
+    r = ring(3, 2, 2)
+    for wrong in (ring(3, 1, 1), r):
+        psi0 = MultCharacter(wrong, (1,) * len(decompose_unit_group(wrong).orders))
+        with pytest.raises(RingMismatch, match="psi0"):
+            CodebookParams(ring=r, m=3, k=1, a=r.one, psi0=psi0)
+    psi0 = MultCharacter(r.reduced(1), (1,))
+    assert CodebookParams(ring=r, m=3, k=1, a=r.one, psi0=psi0).psi0 is psi0
+
+
 def test_unit_requirement():
     r = ring(3, 2, 1)
     with pytest.raises(NotAUnit):
@@ -258,7 +274,8 @@ def reference_row_characters(params):
     r = params.ring
     red_chars = enumerate_characters(r.reduced(1))
     fq = r.residue_field().elements()
-    lifts = {psi.exponents: lift_character(psi, r) for psi in red_chars}
+    lifted = lift_exponents(r, [psi.exponents for psi in red_chars], 1).tolist()
+    lifts = {psi.exponents: MultCharacter(r, row) for psi, row in zip(red_chars, lifted)}
     section = {a.coords: extend_phi(r, a, params.section) for a in fq}
     psi0_lift = lifts[params.psi0.exponents]
     tail_space = list(itertools.product(red_chars, fq))
@@ -292,7 +309,7 @@ def reference_build(params):
             v = 1 + 0j
             for c, x in zip(chars, tup):
                 if c.exponents not in tables:
-                    tables[c.exponents] = {y.coords: c.extended_eval(y) for y in r.elements()}
+                    tables[c.exponents] = {y.coords: extended_eval(c, y) for y in r.elements()}
                 v *= tables[c.exponents][x.coords]
             row.append(v)
         row = np.array(row)

@@ -1,4 +1,4 @@
-"""Property tests of the per-element ring and character API against its definitions."""
+"""Property tests of the per-element ring API and the character values against their definitions."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galois_sums import enumerate_characters
-from galois_sums.characters import decompose_unit_group, dlog_matrix
+from galois_sums.characters import character_numerators, decompose_unit_group, dlog_matrix
 
-from conftest import ring
+from conftest import eval_unit, ring
 
 # Z/8, GR(2^3,2^6), Z/27, GR(3^2,3^4), GR(2^2,2^4), Z/25, F_8, GR(5^2,5^4)
 RINGS = [(2, 3, 1), (2, 3, 2), (3, 3, 1), (3, 2, 2), (2, 2, 2), (5, 2, 1), (2, 1, 3), (5, 2, 2)]
@@ -80,7 +80,10 @@ def test_eval_unit_is_multiplicative_and_reads_the_dlog_matrix(args, data):
     r, x, y = args
     chi = data.draw(st.sampled_from(enumerate_characters(r)))
     basis = decompose_unit_group(r)
-    assert chi.eval_unit(x * y) == chi.eval_unit(x) * chi.eval_unit(y)
+    L = basis.lcm_order
+    points = r.index_of(np.array([x.coords, y.coords, (x * y).coords]))
+    at_x, at_y, at_xy = character_numerators(r, chi.exponents, points).tolist()
+    assert at_xy == (at_x + at_y) % L
     row = dlog_matrix(r)[r.index_of(np.array(x.coords))].tolist()
-    num = sum(e * t * (basis.lcm_order // d) for e, t, d in zip(chi.exponents, row, basis.orders))
-    assert chi.eval_unit(x).numerator == num % basis.lcm_order
+    num = sum(e * t * (L // d) for e, t, d in zip(chi.exponents, row, basis.orders))
+    assert eval_unit(chi, x).numerator == at_x == num % L
