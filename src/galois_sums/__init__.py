@@ -1,5 +1,7 @@
 """Galois ring arithmetic, character sums, and low-correlation codebooks."""
 
+from types import ModuleType as _Module
+
 from .errors import (
     BadLevel,
     BrokenInvariant,
@@ -68,5 +70,6 @@ from .codebook import (
 )
 from .verify import SUITES, SuiteResult, run_suite
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them binds here
+__all__ = [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _Module)]
 __version__ = "0.1.0"

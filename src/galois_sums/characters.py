@@ -64,6 +64,11 @@ class RootOfUnity:
         return cmath.exp(2j * cmath.pi * self.numerator / self.order)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @functools.lru_cache(maxsize=None)
 def root_table(order: int) -> np.ndarray:
     """Read-only complex128 exp(2 pi i j / order) for j = 0..order-1, one cmath evaluation each.
@@ -107,17 +112,19 @@ class UnitGroupBasis:
     @functools.cached_property
     def radix(self) -> np.ndarray:
         """Place values of the exponents: exponents @ radix is the enumerate_characters index."""
-        return np.array([math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))])
+        return _read_only(
+            np.array([math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))])
+        )
 
     @functools.cached_property
     def order_array(self) -> np.ndarray:
         """The orders as an int64 array: reduces exponent arrays without converting the tuple."""
-        return np.array(self.orders, dtype=np.int64)
+        return _read_only(np.array(self.orders, dtype=np.int64))
 
     @functools.cached_property
     def scale(self) -> np.ndarray:
         """L / d_i, which scales exponent e_i to the common order L."""
-        return self.lcm_order // np.array(self.orders, dtype=np.int64)
+        return _read_only(self.lcm_order // np.array(self.orders, dtype=np.int64))
 
 
 def _powers(ring: GaloisRing, g: np.ndarray, d: int) -> np.ndarray:
@@ -229,8 +236,7 @@ def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
         raise BrokenInvariant("the generators do not factor every unit exactly once")
     table = np.zeros((ring.element_count, len(orders)), dtype=np.int64)
     table[idx] = np.stack(np.unravel_index(np.arange(ring.unit_count), orders), axis=1)
-    table.flags.writeable = False
-    return UnitGroupBasis(ring, generators, orders, math.lcm(*orders), table)
+    return UnitGroupBasis(ring, generators, orders, math.lcm(*orders), _read_only(table))
 
 
 def dlog_matrix(ring: GaloisRing) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ring, chars, gauss, jacobi, tilde-jacobi, codebook, table2,
-verify.  Exit codes are a stable contract: 0 success, 2 bad input, 3 a
+verify; gauss, jacobi and tilde-jacobi share one report.  Exit codes are a
+stable contract: 0 success, 2 bad input or an unwritable output path, 3 a
 resource cap was exceeded, 4 a verification failed.  Characters are named on
 the command line by their exponent tuple against the printed unit-group
 basis; ring elements by coordinates ("3,1") or by the tokens 0, 1, p, p^2...
@@ -20,15 +21,17 @@ from .characters import (
     section_json,
 )
 from .codebook import (
+    DEFAULT_PAIR_BUDGET,
     CodebookParams,
     build_codebook,
     export_codebook,
     imax_exhaustive,
     table2,
 )
-from .errors import GaloisSumsError, NotPrimePower, SizeLimit, TooLarge
-from .ring import GaloisRing, Polynomial, RingElement, build_ring
+from .errors import GaloisSumsError, SizeLimit, TooLarge
+from .ring import DEFAULT_ELEMENT_CAP, GaloisRing, Polynomial, RingElement, build_ring
 from .sums import (
+    DEFAULT_TERM_CAP,
     SumValue,
     gauss_sum,
     jacobi,
@@ -51,14 +54,14 @@ def _add_ring_args(sub: argparse.ArgumentParser) -> None:
         "--modulus",
         help="comma-separated ascending coefficients of the modulus polynomial",
     )
-    sub.add_argument("--cap-elements", type=int, default=1 << 20)
+    sub.add_argument("--cap-elements", type=int, default=DEFAULT_ELEMENT_CAP)
 
 
 # options a subcommand takes only when it reads them, so that an ignored
 # option is a usage error (exit 2) rather than silently dropped
 OPTIONS = {
-    "--cap-terms": dict(type=int, default=10 ** 7, help="term cap per brute-force sum"),
-    "--cap-pairs": dict(type=int, default=10 ** 9, help="pair budget of the correlation scan"),
+    "--cap-terms": dict(type=int, default=DEFAULT_TERM_CAP, help="term cap per brute-force sum"),
+    "--cap-pairs": dict(type=int, default=DEFAULT_PAIR_BUDGET, help="pair budget of the correlation scan"),
     "--tol": dict(type=float, default=1e-9, help="agreement tolerance"),
     "--seed": dict(type=int, default=None, help="seed of the randomized suites"),
 }
@@ -149,9 +152,13 @@ def cmd_chars(args) -> int:
     return EXIT_OK
 
 
-def _agrees(ring: GaloisRing, sv: SumValue, tol: float) -> bool:
-    """The one --tol rule: agreement within the larger of tol and the sum's term tolerance."""
-    return sv.agrees(ring.q, max(tol, sv.tolerance))
+def _report_sum(args, ring: GaloisRing, symbol: str, sv: SumValue) -> int:
+    """A sum against its law; it agrees within the larger of --tol and its term tolerance."""
+    agree = sv.agrees(ring.q, max(args.tol, sv.tolerance))
+    law = f"expected {sv.expected.kind} ({sv.expected.lemma})"
+    text = f"{symbol} = {sv.value:.12g}  {law}  terms {sv.terms}  agree: {agree}"
+    _emit(args, {"ring": ring.to_json(), **sv.to_json(), "agree": agree}, text)
+    return EXIT_OK if agree else EXIT_VERIFY
 
 
 def cmd_gauss(args) -> int:
@@ -159,43 +166,14 @@ def cmd_gauss(args) -> int:
     chars = _parse_chars(ring, args.char)
     if len(chars) != 1:
         raise ValueError(f"--char takes one exponent tuple, got {len(chars)}")
-    chi, b = chars[0], _parse_element(ring, args.b)
-    sv = gauss_sum(chi, b)
-    agree = _agrees(ring, sv, args.tol)
-    payload = sv.to_json()
-    payload["ring"] = ring.to_json()
-    payload["agree"] = agree
-    text = (
-        f"G = {sv.value:.12g}  expected {sv.expected.kind} ({sv.expected.lemma})  "
-        f"agree: {agree}"
-    )
-    _emit(args, payload, text)
-    return EXIT_OK if agree else EXIT_VERIFY
-
-
-def _sum_payload(ring: GaloisRing, sv: SumValue, agree: bool) -> dict:
-    return {
-        "ring": ring.to_json(),
-        "value": [sv.value.real, sv.value.imag],
-        "expected": sv.expected.to_json(),
-        "lemma": sv.expected.lemma,
-        "terms": sv.terms,
-        "agree": agree,
-    }
+    return _report_sum(args, ring, "G", gauss_sum(chars[0], _parse_element(ring, args.b)))
 
 
 def cmd_jacobi(args) -> int:
     ring = _build_ring(args)
     chars = _parse_chars(ring, args.chars)
     a = _parse_element(ring, args.a)
-    sv = jacobi(chars, a, cap=args.cap_terms)
-    agree = _agrees(ring, sv, args.tol)
-    text = (
-        f"J = {sv.value:.12g}  expected {sv.expected.kind} ({sv.expected.lemma})  "
-        f"terms {sv.terms}  agree: {agree}"
-    )
-    _emit(args, _sum_payload(ring, sv, agree), text)
-    return EXIT_OK if agree else EXIT_VERIFY
+    return _report_sum(args, ring, "J", jacobi(chars, a, cap=args.cap_terms))
 
 
 def cmd_tilde_jacobi(args) -> int:
@@ -204,13 +182,7 @@ def cmd_tilde_jacobi(args) -> int:
     a = _parse_element(ring, args.a)
     brute = tilde_jacobi_brute(chars, args.k, a, cap=args.cap_terms)
     expected = tilde_jacobi_classify(chars, args.k, a, cap=args.cap_terms)
-    sv = SumValue(brute.value, expected, brute.terms)
-    agree = _agrees(ring, sv, args.tol)
-    text = (
-        f"J~ = {sv.value:.12g}  expected {expected.kind} ({expected.lemma})  agree: {agree}"
-    )
-    _emit(args, _sum_payload(ring, sv, agree), text)
-    return EXIT_OK if agree else EXIT_VERIFY
+    return _report_sum(args, ring, "J~", SumValue(brute.value, expected, brute.terms))
 
 
 def cmd_codebook(args) -> int:
@@ -345,7 +317,7 @@ def main(argv=None) -> int:
     except (TooLarge, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (GaloisSumsError, NotPrimePower, ValueError) as exc:
+    except (GaloisSumsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

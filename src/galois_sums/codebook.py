@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -521,14 +521,7 @@ class Table2Row:
     ratio: float
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "N": self.N,
-            "K": self.K,
-            "imax": self.imax,
-            "welch": self.welch,
-            "ratio": self.ratio,
-        }
+        return asdict(self)
 
 
 TABLE2_DEFAULT_Q = (11, 19, 31, 53, 81, 121, 179, 256)

@@ -177,8 +177,8 @@ class SumValue:
         return {
             "value": [self.value.real, self.value.imag],
             "expected": self.expected.to_json(),
-            "terms": self.terms,
             "lemma": self.expected.lemma,
+            "terms": self.terms,
         }
 
 
@@ -487,6 +487,7 @@ def gauss_sum(chi: MultCharacter, b: RingElement) -> SumValue:
 
 def count_unit_solutions(ring: GaloisRing, m: int, a: RingElement) -> int:
     """Number of unit m-tuples summing to a, by the closed-form count."""
+    ring._check_same(a)
     if m < 2:
         raise ValueError("m must be >= 2")
     q, n = ring.q, ring.n

@@ -503,6 +503,10 @@ def test_character_tables_are_memoised_and_read_only():
         assert table(r) is table(r) and not table(r).flags.writeable
     assert enumerate_characters(r) is enumerate_characters(r)
     assert not characters.root_table(12).flags.writeable
+    basis = decompose_unit_group(r)
+    for name in ("radix", "order_array", "scale"):
+        array = getattr(basis, name)
+        assert array is getattr(decompose_unit_group(r), name) and not array.flags.writeable
 
 
 def test_character_table_does_not_enumerate_characters(monkeypatch):

@@ -301,14 +301,13 @@ def test_public_api_is_pinned():
         "Polynomial", "RingElement", "RingMismatch", "RingParams", "RootOfUnity", "SUITES",
         "SizeLimit", "SuiteResult", "SumValue", "Table2Row", "TooLarge", "UnitGroupBasis",
         "asymptotic_ratio", "build_codebook", "build_ring", "canonical_twists", "canonicalize",
-        "character_levels", "character_table_json", "characters", "codebook", "codebook_size",
-        "count_unit_solutions", "count_unit_solutions_brute", "decompose_unit_group",
-        "enumerate_characters", "errors", "export_codebook", "extend_phi",
-        "find_basic_primitive_poly", "gauss_sum", "imax_exhaustive", "imax_formula",
-        "imax_remark", "import_codebook", "jacobi", "jacobi_brute", "jacobi_expected", "ring",
-        "run_suite", "s_cardinality", "s_cardinality_qn", "section_json", "sums", "table2",
-        "term_tolerance", "tilde_jacobi_brute", "tilde_jacobi_classify", "verify",
-        "welch_bound",
+        "character_levels", "character_table_json", "codebook_size", "count_unit_solutions",
+        "count_unit_solutions_brute", "decompose_unit_group", "enumerate_characters",
+        "export_codebook", "extend_phi", "find_basic_primitive_poly", "gauss_sum",
+        "imax_exhaustive", "imax_formula", "imax_remark", "import_codebook", "jacobi",
+        "jacobi_brute", "jacobi_expected", "run_suite", "s_cardinality", "s_cardinality_qn",
+        "section_json", "table2", "term_tolerance", "tilde_jacobi_brute",
+        "tilde_jacobi_classify", "welch_bound",
     ]
 
 
@@ -330,9 +329,9 @@ def test_exponent_tuples_of_the_wrong_count_or_width_exit_2(capsys, argv):
 # sha256[:16] of the --json output of single-tuple sums, each taken before
 # the single-tuple calls became C = 1 rows of the table functions
 SINGLE_SUMS = [
-    (("gauss", *RING, "--char", "1,1", "--b", "1"), "primitive-unit-twist", "78f347256af3f797"),
+    (("gauss", *RING, "--char", "1,1", "--b", "1"), "primitive-unit-twist", "14d25b5b379e6d4f"),
     (("gauss", "-p", "2", "-n", "2", "-s", "2", "--char", "1,0,0", "--b", "p"),
-     "matched-ideal-twist", "27570f5b9ecd9891"),
+     "matched-ideal-twist", "c2bfce77e0c3adfc"),
     (("jacobi", *RING, "--chars", "1,1;1,1", "--a", "1"), "gauss-quotient-pair", "e42ce81d21232712"),
     (("jacobi", "-p", "3", "-n", "3", "-s", "1", "--chars", "1,3;1,6;0,3", "--a", "1"),
      "digit-reduction", "e8878a78f179cf35"),
@@ -357,6 +356,49 @@ def test_single_sum_json_is_pinned(capsys, argv, lemma, digest):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0 and json.loads(out)["lemma"] == lemma
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "argv, symbol",
+    [
+        (("gauss", *RING, "--char", "1,1", "--b", "1"), "G"),
+        (("jacobi", *RING, "--chars", "1,1;1,1", "--a", "1"), "J"),
+        (("tilde-jacobi", *RING, "--chars", "1,1;1,2", "--a", "2", "-k", "1"), "J~"),
+    ],
+)
+def test_the_three_sum_commands_share_one_report(capsys, argv, symbol):
+    """One --json key list and one text line: symbol, value, law, terms, agreement."""
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert list(payload) == ["ring", "value", "expected", "lemma", "terms", "agree"]
+    code, out, _ = run(capsys, *argv)
+    value, law, terms, agree = out.rstrip("\n").split("  ")
+    assert code == 0 and value.startswith(f"{symbol} = ")
+    assert law == f"expected {payload['expected']['kind']} ({payload['lemma']})"
+    assert terms == f"terms {payload['terms']}" and agree == "agree: True"
+
+
+def test_cap_options_default_to_the_package_caps():
+    parser = cli.make_parser()
+    args = parser.parse_args(["jacobi", *RING, "--chars", "0,0", "--a", "1"])
+    assert args.cap_elements == galois_sums.ring.DEFAULT_ELEMENT_CAP
+    assert args.cap_terms == galois_sums.sums.DEFAULT_TERM_CAP
+    args = parser.parse_args(["codebook", *RING, "-m", "3", "-k", "1"])
+    assert args.cap_pairs == galois_sums.codebook.DEFAULT_PAIR_BUDGET
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gauss", *RING, "--char", "1,1", "--b", "1", "--out"),
+        ("codebook", *RING, "-m", "3", "-k", "1", "--export"),
+    ],
+)
+def test_an_output_path_that_cannot_be_written_exits_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_subcommands_take_the_options_they_read(capsys):

@@ -103,6 +103,10 @@ def test_count_unit_solutions(z9):
     assert count_unit_solutions(z9, 2, z9.scalar(3)) == 6
     assert count_unit_solutions_brute(z9, 2, z9.scalar(3)) == 6
     assert count_unit_solutions(z9, 2, z9.zero) == len(z9.units())
+    other = ring(2, 2, 2).one  # a twist from another ring: both routes refuse it
+    for count in (count_unit_solutions, count_unit_solutions_brute):
+        with pytest.raises(RingMismatch):
+            count(z9, 2, other)
 
 
 @pytest.mark.parametrize("key", [(3, 2, 1), (2, 2, 2)])
