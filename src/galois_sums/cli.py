@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .characters import (
@@ -309,10 +310,27 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args) -> None:
+    """OSError for an --out or --export path that cannot be written, before any work.
+
+    The directory must exist, be a directory and be writable, and the path
+    must not be a directory.  The file is still written only at the end.
+    """
+    for path in filter(None, (args.out, getattr(args, "export", None))):
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise OSError(f"cannot write {path}: {folder} is not a directory")
+        if not os.access(folder, os.W_OK):
+            raise OSError(f"cannot write {path}: {folder} is not writable")
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.fn(args)
     except (TooLarge, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -595,11 +595,36 @@ def export_codebook(cb: Codebook, fmt: str = "csv") -> bytes:
 
 
 class _ParsedFloats(dict):
-    """float(text) per distinct number text, parsed on first sight and shared."""
+    """float(text) per distinct number text, parsed on first sight and shared.
+
+    A text that overflows to an infinity (1e400) raises CodebookError.
+    """
 
     def __missing__(self, text: str) -> float:
         value = self[text] = float(text)
+        if not math.isfinite(value):
+            raise CodebookError(f"row entry {text} is not a finite number")
         return value
+
+
+def _refuse_constant(name: str):
+    """parse_constant for json.loads: NaN, Infinity and -Infinity raise CodebookError."""
+    raise CodebookError(f"row entry {name} is not a finite number")
+
+
+def _mentions_true_or_false(data: bytes) -> bool:
+    """b"true" or b"false" occurs in data, found from each t and f byte.
+
+    No number text holds a t or an f, so on an export this is a few memchr
+    passes, where a substring search for b"true" is several times slower.
+    """
+    for word in (b"true", b"false"):
+        i = data.find(word[:1])
+        while i != -1:
+            if data.startswith(word, i):
+                return True
+            i = data.find(word[:1], i + 1)
+    return False
 
 
 def import_codebook(data: bytes) -> Codebook:
@@ -609,11 +634,16 @@ def import_codebook(data: bytes) -> Codebook:
     default, and every occurrence shares that float.  Raises CodebookError
     when the data is not a JSON object with the export's parameters (a ring
     or parameters the package refuses included), when N and K disagree with
-    the parameters, or when the rows are not N rows of 2K numbers; SizeLimit
-    when the ring exceeds the element cap.
+    the parameters, or when the rows are not N rows of 2K finite numbers
+    (true, false, NaN, Infinity and a number that overflows are refused);
+    SizeLimit when the ring exceeds the element cap.
     """
     try:
-        payload = json.loads(data.decode(), parse_float=_ParsedFloats().__getitem__)
+        payload = json.loads(
+            data.decode(),
+            parse_float=_ParsedFloats().__getitem__,
+            parse_constant=_refuse_constant,
+        )
         meta = payload["params"]
         ring = GaloisRing.from_json(meta["ring"])
         params = CodebookParams(
@@ -625,15 +655,21 @@ def import_codebook(data: bytes) -> Codebook:
             section=meta["section"],
         )
         N, K = meta["N"], meta["K"]
-    except SizeLimit:
+    except (SizeLimit, CodebookError):
         raise
     except (ValueError, TypeError, KeyError, GaloisSumsError) as exc:
         raise CodebookError(f"not a codebook export: {exc!r}") from None
     size = codebook_size(ring.q, ring.n, params.m, params.k)
     if (N, K) != size:
         raise CodebookError(f"(N, K) = {(N, K)}, but the parameters give {size}")
+    rows = payload.pop("rows", None)
+    # the export writes no true or false, so only such data pays for this scan
+    if _mentions_true_or_false(data) and isinstance(rows, list) and any(
+        type(v) is bool for row in rows if isinstance(row, list) for v in row
+    ):
+        raise CodebookError("rows hold true or false, not numbers")
     try:
-        raw = np.array(payload.pop("rows", None))
+        raw = np.array(rows)
     except ValueError as exc:  # ragged nesting
         raise CodebookError(f"rows are not a rectangular array: {exc}") from None
     if raw.dtype.kind not in "fi" or raw.shape != (N, 2 * K):

@@ -16,14 +16,14 @@ degree s, is monic and has reduced coefficients; x has order p^s - 1 modulo
 (h, p^n), i.e. h divides x^(q-1) - 1; xi^(q-1) = 1 with q - 1 distinct
 powers; and the Teichmuller residues mod p are distinct.  t^q = t then holds
 for every t = xi^i (and t = 0).  The tables are the Teichmuller set (0,
-then the powers of xi), a lookup from residues mod p to Teichmuller
-representatives (teich_lift and the digits of teichmuller_decompose are
-lookups, equal to x^(q^(n-1)) on every element), the Frobenius coordinate
-map, and the trace as a linear form: the weights tr(xi^i), each computed
-once as a Frobenius sum.  Derived tables, among them the numpy index tables
-that vectorized kernels use (element index = position in elements();
-mul_array multiplies coordinate arrays row-wise; units() is read from
-unit_indices), are built lazily through one memo, ring_table, which keeps
+then the powers of xi), the Frobenius coordinate map, and the trace as a
+linear form: the weights tr(xi^i), each computed once as a Frobenius sum.
+Derived tables, among them the numpy index tables that vectorized kernels
+use (element index = position in elements(); mul_array multiplies
+coordinate arrays row-wise; units() is read from unit_indices) and the
+Teichmuller digits of every element (teich_digits; teichmuller_decompose and
+teich_lift read one row of it, and the first digit equals x^(q^(n-1)) on
+every element), are built lazily through one memo, ring_table, which keeps
 each table in the ring's _cache and makes array tables read-only.  Each entry
 is a deterministic function of the ring alone, so rings are safe to share
 across threads: a racing recomputation writes the same value.  The
@@ -347,8 +347,7 @@ class GaloisRing:
         self.xi_powers = [RingElement(self, c) for c in powers]
         self.teich_set = [self.zero] + self.xi_powers
         p = self.p
-        self._teich_of = {tuple(c % p for c in t.coords): t for t in self.teich_set}
-        if len(self._teich_of) != self.q:
+        if len({tuple(c % p for c in t.coords) for t in self.teich_set}) != self.q:
             raise InvalidModulus("Teichmuller residues mod p are not distinct")
 
     def _build_frobenius(self) -> None:
@@ -487,6 +486,43 @@ class GaloisRing:
 
     # -- Teichmuller structure --------------------------------------------------
 
+    @ring_table
+    def teich_digits(self) -> np.ndarray:
+        """Read-only (q^n x n) positions in teich_set of every element's Teichmuller digits.
+
+        Row i holds the digits of element i, c_0 first, in the smallest
+        unsigned dtype that holds q - 1.  c_0 is read by the residue of x
+        mod p.  x - c_0 divides by p exactly, as integers, and any lift y of
+        (x - c_0) / p has the digits c_1, ..., c_{n-1} as its first n - 1,
+        since digit i depends only on the element mod p^(i+1).  So one pass
+        over blocks of 4,096 elements finds c_0 and the index of the lift
+        reduced mod p^n, and each later column is the one before it, read
+        at those indices.
+        """
+        p, pn, count, place = self.p, self.pn, self.element_count, self._place
+        # int32 holds every index below 2^31, and every coordinate difference
+        dtype = np.int32 if count <= 1 << 31 else np.int64
+        weights = [p ** k for k in range(self.s - 1, -1, -1)]
+
+        def residue_code(columns):  # the residue mod p of each row, read in base p
+            return sum(c % p * w for c, w in zip(columns, weights))
+
+        teich = [np.array(c, dtype=dtype) for c in zip(*(t.coords for t in self.teich_set))]
+        position = np.empty(self.q, dtype=np.intp)
+        position[residue_code(teich)] = np.arange(self.q)
+        out = np.empty((count, self.n), dtype=np.min_scalar_type(self.q - 1))
+        shifted = np.empty(count, dtype=dtype)
+        for b0 in range(0, count, 4096):
+            index = np.arange(b0, min(b0 + 4096, count), dtype=dtype)
+            r = [index // w % pn for w in place]
+            digit = out[b0:b0 + len(index), 0] = position[residue_code(r)]
+            shifted[b0:b0 + len(index)] = sum(
+                (c - t[digit]) // p % pn * w for c, t, w in zip(r, teich, place)
+            )
+        for i in range(1, self.n):
+            out[:, i] = out[shifted, i - 1]
+        return out
+
     def teich_lift(self, x: RingElement) -> RingElement:
         """The unique t in T with t = x mod p: the first Teichmuller digit.
 
@@ -496,22 +532,11 @@ class GaloisRing:
         return self.teichmuller_decompose(x)[0]
 
     def teichmuller_decompose(self, x: RingElement) -> tuple[RingElement, ...]:
-        """Digits (c_0, ..., c_{n-1}) in T with x = sum p^i c_i.
-
-        Each digit is looked up by the residue of the remainder, so the
-        remainder minus its digit divides by p exactly, as integers; the
-        remainders need no reduction mod p^n, since only their residues mod
-        p are read.
-        """
-        self._check_same(x)
-        p, teich_of = self.p, self._teich_of
-        digits = []
-        r = x.coords
-        for _ in range(self.n):
-            t = teich_of[tuple([c % p for c in r])]
-            digits.append(t)
-            r = [(c - d) // p for c, d in zip(r, t.coords)]
-        return tuple(digits)
+        """Digits (c_0, ..., c_{n-1}) in T with x = sum p^i c_i: one row of teich_digits."""
+        if x.ring is not self:
+            self._check_same(x)
+        teich = self.teich_set
+        return tuple([teich[i] for i in self.teich_digits()[self._index(x.coords)].tolist()])
 
     def teich_recompose(self, digits) -> RingElement:
         acc = self.zero
@@ -522,11 +547,14 @@ class GaloisRing:
     def valuation(self, x: RingElement) -> tuple[int, RingElement | None]:
         """Minimal k with x in p^k R, plus the unit part in GR(p^(n-k), .).
 
-        Returns (n, None) for x = 0 by convention.  p^k is the gcd of p^n
-        and the coordinates.
+        Returns (n, None) for x = 0 by convention, and (0, x) for a unit.
+        p^k is the gcd of p^n and the coordinates.
         """
-        self._check_same(x)
+        if x.ring is not self:
+            self._check_same(x)
         pk = math.gcd(self.pn, *x.coords)
+        if pk == 1:
+            return 0, x
         if pk == self.pn:
             return self.n, None
         k = self._log_p[pk]

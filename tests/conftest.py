@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,6 +30,34 @@ def ideal(r, k: int) -> list:
 def one_plus_ideal(r, k: int) -> list:
     """The subgroup 1 + p^k R of the units (k >= 1), in the order of ideal(k)."""
     return [r.one + m for m in ideal(r, k)]
+
+
+# the per-digit Teichmuller loop and the gcd valuation, for checking the digit
+# table (teich_digits) and the unit shortcut of valuation against
+
+
+def teich_digits_loop(r, x) -> tuple:
+    """Digits (c_0, ..., c_{n-1}) in T with x = sum p^i c_i, one residue lookup per digit.
+
+    The remainder minus its digit divides by p exactly, as integers; only the
+    remainders' residues mod p are read, so they need no reduction mod p^n.
+    """
+    teich_of = {tuple(c % r.p for c in t.coords): t for t in r.teich_set}
+    digits, rem = [], x.coords
+    for _ in range(r.n):
+        t = teich_of[tuple(c % r.p for c in rem)]
+        digits.append(t)
+        rem = [(c - d) // r.p for c, d in zip(rem, t.coords)]
+    return tuple(digits)
+
+
+def valuation_gcd(r, x) -> tuple:
+    """(k, x / p^k in GR(p^(n-k), .)) with p^k = gcd(p^n, coordinates); (n, None) for 0."""
+    pk = math.gcd(r.pn, *x.coords)
+    if pk == r.pn:
+        return r.n, None
+    k = round(math.log(pk, r.p))
+    return k, r.reduced(k).element(tuple(c // pk for c in x.coords))
 
 
 # per-element character values, each from its definition, for checking the

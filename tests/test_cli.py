@@ -401,6 +401,28 @@ def test_an_output_path_that_cannot_be_written_exits_2(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["missing/x", "a-file/x", "."])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("codebook", *RING, "-m", "3", "-k", "1", "--export"),
+        ("verify", "all", "--out"),
+    ],
+)
+def test_an_unwritable_output_path_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv, where):
+    """A missing directory, a directory that is a file, and a path that is a directory."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "build_codebook", refuse)
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    (tmp_path / "a-file").write_text("")
+    code, out, err = run(capsys, *argv, str(tmp_path / where))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_subcommands_take_the_options_they_read(capsys):
     code, out, _ = run(capsys, "gauss", *RING, "--char", "1,1", "--b", "1", "--tol", "1e-6")
     assert code == 0 and "agree: True" in out

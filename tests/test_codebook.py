@@ -391,6 +391,10 @@ def test_import_rejects_malformed_payloads():
         lambda d: d["rows"].pop(),  # N - 1 rows
         lambda d: [row.extend([0.0, 0.0]) for row in d["rows"]],  # 2K + 2 numbers
         lambda d: d["rows"][0].__setitem__(0, "0.5"),  # not a number
+        lambda d: d["rows"][0].__setitem__(0, True),  # not a number, though numpy reads it as 1
+        lambda d: d["rows"][0].__setitem__(0, float("nan")),  # json.dumps writes NaN
+        lambda d: d["rows"][0].__setitem__(0, float("inf")),  # Infinity
+        lambda d: d["rows"][0].__setitem__(0, float("-inf")),  # -Infinity
         lambda d: d["params"].update(N=cb.N + 1),  # N disagrees with the rows
         # rows match N and K, which disagree with the params
         lambda d: (d["rows"].pop(), d["params"].update(N=cb.N - 1)),
@@ -404,6 +408,8 @@ def test_import_rejects_malformed_payloads():
         lambda d: d["params"].update(section="bogus"),
     ]
     blobs = [variant(edit) for edit in bad] + [
+        # a finite text that float() reads as inf
+        variant(lambda d: d["rows"][0].__setitem__(0, 1234.5)).replace(b"1234.5", b"1e400"),
         json.dumps(good["rows"]).encode(),  # a list, not an object
         json.dumps({"rows": good["rows"]}).encode(),  # no params
         export_codebook(cb, fmt="json")[:-1],  # not JSON

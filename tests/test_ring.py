@@ -20,7 +20,7 @@ from galois_sums import (
 )
 from galois_sums.ring import _is_primitive
 
-from conftest import ideal, ring
+from conftest import ideal, ring, teich_digits_loop, valuation_gcd
 
 
 def poly_mul_plain(a, b, mod):
@@ -356,6 +356,52 @@ def test_teich_lift_equals_power_map_everywhere(p, n, s):
         assert r.teich_lift(x) == x ** e
         assert r.teichmuller_decompose(x)[0] == x ** e
 
+
+
+# p = 2, 3, 5, 7; s = 1 to 3; n = 1 to 5; fields and GR(2^5,2^15) included
+DIGIT_RINGS = [
+    (2, 1, 1), (2, 1, 3), (2, 3, 2), (2, 5, 1), (2, 5, 3),
+    (3, 1, 2), (3, 2, 3), (3, 3, 2), (3, 4, 1),
+    (5, 1, 1), (5, 2, 2), (5, 3, 1),
+    (7, 1, 2), (7, 2, 1), (7, 3, 1),
+]
+
+
+@pytest.mark.parametrize("p,n,s", DIGIT_RINGS)
+def test_digit_table_matches_the_per_digit_loop_everywhere(p, n, s):
+    r = ring(p, n, s)
+    table = r.teich_digits()
+    assert table.shape == (r.element_count, n)
+    for x, row in zip(r.elements(), table.tolist()):
+        want = teich_digits_loop(r, x)
+        assert tuple(r.teich_set[i] for i in row) == want
+        assert r.teichmuller_decompose(x) == want
+        assert r.teich_lift(x) == want[0]
+        assert r.valuation(x) == valuation_gcd(r, x)
+
+
+def test_digit_table_is_read_only_built_once_in_the_smallest_unsigned_dtype():
+    r = build_ring(2, 3, 2)  # a fresh ring, so that its table is not built yet
+    table = r.teich_digits()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    for x in r.elements():
+        r.teichmuller_decompose(x)
+        r.teich_lift(x)
+    assert r.teich_digits() is table
+    assert [getattr(k[0], "__name__", None) for k in r._cache].count("teich_digits") == 1
+    assert table.dtype == np.uint8  # q - 1 = 3
+    assert ring(2, 1, 8).teich_digits().dtype == np.uint8  # q - 1 = 255
+    assert ring(2, 1, 9).teich_digits().dtype == np.uint16  # q - 1 = 511
+
+
+@pytest.mark.parametrize("p,n,s", [(3, 2, 1), (2, 3, 2), (5, 1, 2)])
+def test_valuation_of_a_unit_is_zero_and_the_unit_itself(p, n, s):
+    r = ring(p, n, s)
+    for x in r.units():
+        k, u = r.valuation(x)
+        assert k == 0 and u is x
 
 
 # elements of another ring: GR(2^4,2^8) against rings with other keys
