@@ -18,9 +18,7 @@ from .errors import (
 )
 from .ring import (
     GaloisRing,
-    Polynomial,
     RingElement,
-    RingParams,
     build_ring,
     find_basic_primitive_poly,
 )

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BrokenInvariant, NotAUnit, RingMismatch
-from .ring import GaloisRing, RingElement, ring_table, trace_form
+from .ring import GaloisRing, RingElement, as_int, ring_table, trace_form
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,7 @@ class MultCharacter:
         exponents, r = tuple(exponents), len(self.basis.orders)
         if len(exponents) != r:  # checked before zip could truncate
             raise ValueError(f"exponent tuples over {ring} need r = {r} entries, got {len(exponents)}")
-        self.exponents = tuple(e % d for e, d in zip(exponents, self.basis.orders))
+        self.exponents = tuple(as_int(e, "an exponent") % d for e, d in zip(exponents, self.basis.orders))
 
     @classmethod
     def trivial(cls, ring: GaloisRing) -> MultCharacter:

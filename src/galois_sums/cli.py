@@ -23,14 +23,16 @@ from .characters import (
 )
 from .codebook import (
     DEFAULT_PAIR_BUDGET,
+    TWIST_MODES,
     CodebookParams,
     build_codebook,
     export_codebook,
     imax_exhaustive,
+    named_twist,
     table2,
 )
 from .errors import GaloisSumsError, SizeLimit, TooLarge
-from .ring import DEFAULT_ELEMENT_CAP, GaloisRing, Polynomial, RingElement, build_ring
+from .ring import DEFAULT_ELEMENT_CAP, GaloisRing, RingElement, build_ring
 from .sums import (
     DEFAULT_TERM_CAP,
     SumValue,
@@ -76,9 +78,7 @@ def _add_common(sub: argparse.ArgumentParser, *options: str) -> None:
 
 
 def _build_ring(args) -> GaloisRing:
-    modulus = None
-    if args.modulus:
-        modulus = Polynomial(tuple(int(c) for c in args.modulus.split(",")))
+    modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
     return build_ring(args.p, args.n, args.s, modulus=modulus, element_cap=args.cap_elements)
 
 
@@ -188,17 +188,12 @@ def cmd_tilde_jacobi(args) -> int:
 
 def cmd_codebook(args) -> int:
     ring = _build_ring(args)
-    if args.a_mode == "unit":
-        a = ring.one
-    elif args.a_mode == "zero":
-        a = ring.zero
-    else:
-        a = ring.p_power(1)
+    a = named_twist(ring, args.a_mode)
     psi0 = None
     if args.psi0:
         psi0 = MultCharacter(ring.reduced(1), tuple(int(c) for c in args.psi0.split(",")))
     params = CodebookParams(ring=ring, m=args.m, k=args.k, a=a, psi0=psi0, section=args.section)
-    cb = build_codebook(params, allow_nonunit_a=args.a_mode != "unit")
+    cb = build_codebook(params, allow_nonunit_a=not a.is_unit)
     report = imax_exhaustive(cb, pair_budget=args.cap_pairs)
     payload = report.to_json(cb.N, cb.K)
     payload["params"] = cb.to_json_params()
@@ -290,7 +285,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(sp, "--cap-pairs")
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--a-mode", choices=["unit", "zero", "ideal"], default="unit")
+    sp.add_argument("--a-mode", choices=TWIST_MODES, default="unit")
     sp.add_argument("--psi0", help="exponent tuple over the quotient ring")
     sp.add_argument("--section", default="lex-min", choices=SECTIONS)
     sp.add_argument("--export", help="write the matrix to this path")

@@ -42,8 +42,9 @@ from .errors import (
     SizeLimit,
     TooLarge,
 )
-from .ring import GaloisRing, RingElement
-from .sums import s_cardinality, s_cardinality_qn, solved_domain
+# the primality test lives with the ring's; MR_BOUND is the q from which table2 refuses
+from .ring import MR_BOUND, GaloisRing, RingElement, as_int, is_prime_power  # noqa: F401
+from .sums import _check_k, s_cardinality_qn, solved_domain
 
 DEFAULT_ENTRY_CAP = 10 ** 8
 DEFAULT_PAIR_BUDGET = 10 ** 9
@@ -64,12 +65,12 @@ class CodebookParams:
     section: str = "lex-min"
 
     def __post_init__(self) -> None:
+        self.m, self.k = as_int(self.m, "m"), as_int(self.k, "k")
         if self.ring.n < 2:
             raise ValueError("codebook construction needs n >= 2")
         if self.m < 2:
             raise ValueError("m must be >= 2")
-        if not 1 <= self.k <= self.m - 1:
-            raise ValueError("need 1 <= k <= m - 1")
+        _check_k(self.k, self.m)
         if self.section not in SECTIONS:
             raise ValueError(f"unknown section {self.section!r}")
         self.ring._check_same(self.a)
@@ -151,9 +152,15 @@ def _row_exponents(params: CodebookParams) -> tuple[list, np.ndarray]:
     return labels, X
 
 
-def s_indices(params: CodebookParams) -> np.ndarray:
-    """The domain S in lexicographic order, as a (|S| x m) array of element indices."""
-    return solved_domain(params.ring, params.m, params.k, params.a)
+# the codebook twists a by name, in the order of the CLI's --a-mode choices
+TWIST_MODES = ("unit", "zero", "ideal")
+
+
+def named_twist(ring: GaloisRing, mode: str) -> RingElement:
+    """The twist a named by mode: unit 1, zero 0, ideal p; build with allow_nonunit_a=not a.is_unit."""
+    if mode not in TWIST_MODES:
+        raise ValueError(f"twist mode must be one of {TWIST_MODES}, got {mode!r}")
+    return {"unit": ring.one, "zero": ring.zero, "ideal": ring.p_power(1)}[mode]
 
 
 def build_codebook(params: CodebookParams, allow_nonunit_a: bool = False) -> Codebook:
@@ -178,14 +185,13 @@ def build_codebook(params: CodebookParams, allow_nonunit_a: bool = False) -> Cod
             "twist a lies in the maximal ideal: the optimality guarantees do not apply",
             stacklevel=2,
         )
-    q, m, k = ring.q, params.m, params.k
-    K = s_cardinality(ring, m, k)
-    f_count = q * ring.unit_count ** (m - 1)
-    N = f_count + K
+    m, k = params.m, params.k
+    N, K = codebook_size(ring.q, ring.n, m, k)
+    f_count = N - K
     if N * K > DEFAULT_ENTRY_CAP:
         raise TooLarge(f"{N} x {K} entries exceeds cap {DEFAULT_ENTRY_CAP}")
 
-    columns = s_indices(params)
+    columns = solved_domain(ring, m, k, params.a)  # S in lexicographic order
     if len(columns) != K:
         raise CodebookError(f"enumerated |S| = {len(columns)}, the formula gives {K}")
     dlog = dlog_matrix(ring)[columns]  # K x m x r
@@ -456,61 +462,6 @@ def asymptotic_ratio(q: int, n: int, m: int, k: int) -> float:
     return imax_formula(q, n, m) / welch_bound(N, K)
 
 
-# Miller-Rabin at the first 13 primes decides every n below MR_BOUND
-# (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003)
-MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < MR_BOUND."""
-    if n < 2:
-        return False
-    for b in MR_BASES:
-        if n % b == 0:
-            return n == b
-    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
-    d = (n - 1) >> r
-    for b in MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _root(q: int, e: int) -> int:
-    """floor(q^(1/e)) for q >= 1, by Newton's method on integers from above."""
-    x = 1 << -(-q.bit_length() // e)
-    while True:
-        y = ((e - 1) * x + q // x ** (e - 1)) // e
-        if y >= x:
-            return x
-        x = y
-
-
-def is_prime_power(q: int) -> bool:
-    """q = p^e for a prime p; TooLarge for q >= MR_BOUND, where the bases no longer decide.
-
-    For the largest e <= log2 q with an exact e-th root r, r is no perfect
-    power, so q is a prime power exactly when r is prime.
-    """
-    if q >= MR_BOUND:
-        raise TooLarge(f"q = {q} is past the primality test's bound {MR_BOUND}")
-    if q < 2:
-        return False
-    for e in range(q.bit_length() - 1, 0, -1):
-        r = _root(q, e)
-        if r ** e == q:
-            return _is_prime(r)
-    return False
-
-
 @dataclass
 class Table2Row:
     q: int
@@ -654,7 +605,7 @@ def import_codebook(data: bytes) -> Codebook:
             psi0=MultCharacter(ring.reduced(1), tuple(meta["psi0"])),
             section=meta["section"],
         )
-        N, K = meta["N"], meta["K"]
+        N, K = as_int(meta["N"], "N"), as_int(meta["K"], "K")
     except (SizeLimit, CodebookError):
         raise
     except (ValueError, TypeError, KeyError, GaloisSumsError) as exc:

@@ -7,8 +7,11 @@ x^(p^s - 1) - 1 over Z_{p^n}.  Elements are stored in the polynomial basis
 multiplicative order p^s - 1.  For s = 1 the ring is Z_{p^n} itself and xi
 is the unique Teichmuller generator of the (p-1)-torsion.  One polynomial
 arithmetic, _mulmod and _powmod over ascending coefficient tuples modulo a
-monic h, serves the elements, the modulus search and its validation.
+monic h, serves the elements, the modulus search and its validation, and a
+ring holds h as that tuple, Python ints.
 
+The shape is checked once per ring and per modulus search (_check_shape),
+and every modulus coefficient is an integer (as_int).
 Structural tables are built eagerly and every invariant is checked at build
 time; failures raise InvalidModulus.  The invariants are: the modulus has
 degree s, is monic and has reduced coefficients; x has order p^s - 1 modulo
@@ -35,7 +38,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -47,23 +50,14 @@ from .errors import (
     NotInBaseRing,
     RingMismatch,
     SizeLimit,
+    TooLarge,
 )
 
 DEFAULT_ELEMENT_CAP = 1 << 20
 
 
-def _exceeds(p: int, e: int, cap: int) -> bool:
-    """p**e > cap for p >= 2, by a product that stops once it passes cap."""
-    power = 1
-    for _ in range(e):
-        power *= p
-        if power > cap:
-            return True
-    return False
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk-scale inputs only)."""
+    """Prime factorization by trial division, for the group orders q - 1 only."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -74,6 +68,103 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# Miller-Rabin at the first 13 primes decides every n below MR_BOUND
+# (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < MR_BOUND."""
+    if n < 2:
+        return False
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
+    d = (n - 1) >> r
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root(q: int, e: int) -> int:
+    """floor(q^(1/e)) for q >= 1, by Newton's method on integers from above."""
+    x = 1 << -(-q.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def is_prime_power(q: int) -> bool:
+    """q = p^e for a prime p; TooLarge for q >= MR_BOUND, where the bases no longer decide.
+
+    For the largest e <= log2 q with an exact e-th root r, r is no perfect
+    power, so q is a prime power exactly when r is prime.
+    """
+    if q >= MR_BOUND:
+        raise TooLarge(f"q = {q} is past the primality test's bound {MR_BOUND}")
+    if q < 2:
+        return False
+    for e in range(q.bit_length() - 1, 0, -1):
+        r = _root(q, e)
+        if r ** e == q:
+            return _is_prime(r)
+    return False
+
+
+def as_int(value, what: str) -> int:
+    """operator.index(value), so numpy ints pass; ValueError for a bool or a non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_shape(p, n, s, element_cap: int | None = None) -> tuple[int, int, int]:
+    """p, n and s as Python ints, checked once per ring and per modulus search.
+
+    In order: integers (as_int); n, s >= 1; at most element_cap elements (None:
+    no cap); p prime, TooLarge from MR_BOUND on.  The cap comes before the
+    primality test, and since p^(ns) >= 2^(ns), the power is formed with its
+    exponent clipped at the cap's bit length.
+    """
+    p, n, s = as_int(p, "p"), as_int(n, "n"), as_int(s, "s")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    if element_cap is not None and p > 1 and p ** min(n * s, int(element_cap).bit_length()) > element_cap:
+        raise SizeLimit(f"p = {p}, n = {n}, s = {s} exceeds the cap of {element_cap} elements")
+    if p >= MR_BOUND:
+        raise TooLarge(f"p = {p} is past the primality test's bound {MR_BOUND}")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return p, n, s
+
+
+def _poly_text(h) -> str:
+    """The ascending coefficient tuple h as text, highest degree first: x^2 + 11x + 7."""
+    terms = []
+    for i in range(len(h) - 1, -1, -1):
+        if h[i]:
+            xs = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            terms.append(xs if h[i] == 1 and i else f"{h[i]}{xs}")
+    return " + ".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -129,56 +220,7 @@ def _is_primitive(f, p: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RingParams:
-    """Shape parameters of GR(p^n, p^ns): characteristic p^n, extension degree s."""
-
-    p: int
-    n: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if factorize(self.p) != {self.p: 1}:
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.s
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """A monic polynomial over Z_{p^n}, ascending coefficients."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coeffs[-1] == 1
-
-    def __str__(self) -> str:
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                terms.append(xs if c == 1 else f"{c}{xs}")
-        return " + ".join(terms) if terms else "0"
-
-
-def find_basic_primitive_poly(p: int, n: int, s: int) -> Polynomial:
+def find_basic_primitive_poly(p: int, n: int, s: int) -> tuple[int, ...]:
     """Deterministic monic degree-s modulus for GR(p^n, p^ns).
 
     The reduction mod p is the lexicographically smallest primitive polynomial
@@ -187,9 +229,11 @@ def find_basic_primitive_poly(p: int, n: int, s: int) -> Polynomial:
     polynomial is its unique monic lift dividing x^(p^s - 1) - 1 over
     Z_{p^n}.  The lift is found by Hensel's lemma, one p-adic digit of every
     coefficient per level: at level j the p^s choices of digit j are tried
-    against x^(q-1) = 1 mod (h, p^(j+1)), and exactly one passes.
+    against x^(q-1) = 1 mod (h, p^(j+1)), and exactly one passes.  The
+    result is the ascending coefficient tuple, the monic 1 last.
     """
-    q = RingParams(p, n, s).q
+    p, n, s = _check_shape(p, n, s)
+    q = p ** s
     if s == 1:
         candidates = (((-g) % p, 1) for g in range(1, p))
     else:
@@ -203,7 +247,7 @@ def find_basic_primitive_poly(p: int, n: int, s: int) -> Polynomial:
         h = next((f for f in lifts if _x_order_divides(q - 1, f, p * pj)), None)
         if h is None:  # pragma: no cover
             raise InvalidModulus(f"no lift of the modulus mod {p * pj} divides x^{q - 1} - 1")
-    return Polynomial(h)
+    return h
 
 
 def ring_table(fn):
@@ -293,22 +337,19 @@ class GaloisRing:
         p: int,
         n: int,
         s: int,
-        modulus: Polynomial | None = None,
+        modulus: Sequence[int] | None = None,
         element_cap: int = DEFAULT_ELEMENT_CAP,
     ):
-        if p > 1 and n > 0 and s > 0 and _exceeds(p, n * s, element_cap):
-            raise SizeLimit(f"p = {p}, n = {n}, s = {s} exceeds the cap of {element_cap} elements")
-        self.params = RingParams(p, n, s)
+        p, n, s = _check_shape(p, n, s, element_cap)
         self.p, self.n, self.s = p, n, s
-        self.q = self.params.q
+        self.q = p ** s
         self.pn = p ** n
         self.element_count = self.q ** n
         self.unit_count = self.q ** n - self.q ** (n - 1)
         if modulus is None:
             modulus = find_basic_primitive_poly(p, n, s)
-        self._validate_modulus(modulus)
-        self.modulus = modulus
-        self.key = (p, n, s, modulus.coeffs)  # equality, hashing and _check_same
+        self.modulus = self._validate_modulus(modulus)  # ascending coefficients, Python ints
+        self.key = (p, n, s, self.modulus)  # equality, hashing and _check_same
         self._place = tuple(self.pn ** (s - 1 - i) for i in range(s))  # index of coords
         self._log_p = {p ** k: k for k in range(n + 1)}
         self._cache: dict = {}  # the ring_table memo and the Gauss values of sums
@@ -322,17 +363,23 @@ class GaloisRing:
 
     # -- construction helpers ------------------------------------------------
 
-    def _validate_modulus(self, h: Polynomial) -> None:
-        if len(h.coeffs) != self.s + 1:
+    def _validate_modulus(self, modulus) -> tuple[int, ...]:
+        """The modulus as a tuple of Python ints, checked against every invariant."""
+        try:
+            h = tuple(as_int(c, "a modulus coefficient") for c in modulus)
+        except (TypeError, ValueError) as exc:
+            raise InvalidModulus(f"modulus must be a sequence of integers: {exc}") from None
+        if len(h) != self.s + 1:
             raise InvalidModulus(f"modulus degree must be {self.s}")
-        if not h.is_monic:
+        if h[-1] != 1:
             raise InvalidModulus("modulus must be monic")
-        if any(not (0 <= c < self.pn) for c in h.coeffs):
+        if any(not (0 <= c < self.pn) for c in h):
             raise InvalidModulus(f"coefficients must be reduced mod {self.pn}")
-        if not _is_primitive([c % self.p for c in h.coeffs], self.p):
+        if not _is_primitive([c % self.p for c in h], self.p):
             raise InvalidModulus("reduction mod p is not a primitive polynomial")
-        if not _x_order_divides(self.q - 1, h.coeffs, self.pn):
-            raise InvalidModulus(f"{h} does not divide x^{self.q - 1} - 1 mod {self.pn}")
+        if not _x_order_divides(self.q - 1, h, self.pn):
+            raise InvalidModulus(f"{_poly_text(h)} does not divide x^{self.q - 1} - 1 mod {self.pn}")
+        return h
 
     def _build_teichmuller(self) -> None:
         powers = [self.one.coords]
@@ -378,7 +425,7 @@ class GaloisRing:
             raise RingMismatch(f"{ring} is not {self}")
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return _mulmod(a, b, self.modulus.coeffs, self.pn)
+        return _mulmod(a, b, self.modulus, self.pn)
 
     def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise products of reduced int64 coordinate arrays (last axis s).
@@ -397,7 +444,7 @@ class GaloisRing:
         ]
         for d in range(2 * s - 2, s - 1, -1):
             c = conv[d]
-            for j, hj in enumerate(self.modulus.coeffs[:-1]):
+            for j, hj in enumerate(self.modulus[:-1]):
                 if hj:
                     conv[d - s + j] = (conv[d - s + j] - c * hj) % pn
         return np.stack(conv[:s], axis=-1)
@@ -415,7 +462,7 @@ class GaloisRing:
         return np.ascontiguousarray(result)
 
     def _pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        return _powmod(a, e, self.modulus.coeffs, self.pn)
+        return _powmod(a, e, self.modulus, self.pn)
 
     def _is_unit(self, a: tuple[int, ...]) -> bool:
         p = self.p
@@ -429,7 +476,8 @@ class GaloisRing:
     # -- public element API ----------------------------------------------------
 
     def element(self, coords) -> RingElement:
-        coords = tuple(int(c) % self.pn for c in coords)
+        """The element with these coordinates, each an integer (as_int) reduced mod p^n."""
+        coords = tuple(as_int(c, "a coordinate") % self.pn for c in coords)
         if len(coords) != self.s:
             raise ValueError(f"expected {self.s} coordinates, got {len(coords)}")
         return RingElement(self, coords)
@@ -585,7 +633,7 @@ class GaloisRing:
             return self
         if not 1 <= k <= self.n - 1:
             raise BadLevel(f"reduction level {k} not in [1, {self.n - 1}]")
-        h = Polynomial(tuple(c % self.p ** (self.n - k) for c in self.modulus.coeffs))
+        h = tuple(c % self.p ** (self.n - k) for c in self.modulus)
         return GaloisRing(self.p, self.n - k, self.s, modulus=h)
 
     def reduce(self, x: RingElement, k: int) -> RingElement:
@@ -604,12 +652,12 @@ class GaloisRing:
             "p": self.p,
             "n": self.n,
             "s": self.s,
-            "modulus": list(self.modulus.coeffs),
+            "modulus": list(self.modulus),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> GaloisRing:
-        return cls(data["p"], data["n"], data["s"], modulus=Polynomial(tuple(data["modulus"])))
+        return cls(data["p"], data["n"], data["s"], modulus=data["modulus"])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GaloisRing) and self.key == other.key
@@ -618,7 +666,7 @@ class GaloisRing:
         return hash(self.key)
 
     def __repr__(self) -> str:
-        return f"GR({self.p}^{self.n}, {self.p}^{self.n * self.s}; {self.modulus})"
+        return f"GR({self.p}^{self.n}, {self.p}^{self.n * self.s}; {_poly_text(self.modulus)})"
 
 
 @ring_table
@@ -635,8 +683,11 @@ def build_ring(
     p: int,
     n: int,
     s: int,
-    modulus: Polynomial | None = None,
+    modulus: Sequence[int] | None = None,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> GaloisRing:
-    """Construct GR(p^n, p^ns), searching for the canonical modulus if omitted."""
+    """Construct GR(p^n, p^ns), searching for the canonical modulus if omitted.
+
+    modulus is a sequence of integers, the ascending coefficients of h.
+    """
     return GaloisRing(p, n, s, modulus=modulus, element_cap=element_cap)

@@ -46,7 +46,7 @@ from .codebook import (
     imax_exhaustive,
     imax_formula,
     imax_remark,
-    s_indices,
+    named_twist,
     table2,
 )
 from .ring import GaloisRing, build_ring
@@ -61,6 +61,7 @@ from .sums import (
     jacobi_brute_table,
     jacobi_expected_table,
     s_cardinality,
+    solved_domain,
     tilde_jacobi_brute_table,
     tilde_jacobi_classify_table,
 )
@@ -257,8 +258,7 @@ def verify_counting() -> SuiteResult:
                     f"formula {formula}, enumerated {brute}",
                 )
         for m, k in [(2, 1), (3, 1), (3, 2)]:
-            params = CodebookParams(ring=ring, m=m, k=k, a=ring.one)
-            enumerated = len(s_indices(params))
+            enumerated = len(solved_domain(ring, m, k, ring.one))
             formula = s_cardinality(ring, m, k)
             result.add(
                 f"{ring} |S| m={m} k={k}",
@@ -268,14 +268,14 @@ def verify_counting() -> SuiteResult:
     return result
 
 
-def _build_and_scan(p, n, s, a_spec):
-    """The m = 3, k = 1 codebook at twist a_spec ("unit", "zero" or "ideal") and its scan."""
+def _build_and_scan(p, n, s, mode):
+    """The m = 3, k = 1 codebook at the named twist (codebook.named_twist) and its scan."""
     ring = cached_ring(p, n, s)
-    a = ring.one if a_spec == "unit" else (ring.zero if a_spec == "zero" else ring.p_power(1))
+    a = named_twist(ring, mode)
     params = CodebookParams(ring=ring, m=3, k=1, a=a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cb = build_codebook(params, allow_nonunit_a=a_spec != "unit")
+        cb = build_codebook(params, allow_nonunit_a=not a.is_unit)
     return cb, imax_exhaustive(cb)
 
 

@@ -298,7 +298,7 @@ def test_public_api_is_pinned():
         "BadLevel", "BrokenInvariant", "Codebook", "CodebookError", "CodebookParams",
         "DegenerateDimensions", "EvalReport", "Expected", "GaloisRing", "GaloisSumsError",
         "InvalidModulus", "MultCharacter", "NotAUnit", "NotInBaseRing", "NotPrimePower",
-        "Polynomial", "RingElement", "RingMismatch", "RingParams", "RootOfUnity", "SUITES",
+        "RingElement", "RingMismatch", "RootOfUnity", "SUITES",
         "SizeLimit", "SuiteResult", "SumValue", "Table2Row", "TooLarge", "UnitGroupBasis",
         "asymptotic_ratio", "build_codebook", "build_ring", "canonical_twists", "canonicalize",
         "character_levels", "character_table_json", "codebook_size", "count_unit_solutions",

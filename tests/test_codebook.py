@@ -44,11 +44,11 @@ from conftest import extended_eval, ring
 
 def build(key, m=3, k=1, a_mode="unit", **kw):
     r = ring(*key)
-    a = {"unit": r.one, "zero": r.zero, "ideal": r.p_power(1)}[a_mode]
+    a = codebook_module.named_twist(r, a_mode)
     params = CodebookParams(ring=r, m=m, k=k, a=a, **kw)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return build_codebook(params, allow_nonunit_a=a_mode != "unit")
+        return build_codebook(params, allow_nonunit_a=not a.is_unit)
 
 
 def test_dimensions_q3():
@@ -169,6 +169,11 @@ def test_psi0_over_another_ring_is_refused():
 
 def test_unit_requirement():
     r = ring(3, 2, 1)
+    assert [codebook_module.named_twist(r, mode).is_unit for mode in codebook_module.TWIST_MODES] == [
+        True, False, False,
+    ]
+    with pytest.raises(ValueError, match="twist mode"):
+        codebook_module.named_twist(r, "one")
     with pytest.raises(NotAUnit):
         build_codebook(CodebookParams(ring=r, m=3, k=1, a=r.zero))
     with pytest.warns(UserWarning):
@@ -406,6 +411,18 @@ def test_import_rejects_malformed_payloads():
         lambda d: d["params"].pop("ring"),
         lambda d: d["params"].update(psi0=[0, 0]),  # two exponents over Z/3, whose r is 1
         lambda d: d["params"].update(section="bogus"),
+        # each integer parameter is an integer, not a float or a bool that equals one
+        lambda d: d["params"].update(k=1.0),
+        lambda d: d["params"].update(k=True),
+        lambda d: d["params"].update(m=2.0),
+        lambda d: d["params"].update(a=[1.0]),
+        lambda d: d["params"].update(a=[True]),
+        lambda d: d["params"].update(psi0=[0.0]),
+        lambda d: d["params"].update(N=float(cb.N)),
+        lambda d: d["params"].update(K=float(cb.K)),
+        lambda d: d["params"]["ring"].update(modulus=[1.0, 1]),
+        lambda d: d["params"]["ring"].update(n=2.0),
+        lambda d: d["params"]["ring"].update(p=True),
     ]
     blobs = [variant(edit) for edit in bad] + [
         # a finite text that float() reads as inf
@@ -482,8 +499,8 @@ def test_export_bytes_are_pinned(key, m, k, csv_digest, json_digest):
 
 def test_enumerated_s_must_match_formula(monkeypatch):
     r = ring(3, 2, 1)
-    real = codebook_module.s_cardinality
-    monkeypatch.setattr(codebook_module, "s_cardinality", lambda *a: real(*a) + 1)
+    real = codebook_module.codebook_size
+    monkeypatch.setattr(codebook_module, "codebook_size", lambda *a: tuple(v + 1 for v in real(*a)))
     with pytest.raises(CodebookError, match="enumerated"):
         build_codebook(CodebookParams(ring=r, m=3, k=1, a=r.one))
 

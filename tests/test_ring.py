@@ -11,14 +11,13 @@ from galois_sums import (
     GaloisRing,
     InvalidModulus,
     NotAUnit,
-    Polynomial,
     RingMismatch,
-    RingParams,
     SizeLimit,
+    TooLarge,
     build_ring,
     find_basic_primitive_poly,
 )
-from galois_sums.ring import _is_primitive
+from galois_sums.ring import MR_BOUND, _is_primitive
 
 from conftest import ideal, ring, teich_digits_loop, valuation_gcd
 
@@ -33,35 +32,59 @@ def poly_mul_plain(a, b, mod):
 
 
 def test_params_validation():
-    for p in (4, 91, 1, 0, -3):  # the ring's primality routine is factorize
+    for p in (4, 91, 1, 0, -3):
         with pytest.raises(ValueError, match="prime"):
-            RingParams(p, 2, 1)
-    with pytest.raises(ValueError):
-        RingParams(3, 0, 1)
-    with pytest.raises(ValueError):
-        RingParams(3, 2, 0)
+            build_ring(p, 1, 1)
+    # the modulus search makes the same check with no element cap, by the
+    # Miller-Rabin of is_prime_power: 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, and from MR_BOUND on no test is made
+    with pytest.raises(ValueError, match="prime"):
+        find_basic_primitive_poly(3215031751, 1, 1)
+    with pytest.raises(TooLarge, match="bound"):
+        find_basic_primitive_poly(MR_BOUND + 2, 1, 1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        find_basic_primitive_poly(3, 2, 1.0)
+    with pytest.raises(ValueError, match="n must be"):
+        build_ring(3, 0, 1)
+    with pytest.raises(ValueError, match="s must be"):
+        build_ring(3, 2, 0)
+    # p, n and s go through operator.index: a bool, a float or a string is refused
+    for shape in [(3, True, 1), (True, 2, 1), (3, 2, False), (3.0, 2, 1), (3, 2.0, 1), (3, 2, "1")]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_ring(*shape)
+    with pytest.raises(ValueError, match="must be an integer"):
+        GaloisRing.from_json({"p": 3, "n": True, "s": 1, "modulus": [1, 1]})
+    # numpy integers pass, and the ring holds Python ints
+    r = build_ring(np.int64(3), np.int32(2), np.uint8(1), modulus=np.array([1, 1]))
+    assert r == build_ring(3, 2, 1) and repr(r) == "GR(3^2, 3^2; x + 1)"
+    assert all(type(v) is int for v in (r.p, r.n, r.s, r.q, r.pn, *r.modulus))
+    # coordinates too: 1.5 is refused, not truncated to 1
+    for coords in [(1.5,), (True,), (1.0,), ("1",)]:
+        with pytest.raises(ValueError, match="coordinate must be an integer"):
+            r.element(coords)
+    assert r.element((np.int64(10),)).coords == (1,)
 
 
 def test_modulus_search_quadratic_over_z4():
     h = find_basic_primitive_poly(2, 2, 2)
-    assert h.coeffs == (1, 1, 1)
+    assert h == (1, 1, 1)
     # oracle: (x - 1)(x^2 + x + 1) = x^3 - 1 over Z_4
-    prod = poly_mul_plain([-1 % 4, 1], list(h.coeffs), 4)
+    prod = poly_mul_plain([-1 % 4, 1], list(h), 4)
     assert prod == [3, 0, 0, 1]  # x^3 - 1 mod 4
 
 
 def test_modulus_search_degenerate_degree_one():
     h = find_basic_primitive_poly(3, 2, 1)
     # x - g with g the Teichmuller generator of order 2 in Z_9
-    g = (-h.coeffs[0]) % 9
+    g = (-h[0]) % 9
     assert g == 8
     assert pow(g, 2, 9) == 1 and g != 1
-    assert h.coeffs == (1, 1)
+    assert h == (1, 1)
 
 
 def test_modulus_search_primitive_cubic_over_f2():
     h = find_basic_primitive_poly(2, 1, 3)
-    assert h.coeffs == (1, 1, 0, 1)  # x^3 + x + 1
+    assert h == (1, 1, 0, 1)  # x^3 + x + 1
     # oracle: the class of x has order 7 in F_2[x]/(h)
     f2 = build_ring(2, 1, 3)
     x = f2.xi
@@ -89,9 +112,9 @@ def test_build_degenerate_field():
 
 def test_build_rejects_bad_modulus():
     with pytest.raises(InvalidModulus):
-        build_ring(2, 2, 2, modulus=Polynomial((1, 0, 1)))  # x^2 + 1 is not primitive
+        build_ring(2, 2, 2, modulus=(1, 0, 1))  # x^2 + 1 is not primitive
     with pytest.raises(InvalidModulus):
-        build_ring(2, 2, 2, modulus=Polynomial((1, 1, 2)))  # not monic
+        build_ring(2, 2, 2, modulus=[1, 1, 2])  # not monic
 
 
 @pytest.mark.parametrize(
@@ -105,11 +128,15 @@ def test_build_rejects_bad_modulus():
         ((7, 1, 1), (5, 1), "primitive"),  # x - 2: 2 has order 3 mod 7, not 6
         ((2, 2, 2), (3, 1, 1), "divide"),  # lifts the primitive x^2 + x + 1, not as (1, 1, 1)
         ((3, 2, 1), (7, 1), "divide"),  # x - 2: 2 generates F_3*, but 2^2 = 4 mod 9
+        ((3, 2, 1), (1.0, 1.0), "integers"),  # x + 1 with float coefficients
+        ((3, 2, 1), (1, True), "integers"),  # monic only as a bool
+        ((3, 2, 1), ("1", "1"), "integers"),
+        ((3, 2, 1), 5, "integers"),  # not a sequence
     ],
 )
 def test_build_rejects_each_bad_modulus(key, coeffs, match):
     with pytest.raises(InvalidModulus, match=match):
-        build_ring(*key, modulus=Polynomial(coeffs))
+        build_ring(*key, modulus=coeffs)
 
 
 def poly_rem_plain(num, den, p):
@@ -154,23 +181,31 @@ def test_order_test_is_irreducible_and_full_order():
     assert (len(verdicts), sum(verdicts)) == (1154, 139)
 
 
-# moduli of the exhaustive search over all p^((n-1)s) lifts that the Hensel lift replaced
+# moduli of the exhaustive search over all p^((n-1)s) lifts that the Hensel lift
+# replaced, each with the ring's repr, which verify labels and the CLI print
 MODULUS_PINS = {
-    (2, 5, 3): (31, 5, 6, 1),
-    (5, 3, 2): (57, 36, 1),
-    (3, 3, 2): (26, 22, 1),
-    (2, 4, 2): (1, 1, 1),
-    (5, 2, 2): (7, 11, 1),
-    (7, 2, 2): (31, 15, 1),
-    (2, 3, 5): (7, 2, 7, 4, 0, 1),
-    (2, 1, 12): (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1),
-    (3, 1, 7): (1, 2, 1, 0, 0, 0, 0, 1),
+    (2, 5, 3): ((31, 5, 6, 1), "GR(2^5, 2^15; x^3 + 6x^2 + 5x + 31)"),
+    (5, 3, 2): ((57, 36, 1), "GR(5^3, 5^6; x^2 + 36x + 57)"),
+    (3, 3, 2): ((26, 22, 1), "GR(3^3, 3^6; x^2 + 22x + 26)"),
+    (2, 4, 2): ((1, 1, 1), "GR(2^4, 2^8; x^2 + x + 1)"),
+    (5, 2, 2): ((7, 11, 1), "GR(5^2, 5^4; x^2 + 11x + 7)"),
+    (7, 2, 2): ((31, 15, 1), "GR(7^2, 7^4; x^2 + 15x + 31)"),
+    (2, 3, 5): ((7, 2, 7, 4, 0, 1), "GR(2^3, 2^15; x^5 + 4x^3 + 7x^2 + 2x + 7)"),
+    (2, 1, 12): (
+        (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1),
+        "GR(2^1, 2^12; x^12 + x^6 + x^4 + x + 1)",
+    ),
+    (3, 1, 7): ((1, 2, 1, 0, 0, 0, 0, 1), "GR(3^1, 3^7; x^7 + x^2 + 2x + 1)"),
+    (5, 2, 1): ((18, 1), "GR(5^2, 5^2; x + 18)"),  # x - 7, 7 the Teichmuller lift of 2
 }
 
 
 @pytest.mark.parametrize("key", list(MODULUS_PINS))
 def test_modulus_search_is_pinned(key):
-    assert find_basic_primitive_poly(*key).coeffs == MODULUS_PINS[key]
+    coeffs, text = MODULUS_PINS[key]
+    h = find_basic_primitive_poly(*key)
+    assert h == coeffs and all(type(c) is int for c in h)
+    assert repr(build_ring(*key)) == text
 
 
 def test_ring_tables_are_memoised_per_ring_and_read_only():
@@ -187,8 +222,8 @@ def test_ring_tables_are_memoised_per_ring_and_read_only():
 def test_size_cap():
     with pytest.raises(SizeLimit):
         build_ring(2, 2, 2, element_cap=8)
-    # the cap comes before the primality test and before q^n: neither a
-    # 6,000-digit element count nor trial division of a 17-digit prime
+    # the cap comes before the primality test and before q^n: no 6,000-digit
+    # element count, and no primality test of a 17-digit prime
     for shape in [(2, 20, 1000), (10_000_000_000_000_061, 1, 1), (4, 20, 1000)]:
         with pytest.raises(SizeLimit, match="exceeds the cap of 1048576 elements"):
             build_ring(*shape)
