@@ -261,7 +261,7 @@ class _DlogView(Mapping):
         return tuple(dlog_matrix(r)[r._index(coords)].tolist())
 
     def __iter__(self):
-        return (u.coords for u in self.ring.units())
+        return self.ring.units()._tuples()
 
     def __len__(self) -> int:
         return self.ring.unit_count

@@ -23,7 +23,8 @@ then the powers of xi), the Frobenius coordinate map, and the trace as a
 linear form: the weights tr(xi^i), each computed once as a Frobenius sum.
 Derived tables, among them the numpy index tables that vectorized kernels
 use (element index = position in elements(); mul_array multiplies
-coordinate arrays row-wise; units() is read from unit_indices) and the
+coordinate arrays row-wise; elements() and units() are read-only views of
+coord_array, the units at unit_indices, that keep no RingElement) and the
 Teichmuller digits of every element (teich_digits; teichmuller_decompose and
 teich_lift read one row of it, and the first digit equals x^(q^(n-1)) on
 every element), are built lazily through one memo, ring_table, which keeps
@@ -133,6 +134,14 @@ def as_int(value, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _exponent(e) -> int:
+    """A power's exponent as a Python int (as_int); ValueError before any loop when it is negative."""
+    e = as_int(e, "an exponent")
+    if e < 0:
+        raise ValueError(f"an exponent must be >= 0, got {e}")
+    return e
 
 
 def _check_shape(p, n, s, element_cap: int | None = None) -> tuple[int, int, int]:
@@ -329,6 +338,41 @@ class RingElement:
         return f"RingElement{self.coords}"
 
 
+class _ElementView(Sequence):
+    """A ring's elements() or units(): a read-only sequence that keeps no element.
+
+    Entry i is made when it is read, from one row of the ring's coord_array:
+    row i for elements(), row unit_indices()[i] for units().  Iteration makes
+    the entries in order from itertools.product, filtered by unit_mask for
+    units().  A slice is a list.
+    """
+
+    __slots__ = ("_ring", "_rows", "_positions", "_mask")
+
+    def __init__(self, ring: GaloisRing, positions=None, mask=None):
+        self._ring, self._rows = ring, ring.coord_array()
+        self._positions, self._mask = positions, mask  # unit_indices and unit_mask, or None
+
+    def __len__(self) -> int:
+        return len(self._rows if self._positions is None else self._positions)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if self._positions is not None:
+            i = self._positions[i]
+        return RingElement(self._ring, tuple(self._rows[i].tolist()))
+
+    def _tuples(self):
+        """The entries' coordinate tuples, in order, with no element made."""
+        coords = itertools.product(range(self._ring.pn), repeat=self._ring.s)
+        return coords if self._mask is None else itertools.compress(coords, self._mask)
+
+    def __iter__(self):
+        return map(RingElement, itertools.repeat(self._ring), self._tuples())
+
+
 class GaloisRing:
     """Immutable context for GR(p^n, p^ns): modulus, Teichmuller table, Frobenius and trace."""
 
@@ -432,25 +476,32 @@ class GaloisRing:
 
         a and b broadcast against each other.  Each convolution column is
         reduced mod p^n before the modulus is folded in, so with p^n <= 2^20
-        no intermediate comes near 2^63.
+        no intermediate comes near 2^63.  The columns are folded by
+        assignment: for two (s,) rows each one is a numpy scalar.
         """
         s, pn = self.s, self.pn
         if s == 1:
             return (a * b) % pn
-        a, b = np.broadcast_arrays(a, b)
-        conv = [
-            sum(a[..., i] * b[..., d - i] for i in range(max(0, d - s + 1), min(d, s - 1) + 1)) % pn
-            for d in range(2 * s - 1)
-        ]
+        conv = []
+        for d in range(2 * s - 1):
+            lo, hi = max(0, d - s + 1), min(d, s - 1)
+            col = a[..., lo] * b[..., d - lo]
+            for i in range(lo + 1, hi + 1):
+                col = col + a[..., i] * b[..., d - i]
+            conv.append(col % pn)
         for d in range(2 * s - 2, s - 1, -1):
             c = conv[d]
             for j, hj in enumerate(self.modulus[:-1]):
                 if hj:
                     conv[d - s + j] = (conv[d - s + j] - c * hj) % pn
-        return np.stack(conv[:s], axis=-1)
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        for i in range(s):
+            out[..., i] = conv[i]
+        return out
 
     def pow_array(self, a: np.ndarray, e: int) -> np.ndarray:
-        """Row-wise e-th powers of a coordinate array, by square and multiply."""
+        """Row-wise e-th powers of a coordinate array, by square and multiply; e >= 0."""
+        e = _exponent(e)
         result = np.broadcast_to(np.array(self.one.coords, dtype=np.int64), a.shape)
         acc = a
         while e > 0:
@@ -462,7 +513,7 @@ class GaloisRing:
         return np.ascontiguousarray(result)
 
     def _pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        return _powmod(a, e, self.modulus, self.pn)
+        return _powmod(a, _exponent(e), self.modulus, self.pn)
 
     def _is_unit(self, a: tuple[int, ...]) -> bool:
         p = self.p
@@ -483,18 +534,20 @@ class GaloisRing:
         return RingElement(self, coords)
 
     def scalar(self, c: int) -> RingElement:
-        return RingElement(self, (c % self.pn,) + (0,) * (self.s - 1))
+        """The integer c (as_int) reduced mod p^n, as an element of the base ring."""
+        return RingElement(self, (as_int(c, "a scalar") % self.pn,) + (0,) * (self.s - 1))
 
     def p_power(self, k: int) -> RingElement:
+        """p^k for an integer k (as_int) in [0, n]; p^n is zero."""
+        k = as_int(k, "k")
         if not 0 <= k <= self.n:
             raise ValueError(f"k must be in [0, {self.n}]")
         return self.scalar(self.p ** k) if k < self.n else self.zero
 
     @ring_table
-    def elements(self) -> list[RingElement]:
-        """All q^n elements in lexicographic coordinate order."""
-        coords = itertools.product(range(self.pn), repeat=self.s)
-        return list(map(RingElement, itertools.repeat(self), coords))
+    def elements(self) -> Sequence[RingElement]:
+        """All q^n elements in lexicographic coordinate order, a read-only view of coord_array."""
+        return _ElementView(self)
 
     @ring_table
     def coord_array(self) -> np.ndarray:
@@ -527,10 +580,9 @@ class GaloisRing:
         return self.pn ** np.arange(self.s - 1, -1, -1, dtype=np.int64)
 
     @ring_table
-    def units(self) -> list[RingElement]:
-        """The units in elements() order, read from unit_indices."""
-        els = self.elements()
-        return [els[i] for i in self.unit_indices().tolist()]
+    def units(self) -> Sequence[RingElement]:
+        """The units in elements() order, a read-only view of coord_array at unit_indices."""
+        return _ElementView(self, self.unit_indices(), self.unit_mask())
 
     # -- Teichmuller structure --------------------------------------------------
 

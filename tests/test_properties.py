@@ -71,7 +71,7 @@ def test_valuation_agrees_with_the_digits(args):
 @PROPERTY
 @given(rings)
 def test_units_are_the_elements_that_are_units(r):
-    assert r.units() == [x for x in r.elements() if x.is_unit]
+    assert list(r.units()) == [x for x in r.elements() if x.is_unit]
 
 
 @PROPERTY

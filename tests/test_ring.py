@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -231,6 +233,37 @@ def test_size_cap():
         build_ring(1, 10 ** 18, 1)
 
 
+def test_scalar_and_p_power_take_integers_only():
+    r = build_ring(3, 2, 1)
+    for bad in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="scalar must be an integer"):
+            r.scalar(bad)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            r.p_power(bad)
+    assert r.scalar(np.int64(10)).coords == (1,) and type(r.scalar(np.int64(10)).coords[0]) is int
+    assert r.p_power(np.int32(1)) == r.scalar(3) and r.p_power(np.uint8(2)) == r.zero
+    with pytest.raises(ValueError, match="k must be in"):
+        r.p_power(np.int64(3))
+
+
+@pytest.mark.parametrize("p,n,s", [(3, 2, 1), (3, 2, 2)])
+def test_a_negative_or_non_integer_exponent_is_refused(p, n, s):
+    r = build_ring(p, n, s)
+    x, rows = r.scalar(2), r.coord_array()
+    for e in (-1, -5, np.int64(-1)):  # pow_array first: unchecked it returns 1s, while x ** -1 never returns
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            r.pow_array(rows, e)
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            x ** e
+    for e in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            x ** e
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            r.pow_array(rows, e)
+    assert x ** np.int64(3) == x * x * x and x ** 0 == r.one
+    assert r.pow_array(rows, np.int64(0)).tolist() == [list(r.one.coords)] * len(rows)
+
+
 def test_inverse_in_z9(z9):
     assert z9.scalar(2).inv() == z9.scalar(5)
     with pytest.raises(NotAUnit):
@@ -369,6 +402,10 @@ def test_mul_array_matches_scalar_products(p, n, s):
     # one row broadcast against many, and a power table
     assert r.mul_array(a, b[0]).tolist() == [list((x * ys[0]).coords) for x in xs]
     assert r.pow_array(a, 5).tolist() == [list((x ** 5).coords) for x in xs]
+    # two (s,) rows, whose coordinates are numpy scalars while they are folded
+    for x, y in zip(xs[:20], ys[:20]):
+        row = r.mul_array(np.array(x.coords), np.array(y.coords))
+        assert row.shape == (s,) and row.tolist() == list(r._mul(x.coords, y.coords))
 
 
 @pytest.mark.parametrize("p,n,s", REFERENCE_RINGS)
@@ -437,6 +474,46 @@ def test_valuation_of_a_unit_is_zero_and_the_unit_itself(p, n, s):
     for x in r.units():
         k, u = r.valuation(x)
         assert k == 0 and u is x
+
+
+@pytest.mark.parametrize("p,n,s", [(3, 2, 1), (2, 3, 2), (3, 2, 2)])
+def test_elements_and_units_are_read_only_views_of_coord_array(p, n, s):
+    r = ring(p, n, s)
+    rows = r.coord_array().tolist()
+    for view, want in ((r.elements(), rows), (r.units(), [rows[i] for i in r.unit_indices().tolist()])):
+        assert isinstance(view, Sequence) and len(view) == len(want)
+        assert [list(x.coords) for x in view] == want  # iteration, in row order
+        assert [list(view[i].coords) for i in range(len(view))] == want
+        assert [list(view[-i].coords) for i in range(1, len(view) + 1)] == want[::-1]
+        assert all(x.ring is r and all(type(c) is int for c in x.coords) for x in view[:3])
+        for i in (len(view), -len(view) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        for cut in (slice(1, 7, 2), slice(None, None, -3), slice(-4, None), slice(5, 2)):
+            assert [list(x.coords) for x in view[cut]] == want[cut]
+        assert view[np.int64(2)] == view[2] == r.element(want[2])
+        with pytest.raises(TypeError):
+            view[1.0]
+        with pytest.raises(TypeError):
+            view[0] = r.one
+
+
+def test_walking_every_element_and_unit_keeps_no_element():
+    """GR(2^5,2^15): walking its 32,768 elements and 28,672 units holds under 0.1 MiB.
+
+    The coordinate arrays the views read are built first; a list of the
+    elements and one of the units would hold 3.99 MiB.
+    """
+    r = build_ring(2, 5, 3)
+    r.coord_array(), r.unit_indices(), r.unit_mask()
+    tracemalloc.start()
+    try:
+        walked = sum(1 for _ in r.elements()) + sum(1 for _ in r.units())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert walked == r.element_count + r.unit_count
+    assert held < 0.1 * 2 ** 20, held
 
 
 # elements of another ring: GR(2^4,2^8) against rings with other keys
