@@ -17,15 +17,19 @@ per-element definition.  dlog_matrix (elements x r) is the one dlog
 representation: a character's value at a unit reads the unit's row.  It is
 built by expanding prod g_i^(e_i) one generator at a time, every product so
 far times every power of the next generator, which lists the units in lex
-order of their exponent tuples.  character_levels holds the triviality level
-of every character.  For j >= 1 the layer (1 + p^j R)/(1 + p^(j+1) R) is
-isomorphic to R/pR, so 1 + p^k R is generated by the s(n - k) elements
-1 + p^j xi^i (k <= j < n, i < s), and a level is read at those s(n - 1)
-generators alone.  character_numerators is the one array evaluator of
-characters (X_i (L / d_i) . dlog(w) mod L): the levels, the signs chi(-1),
-the section map (an exponent table, one row per residue-field element) and
-the transports along the reduction map read characters through it, and
-exponent_array checks every exponent array taken as input.
+order of their exponent tuples.  Multiplication by h is Z/p^n-linear, so each
+expansion is one integer matrix product, the products so far against the
+rows xi^i g^j, with every sum below s (p^n)^2 < 2^41.  character_levels
+holds the triviality level of every character.  For j >= 1 the layer
+(1 + p^j R)/(1 + p^(j+1) R) is isomorphic to R/pR, so 1 + p^k R is generated
+by the s(n - k) elements 1 + p^j xi^i (k <= j < n, i < s), and a level is
+read at those s(n - 1) generators alone.  They lie in 1 + M, where the xi
+exponent reads 0, so the levels are read for the characters of 1 + M alone
+and repeat once per xi exponent.  character_numerators is the one array
+evaluator of characters (X_i (L / d_i) . dlog(w) mod L): the levels, the
+signs chi(-1), the section map (an exponent table, one row per residue-field
+element) and the transports along the reduction map read characters through
+it, and exponent_array checks every exponent array taken as input.
 """
 from __future__ import annotations
 
@@ -140,6 +144,17 @@ def _powers(ring: GaloisRing, g: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _times(ring: GaloisRing, rows: np.ndarray) -> np.ndarray:
+    """(s x ks) int64 M with (y @ M % p^n)[j s : (j + 1) s] = y * rows[j] for k rows.
+
+    y * h = sum_i y_i (xi^i h), so block j of row i is xi^i rows[j].  An entry
+    of y @ M sums s products below (p^n)^2, and s (p^n)^2 < 2^41 under the
+    2^20 element cap, far from int64 overflow.
+    """
+    xi_rows = np.eye(ring.s, dtype=np.int64)  # coordinates of xi^0..xi^(s-1)
+    return ring.mul_array(xi_rows[:, None], rows[None]).reshape(ring.s, -1)
+
+
 def _abelian_basis(
     ring: GaloisRing, elems: np.ndarray, position, rep: np.ndarray
 ) -> list[tuple[int, int]]:
@@ -179,7 +194,7 @@ def _abelian_basis(
     # least position over each orbit of x -> x * g on the quotient, by doubling
     slot = np.full(len(rep), -1, dtype=np.int64)
     slot[reps] = np.arange(len(reps))
-    step = slot[rep[position(ring.mul_array(elems[reps], elems[g]))]]
+    step = slot[rep[position(elems[reps] @ _times(ring, elems[g : g + 1]) % ring.pn)]]
     low = reps.copy()
     span = 1
     while span < d:
@@ -204,8 +219,9 @@ def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
 
     The dlog table comes from generation, one generator at a time: the
     products so far (prod g_j^(e_j), j < i, in lex order) times g_i^0, ...,
-    g_i^(d_i - 1) are the products over the first i generators, again in lex
-    order.  The last expansion must hit each unit exactly once.
+    g_i^(d_i - 1), one matrix product (_times), are the products over the
+    first i generators, again in lex order.  The last expansion must hit each
+    unit exactly once.
     """
     p, m = ring.p, ring.pn // ring.p
     radix = m ** np.arange(ring.s - 1, -1, -1, dtype=np.int64)
@@ -230,7 +246,7 @@ def decompose_unit_group(ring: GaloisRing) -> UnitGroupBasis:
     coords = e1[None]
     for g, d in zip(generators, orders):
         powers = _powers(ring, np.array(g.coords, dtype=np.int64), d)
-        coords = ring.mul_array(coords[:, None], powers[None]).reshape(-1, ring.s)
+        coords = (coords @ _times(ring, powers) % ring.pn).reshape(-1, ring.s)
     idx = ring.index_of(coords)
     if not np.array_equal(np.bincount(idx, minlength=ring.element_count), ring.unit_mask()):
         raise BrokenInvariant("the generators do not factor every unit exactly once")
@@ -281,20 +297,23 @@ def character_levels(ring: GaloisRing) -> np.ndarray:
     0, and every character is trivial on 1 + p^n R = {1}.  1 + p^k R is
     generated by the 1 + p^j xi^i with k <= j < n and i < s, so a nontrivial
     character's level is one past the deepest layer j with a generator it
-    does not kill, and 1 when it kills them all.  Cached per ring.
+    does not kill, and 1 when it kills them all.  Those generators lie in
+    1 + M, so only the characters with xi exponent 0, the first
+    prod(orders[1:]) in enumeration order, are read; the rest repeat them.
+    Cached per ring.
     """
     basis = decompose_unit_group(ring)
     layers, eye = np.arange(1, ring.n), np.eye(ring.s, dtype=np.int64)
     points = (ring.p ** layers[:, None, None] * eye + eye[0]).reshape(-1, ring.s)
     units = ring.index_of(points)  # s(n - 1) generators, layer by layer
-    count = math.prod(basis.orders)
+    count = math.prod(basis.orders[1:])  # xi exponent 0, the most significant digit
     levels = np.empty(count, dtype=np.int8)
     for start in range(0, count, CHAR_BLOCK):
         x = _exponent_block(basis, start, min(start + CHAR_BLOCK, count))
         live = character_numerators(ring, x, units).reshape(len(x), -1, ring.s).any(axis=2)
-        level = 1 + (live * layers).max(axis=1, initial=0)
-        level[~x.any(axis=1)] = 0
-        levels[start : start + len(x)] = level
+        levels[start : start + len(x)] = 1 + (live * layers).max(axis=1, initial=0)
+    levels = np.tile(levels, basis.orders[0])
+    levels[0] = 0  # the trivial character
     return levels
 
 

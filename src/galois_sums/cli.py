@@ -26,6 +26,8 @@ from .codebook import (
     TWIST_MODES,
     CodebookParams,
     build_codebook,
+    check_pair_budget,
+    codebook_size,
     export_codebook,
     imax_exhaustive,
     named_twist,
@@ -49,6 +51,17 @@ EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
 
+def _cap(text: str) -> int:
+    """A resource cap: an integer of at least 1, else a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a cap must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def _add_ring_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-p", type=int, required=True, help="prime")
     sub.add_argument("-n", type=int, required=True, help="characteristic exponent")
@@ -57,14 +70,14 @@ def _add_ring_args(sub: argparse.ArgumentParser) -> None:
         "--modulus",
         help="comma-separated ascending coefficients of the modulus polynomial",
     )
-    sub.add_argument("--cap-elements", type=int, default=DEFAULT_ELEMENT_CAP)
+    sub.add_argument("--cap-elements", type=_cap, default=DEFAULT_ELEMENT_CAP)
 
 
 # options a subcommand takes only when it reads them, so that an ignored
 # option is a usage error (exit 2) rather than silently dropped
 OPTIONS = {
-    "--cap-terms": dict(type=int, default=DEFAULT_TERM_CAP, help="term cap per brute-force sum"),
-    "--cap-pairs": dict(type=int, default=DEFAULT_PAIR_BUDGET, help="pair budget of the correlation scan"),
+    "--cap-terms": dict(type=_cap, default=DEFAULT_TERM_CAP, help="term cap per brute-force sum"),
+    "--cap-pairs": dict(type=_cap, default=DEFAULT_PAIR_BUDGET, help="pair budget of the correlation scan"),
     "--tol": dict(type=float, default=1e-9, help="agreement tolerance"),
     "--seed": dict(type=int, default=None, help="seed of the randomized suites"),
 }
@@ -193,6 +206,7 @@ def cmd_codebook(args) -> int:
     if args.psi0:
         psi0 = MultCharacter(ring.reduced(1), tuple(int(c) for c in args.psi0.split(",")))
     params = CodebookParams(ring=ring, m=args.m, k=args.k, a=a, psi0=psi0, section=args.section)
+    check_pair_budget(*codebook_size(ring.q, ring.n, params.m, params.k), args.cap_pairs)
     cb = build_codebook(params, allow_nonunit_a=not a.is_unit)
     report = imax_exhaustive(cb, pair_budget=args.cap_pairs)
     payload = report.to_json(cb.N, cb.K)

@@ -304,6 +304,17 @@ def _inner_magnitude(u: np.ndarray, v: np.ndarray) -> float:
     return math.hypot(re, im)
 
 
+def check_pair_budget(N: int, K: int, pair_budget: int) -> None:
+    """TooLarge when scanning N rows of K entries would exceed pair_budget pair entries.
+
+    imax_exhaustive checks before its scan; the CLI checks before the build,
+    with N and K from codebook_size, so that a refused scan costs no build.
+    """
+    pairs = N * (N - 1) // 2 * K
+    if pairs > pair_budget:
+        raise TooLarge(f"pair scan exceeds budget: {pairs} pair entries, budget {pair_budget}")
+
+
 def imax_exhaustive(cb: Codebook, pair_budget: int = DEFAULT_PAIR_BUDGET) -> EvalReport:
     """Maximum |c_i c_j^H| over all unordered pairs i < j, with a stable witness.
 
@@ -329,8 +340,7 @@ def imax_exhaustive(cb: Codebook, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Eva
     the tiling.
     """
     N, K = cb.N, cb.K
-    if N * (N - 1) // 2 * K > pair_budget:
-        raise TooLarge("pair scan exceeds budget")
+    check_pair_budget(N, K, pair_budget)
     welch = welch_bound(N, K)
     rows = cb.rows
     filled = np.empty(N, dtype=np.int64)  # nonzero entries of each row

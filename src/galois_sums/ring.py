@@ -556,7 +556,9 @@ class GaloisRing:
         Row i holds the digits of i in base p^n, most significant first, so
         index_of inverts it.
         """
-        return (np.arange(self.element_count, dtype=np.int64)[:, None] // self._radix()) % self.pn
+        rows = np.arange(self.element_count, dtype=np.int64)[:, None] // self._radix()
+        rows %= self.pn  # in place: one q^n x s array, not two
+        return rows
 
     @ring_table
     def unit_mask(self) -> np.ndarray:

@@ -416,7 +416,14 @@ def subgroup_scan_levels(r) -> list[int]:
 TABLE_RINGS = [(2, 5, 3), (5, 3, 2), (3, 3, 2), (2, 4, 2), (5, 2, 1)]
 
 
-@pytest.mark.parametrize("key", REFERENCE_RINGS + [k for k in TABLE_RINGS if k not in REFERENCE_RINGS])
+# edge shapes of reading levels on 1 + M and repeating them per xi exponent:
+# F_2 (T* and 1 + M trivial), Z/4 (T* trivial), F_5 (1 + M trivial), n = 4
+LEVEL_EDGE_RINGS = [(2, 1, 1), (2, 2, 1), (5, 1, 1), (3, 4, 1)]
+
+
+@pytest.mark.parametrize(
+    "key", REFERENCE_RINGS + [k for k in TABLE_RINGS if k not in REFERENCE_RINGS] + LEVEL_EDGE_RINGS
+)
 def test_levels_match_the_subgroup_scan(key):
     """Levels read at the generators 1 + p^j xi^i equal the scan over every subgroup element."""
     r = ring(*key)

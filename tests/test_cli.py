@@ -285,6 +285,36 @@ def test_subcommands_reject_options_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ring", *RING, "--cap-elements", "-5"),
+        ("chars", *RING, "--cap-elements", "0"),
+        ("jacobi", *RING, "--chars", "0,0", "--a", "1", "--cap-terms", "0"),
+        ("codebook", *RING, "-m", "3", "-k", "1", "--cap-pairs", "-1"),
+        ("codebook", *RING, "-m", "3", "-k", "1", "--cap-pairs", "1.5"),
+    ],
+)
+def test_a_cap_below_1_or_not_an_integer_is_a_usage_error(capsys, argv):
+    """--cap-elements, --cap-terms and --cap-pairs take integers of at least 1, at parse time."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "a cap must be an integer of at least 1" in capsys.readouterr().err
+
+
+def test_codebook_over_the_pair_budget_exits_3_before_the_build(capsys, monkeypatch):
+    """The pair budget is checked on N and K from codebook_size: no codebook is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_codebook called")
+
+    monkeypatch.setattr(cli, "build_codebook", refuse)
+    code, out, err = run(capsys, "codebook", *RING, "-m", "3", "-k", "1", "--cap-pairs", "5")
+    N, K = galois_sums.codebook_size(3, 2, 3, 1)
+    assert code == 3 and out == ""
+    assert err == f"error: pair scan exceeds budget: {N * (N - 1) // 2 * K} pair entries, budget 5\n"
+
+
 @pytest.mark.parametrize("suite", sorted(set(cli.SUITES) - set(cli.SEEDED_SUITES)))
 def test_verify_seed_on_an_unseeded_suite_exits_2(capsys, suite):
     """Only the seeded suites and verify all read --seed; any other suite refuses it."""
