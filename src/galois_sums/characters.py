@@ -4,7 +4,8 @@ A character of the unit group R* = T* x (1 + M) is an exponent tuple against
 a fixed basis of R*, and its values are integer exponents modulo one
 ring-wide order L (character_numerators) until a summation kernel converts
 them to complex doubles through root_table.  MultCharacter wraps one tuple
-for the functions that take characters one sum at a time.  The additive
+for the functions that take characters one sum at a time; enumerate_characters
+makes each from its row of character_exponents, already reduced.  The additive
 characters lambda_b(x) = exp(2 pi i tr(bx) / p^n) have no object here: the
 Gauss sums read tr(bx) through trace_form.
 
@@ -348,6 +349,13 @@ class MultCharacter:
         self.exponents = tuple(as_int(e, "an exponent") % d for e, d in zip(exponents, self.basis.orders))
 
     @classmethod
+    def _of_row(cls, basis: UnitGroupBasis, exponents: tuple[int, ...]) -> MultCharacter:
+        """The character of a reduced exponent tuple of basis's ring, taken as it is."""
+        chi = cls.__new__(cls)
+        chi.ring, chi.basis, chi.exponents = basis.ring, basis, exponents
+        return chi
+
+    @classmethod
     def trivial(cls, ring: GaloisRing) -> MultCharacter:
         basis = decompose_unit_group(ring)
         return cls(ring, (0,) * len(basis.orders))
@@ -395,8 +403,12 @@ class MultCharacter:
 
 @ring_table
 def enumerate_characters(ring: GaloisRing) -> list[MultCharacter]:
-    """All q^n - q^(n-1) multiplicative characters, exponent tuples in lex order."""
-    return [MultCharacter(ring, e) for e in character_exponents(ring).tolist()]
+    """All q^n - q^(n-1) multiplicative characters, exponent tuples in lex order.
+
+    Each is made from its row of character_exponents, which is already reduced.
+    """
+    basis = decompose_unit_group(ring)
+    return [MultCharacter._of_row(basis, e) for e in map(tuple, character_exponents(ring).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,7 @@ class RingElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other: object) -> bool:
         return (

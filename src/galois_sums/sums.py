@@ -14,7 +14,13 @@ equal to exp(2 pi i j / M).  Every row becomes complex the same way, over
 ascending j, so a sum in a table (jacobi_brute_table, gauss_table) is
 bit-identical to the same sum computed alone.  The functions that take one
 tuple of MultCharacter objects are each the C = 1 row of a table function;
-they read a character through its exponents, index and level only.
+they read a character through its exponents, index and level only.  A
+single sum pays its terms and a few array operations: the kernel reads a
+per-ring plan (the dlog table transposed, the non-unit indices) and, for a
+domain of at most TERM_BUDGET terms, its solve at a = 0 as one memoised
+block, all built once per key through ring_table (see _root_counts), and
+the brute-force wrappers take a MultCharacter's exponents as already
+reduced.
 
 One agreement rule decides brute value against expectation (agreement):
 for one sum in SumValue.agrees, for a whole table in agrees_table.  A Gauss
@@ -51,6 +57,7 @@ import numpy as np
 from .characters import (
     MultCharacter,
     RootOfUnity,
+    _read_only,
     character_levels,
     character_numerators,
     character_signs,
@@ -264,6 +271,26 @@ def _solved_at_zero(ring: GaloisRing, m: int, units: int) -> np.ndarray:
     return _minus(groups, rest[:, None], last)
 
 
+# the kernel plan: what a call reads that depends only on the ring, m and units
+
+
+@ring_table
+def _ring_plan(ring: GaloisRing) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only dlog_matrix(ring).T, contiguous (r x |R|), and the q^(n-1) non-unit indices."""
+    dlog_t = np.ascontiguousarray(dlog_matrix(ring).T)
+    return _read_only(dlog_t), _read_only(np.flatnonzero(~ring.unit_mask()))
+
+
+@ring_table
+def _zero_block(ring: GaloisRing, m: int, units: int) -> tuple:
+    """The whole domain of _solved_blocks at a = 0 as its one block (xs, y, index), read-only."""
+    *prefix, last = _free_axes(ring, m, units)
+    sizes = [len(d) for d in prefix]
+    at = np.unravel_index(np.arange(math.prod(sizes)), sizes) if sizes else ()
+    xs = tuple(_read_only(d[i]) for d, i in zip(prefix, at))
+    return xs, _read_only(last), _solved_at_zero(ring, m, units)
+
+
 def _solved_blocks(ring: GaloisRing, m: int, k: int, a: RingElement, budget: int):
     """{x : x_1..x_k units, x_{k+1}..x_{m-1} arbitrary, x_m = a - sum} in blocks of <= budget rows.
 
@@ -271,9 +298,19 @@ def _solved_blocks(ring: GaloisRing, m: int, k: int, a: RingElement, budget: int
     itertools.product order), a slice y of x_{m-1}, and x_m as a (rows x
     len(y)) index array, each difference taken by _minus.  At a = 0 a domain
     of at most TERM_BUDGET terms is solved once per (ring, m, units), and its
-    blocks are slices of that read-only solve (_solved_at_zero).
+    blocks are slices of that read-only solve (_solved_at_zero); when budget
+    holds the whole domain, its one block is the memoised _zero_block.
     """
-    units, groups = min(k, m - 1), _solve_codes(ring)
+    units = min(k, m - 1)
+    domain = ring.unit_count ** units * ring.element_count ** (m - 1 - units)
+    if a.is_zero and domain <= min(budget, TERM_BUDGET):
+        return (_zero_block(ring, m, units),)
+    return _streamed_blocks(ring, m, units, a, budget)
+
+
+def _streamed_blocks(ring: GaloisRing, m: int, units: int, a: RingElement, budget: int):
+    """The blocks of _solved_blocks, made one at a time."""
+    groups = _solve_codes(ring)
     *prefix, last = _free_axes(ring, m, units)
     sizes, step = [len(d) for d in prefix], min(len(last), budget)
     total, rows = math.prod(sizes), max(1, budget // step)
@@ -298,6 +335,12 @@ def solved_domain(ring: GaloisRing, m: int, k: int, a: RingElement) -> np.ndarra
     return np.column_stack([x.repeat(len(y)) for x in xs] + [np.tile(y, len(index)), index.ravel()])
 
 
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table at index along its last axis: a single tuple's row (1-D) by plain indexing, which
+    reads a read-only index in place, and a chunk's (C x |R|) tables by take, which copies it."""
+    return table[index] if table.ndim == 1 else table.take(index, axis=1)
+
+
 def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None) -> np.ndarray:
     """Exact root counts of the C reduced exponent tuples of X (C x m x r) over the solved domain.
 
@@ -315,21 +358,37 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
     one gather (none for x_m when its table is all zero, as in a Gauss sum),
     two adds and one bincount into m M bins per tuple, folded mod M.  Killed
     terms lie in [chunk m M, (m + 1) chunk m M), clamped to one bin only where
-    that many bins would outnumber the block's terms.  A chunk
-    takes max(1, TERM_BUDGET // |R|) tuples and a block TERM_BUDGET // chunk
-    domain rows, so up to TERM_BUDGET terms however few the tuples: besides
-    the result, the scaled X with its kill mask and the memoised solve,
-    temporaries hold (m + 8) max(|R|, TERM_BUDGET) + 2 chunk m M int64s.
+    that many bins would outnumber the block's terms.
+
+    The kernel plan is what a call reads that depends only on the ring, m and
+    units, built once per key through ring_table and read-only: per ring the
+    contiguous (r x |R|) transpose of dlog_matrix and the q^(n-1) non-unit
+    indices (_ring_plan, (r + 1) |R| int64 at most), and per (m, units) the
+    domain at a = 0 as one block when it holds at most TERM_BUDGET terms
+    (_zero_block: the memoised solve, at most 2 MB, and m - 2 prefix arrays
+    as long as its rows).  The block list depends on the chunk, so only that
+    whole-domain block is memoised; a chunk whose block budget holds it
+    reads it and enumerates nothing.  A killed table row is marked by one
+    assignment at the non-unit indices, never through a (m x chunk x |R|)
+    mask.  A single tuple (C = 1) reads its m tables as rows by plain
+    indexing (_gather) and takes no row offset.  A chunk takes
+    max(1, TERM_BUDGET // |R|) tuples and a block TERM_BUDGET // chunk domain
+    rows, so up to TERM_BUDGET terms however few the tuples: besides the
+    result, the scaled X with its kill mask and the plan, temporaries (the
+    killed rows' index pairs, m chunk q^(n-1) at most, among them) hold
+    (m + 8) max(|R|, TERM_BUDGET) + 2 chunk m M int64s.
     """
     basis = decompose_unit_group(ring)
-    size, pn, coords, extra = ring.element_count, ring.pn, ring.coord_array(), 0
+    dlog_t, off_unit = _ring_plan(ring)
+    size, pn, extra = ring.element_count, ring.pn, None
     M = basis.lcm_order if b is None else math.lcm(basis.lcm_order, pn)
     if b is not None:  # tr(b x) = sum_i x_i tr(b xi^i) over the polynomial-basis coordinates
-        extra = coords @ (trace_form(ring) @ b.coords % pn * (M // pn))
+        extra = ring.coord_array() @ (trace_form(ring) @ b.coords % pn * (M // pn))
     X = X * (basis.scale * (M // basis.lcm_order))  # the one copy of X
     count, m = X.shape[:2]
-    kill, off_unit = X.any(axis=2), ~ring.unit_mask()
-    kill[:, -1] |= k >= m
+    kill = X.any(axis=2)
+    if k >= m:
+        kill[:, -1] = True
     units, shift = min(k, m - 1), None
     domain = ring.unit_count ** units * size ** (m - 1 - units)  # terms per tuple
     if not a.is_zero:  # the index of a + w: digit sums of the low codes stay below 2 p^n
@@ -340,35 +399,38 @@ def _root_counts(ring: GaloisRing, X: np.ndarray, k: int, a: RingElement, b=None
     buffer = np.empty(m * min(nb, count) * size, dtype=np.int64)  # the tables of a chunk
     for c0 in range(0, count, nb):
         c1 = min(c0 + nb, count)
-        dump = (c1 - c0) * m * M  # the least killed term; every live sum lies below it
-        tables = buffer[: m * (c1 - c0) * size].reshape(m, -1, size)  # contiguous: no copy in place
-        np.matmul(X[c0:c1].swapaxes(0, 1), dlog_matrix(ring).T, out=tables)
-        tables[0] += extra
+        chunk, dead = c1 - c0, kill[c0:c1]
+        dump = chunk * m * M  # the least killed term; every live sum lies below it
+        tables = buffer[: m * chunk * size].reshape(m, chunk, size)  # contiguous: no copy in place
+        np.matmul(X[c0:c1].swapaxes(0, 1), dlog_t, out=tables)
+        if extra is not None:
+            tables[0] += extra
         tables %= M
-        tables[kill[c0:c1].T[:, :, None] & off_unit] = dump
-        tables[0] += np.arange(c1 - c0)[:, None] * (m * M)
-        budget = TERM_BUDGET // (c1 - c0)  # domain rows per block, >= 1 as c1 - c0 <= nb
-        solved = kill[c0:c1, -1].any()  # else x_m's table is all zero, as in a Gauss sum
+        killed = dead.T.ravel().nonzero()[0]  # table rows i chunk + c of the killed chi_i
+        tables.reshape(-1, size)[killed[:, None], off_unit] = dump
+        if chunk > 1:  # tuple c's sums land in bins [c m M, (c + 1) m M)
+            tables[0] += np.arange(chunk)[:, None] * (m * M)
+        budget = TERM_BUDGET // chunk  # domain rows per block, >= 1 as chunk <= nb
+        solved = dead[:, -1].any()  # else x_m's table is all zero, as in a Gauss sum
         moved = solved and shift is not None  # translate x_m's table once, or else each index
-        if moved and (c1 - c0) * size < domain:
+        if moved and chunk * size < domain:
             tables[-1] = tables[-1].take(shift, axis=1)
             moved = False
+        rows = tables[:, 0] if chunk == 1 else tables  # a single tuple: m tables of |R|
         for xs, y, index in _solved_blocks(ring, m, k, ring.zero, budget):
             if moved:
                 index = shift[index]
-            if not solved:
-                terms = np.zeros((c1 - c0, *index.shape), dtype=np.int64)
-            elif c1 - c0 == 1:  # take copies a read-only index first; indexing reads it in place
-                terms = tables[-1][0][index][None]
+            if solved:
+                terms = _gather(rows[-1], index)
             else:
-                terms = tables[-1].take(index, axis=1)
-            terms += tables[-2].take(y, axis=1)[:, None, :]
+                terms = np.zeros((*rows.shape[1:-1], *index.shape), dtype=np.int64)
+            terms += _gather(rows[-2], y)[..., None, :]
             if xs:
-                terms += sum(t.take(x, axis=1) for t, x in zip(tables, xs))[:, :, None]
+                terms += sum(_gather(t, x) for t, x in zip(rows, xs))[..., None]
             if (m + 1) * dump >= terms.size:
                 np.minimum(terms, dump, out=terms)
             bins = np.bincount(terms.ravel(), minlength=dump)[:dump]
-            counts[c0:c1] += bins.reshape(c1 - c0, m, M).sum(axis=1)
+            counts[c0:c1] += bins.reshape(chunk, m, M).sum(axis=1)
     return counts
 
 
@@ -395,7 +457,11 @@ def _domain_sums(ring: GaloisRing, X, k: int | None, a: RingElement, cap: int):
     ring._check_same(a)
     if not len(X):
         return [], 0
-    X = _exponent_tuples(ring, X)
+    return _tuple_sums(ring, _exponent_tuples(ring, X), k, a, cap)
+
+
+def _tuple_sums(ring: GaloisRing, X: np.ndarray, k: int | None, a: RingElement, cap: int):
+    """_domain_sums of checked, reduced exponent tuples (_exponent_tuples or _single)."""
     m = X.shape[1]
     k = m if k is None else _check_k(k, m)
     terms = ring.unit_count ** min(k, m - 1) * ring.element_count ** max(m - 1 - k, 0)
@@ -405,7 +471,10 @@ def _domain_sums(ring: GaloisRing, X, k: int | None, a: RingElement, cap: int):
 
 
 def _single(chars) -> tuple[GaloisRing, np.ndarray]:
-    """A tuple of MultCharacter as its ring and the (1 x m x r) exponents of a C = 1 table row."""
+    """A tuple of MultCharacter as its ring and the (1 x m x r) exponents of a C = 1 table row.
+
+    A MultCharacter holds reduced exponents, so the row needs no _exponent_tuples.
+    """
     chars = list(chars)
     if len(chars) < 2:
         raise ValueError("need at least two characters")
@@ -417,7 +486,9 @@ def _single(chars) -> tuple[GaloisRing, np.ndarray]:
 
 def _domain_sum(chars, k: int | None, a: RingElement, cap: int) -> SumValue:
     """One character tuple (C = 1) over the solved domain."""
-    values, terms = _domain_sums(*_single(chars), k, a, cap)
+    ring, X = _single(chars)
+    ring._check_same(a)
+    values, terms = _tuple_sums(ring, X, k, a, cap)
     return SumValue(value=values[0], expected=Expected.unclassified(), terms=terms)
 
 
@@ -553,9 +624,10 @@ def _twist_scalars(ring: GaloisRing, X, a: RingElement) -> tuple[RingElement, li
     if a.is_zero:
         return ring.zero, [RootOfUnity.make(0, 1)] * len(X)
     k, u = ring.valuation(a)  # a = p^k u exactly, u read at its coordinates in R
-    canon = ring.one if k == 0 else ring.p_power(k)
+    canon = _canonical(ring)[0][k + 1]  # 1, p, ..., p^(n-1)
     nums = character_numerators(ring, X.sum(axis=1), [ring._index(u.coords)])[:, 0].tolist()
-    return canon, [RootOfUnity.make(v, decompose_unit_group(ring).lcm_order) for v in nums]
+    L = decompose_unit_group(ring).lcm_order
+    return canon, [RootOfUnity.make(v, L) for v in nums]
 
 
 def canonicalize(chars, a: RingElement) -> tuple[RingElement, RootOfUnity]:
@@ -691,7 +763,7 @@ def jacobi_expected_table(
     q, n = ring.q, ring.n
     if n == 1:
         # field base case: evaluated directly rather than via field theory
-        return [Expected.exact(v, "field-base") for v in _domain_sums(ring, X, None, a, cap)[0]]
+        return [Expected.exact(v, "field-base") for v in _tuple_sums(ring, X, None, a, cap)[0]]
 
     level_bit, negative, product_level = _class_facts(ring)
     index = X @ basis.radix
@@ -775,8 +847,8 @@ def jacobi_expected(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> Expec
 def jacobi(chars, a: RingElement, cap: int = DEFAULT_TERM_CAP) -> SumValue:
     """Brute-force J_a together with its closed-form expectation, each a C = 1 table row."""
     ring, X = _single(chars)
-    values, terms = _domain_sums(ring, X, None, a, cap)
-    canon, scalars = _twist_scalars(ring, X, a)
+    canon, scalars = _twist_scalars(ring, X, a)  # checks a's ring
+    values, terms = _tuple_sums(ring, X, None, a, cap)
     base = jacobi_expected_table(ring, X, canon, cap)[0]
     return SumValue(value=values[0], expected=base.rotated(scalars[0], base.lemma), terms=terms)
 

@@ -516,6 +516,20 @@ def test_character_tables_are_memoised_and_read_only():
         assert array is getattr(decompose_unit_group(r), name) and not array.flags.writeable
 
 
+@pytest.mark.parametrize("key", [(5, 2, 2), (3, 3, 2), (2, 4, 2), (3, 3, 1)])
+def test_enumerated_characters_equal_the_checked_constructor(key):
+    """enumerate_characters takes each exponent row as it is; over the rings of the
+    benchmark's sums-mix workload every character equals MultCharacter(ring, e)."""
+    r = build_ring(*key)
+    basis = decompose_unit_group(r)
+    for i, chi in enumerate(enumerate_characters(r)):
+        made = MultCharacter(r, chi.exponents)
+        assert chi == made and hash(chi) == hash(made) and chi.exponents == made.exponents
+        assert chi.index == made.index == i and chi.level == made.level
+        assert chi.ring is r and chi.basis is basis
+        assert all(type(e) is int for e in chi.exponents)
+
+
 def test_character_table_does_not_enumerate_characters(monkeypatch):
     calls = []
     enumerate_all = characters.enumerate_characters

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import inspect
 import itertools
+import math
 import operator
 import os
 import random
@@ -1032,6 +1033,100 @@ def test_the_twist_free_solve_is_memoised_per_m_and_units(monkeypatch):
     counts = sums_module._root_counts(r, X4, 4, r.one)
     assert set(memo()) == {(3, 2), (3, 1)}
     assert np.array_equal(counts, direct_root_counts(r, X4, 4, r.one))
+
+
+# the (ring, m, k) classes of the benchmark's sums-mix workload: Jacobi pairs
+# (the level-mismatch pairs among them), the m = 3 Jacobi and mixed-domain sums
+# over GR(2^4, 2^8), the m = 4 Jacobi sums over GR(3^3, 3^3); and its Gauss rings
+SUMS_MIX_CLASSES = [
+    ((5, 2, 2), 2, 2), ((3, 3, 2), 2, 2), ((2, 4, 2), 2, 2), ((2, 4, 2), 3, 3),
+    ((2, 4, 2), 3, 1), ((2, 4, 2), 3, 2), ((3, 3, 1), 4, 4),
+]
+SUMS_MIX_GAUSS_RINGS = [(5, 2, 2), (3, 3, 2), (2, 4, 2)]
+
+
+def valuation_twists(r, rng):
+    """0, a unit, and p^j times a unit for every valuation 1 <= j < n."""
+    units = r.units()
+    return [r.zero, rng.choice(units)] + [r.p_power(j) * rng.choice(units) for j in range(1, r.n)]
+
+
+def direct_gauss_counts(r, e, b):
+    """The root counts of G(chi, lambda_b) for chi's exponents e, term by term over the units."""
+    basis = decompose_unit_group(r)
+    L, M = basis.lcm_order, math.lcm(basis.lcm_order, r.pn)
+    chi = (np.asarray(e) * basis.scale) @ basis.dlog_matrix[r.unit_indices()].T * (M // L)
+    trace = np.array([r.trace(b * x) for x in r.units()]) * (M // r.pn)
+    return np.bincount((chi + trace) % M, minlength=M)
+
+
+@pytest.mark.parametrize("key, m, k", SUMS_MIX_CLASSES)
+def test_single_rows_equal_their_batch_rows_and_the_direct_solve(key, m, k):
+    """A C = 1 call, which reads the plan's one block, against the same row of a
+    64-tuple batch (a chunk's tables, its domain streamed in blocks where it
+    passes TERM_BUDGET // 64 terms) and against the digit solve, bit for bit:
+    the all-trivial tuple and a drawn one at each valuation."""
+    r = ring(*key)
+    batch = sampled_tuples(r, m, 64, repr(key))
+    batch[0] = 0
+    for i, a in enumerate(valuation_twists(r, random.Random(m * 10 + k)), start=1):
+        table = sums_module._root_counts(r, batch, k, a)
+        for c in (0, i):
+            single = sums_module._root_counts(r, batch[c : c + 1], k, a)
+            assert np.array_equal(single, table[c : c + 1]), (a, c)
+            assert np.array_equal(single, direct_root_counts(r, batch[c : c + 1], k, a)), (a, c)
+
+
+@pytest.mark.parametrize("key", SUMS_MIX_GAUSS_RINGS)
+def test_single_gauss_rows_equal_their_batch_rows_and_the_direct_sum(key):
+    r = ring(*key)
+    X = np.zeros((64, 2, len(decompose_unit_group(r).orders)), dtype=np.int64)
+    X[:, 0] = sampled_tuples(r, 1, 64, repr(key))[:, 0]
+    for i, b in enumerate(valuation_twists(r, random.Random(repr(key)))):
+        table = sums_module._root_counts(r, X, 1, r.zero, b)
+        single = sums_module._root_counts(r, X[i : i + 1], 1, r.zero, b)
+        assert np.array_equal(single, table[i : i + 1]), b
+        assert np.array_equal(single[0], direct_gauss_counts(r, X[i, 0], b)), b
+
+
+def test_the_kernel_plan_is_built_once_per_key_and_read_only(monkeypatch):
+    """Per ring the dlog transpose and the non-units, per (m, units) the one
+    block at a = 0; a warm C = 1 call that fits one block builds no block."""
+    r = build_ring(2, 3, 2)  # fresh cache; 48 units of 64 elements
+    X = sampled_tuples(r, 3, 1, 4)
+    plan_fns = (sums_module._ring_plan.__wrapped__, sums_module._zero_block.__wrapped__)
+
+    def plan():
+        return {key: v for key, v in r._cache.items() if key[0] in plan_fns}
+
+    for k in (1, 2, 3):
+        sums_module._root_counts(r, X, k, r.one)
+    first = plan()
+    assert {key[1:] for key in first} == {(), (3, 1), (3, 2)}
+
+    made = []
+    for name in ("_streamed_blocks", "_free_axes"):
+        real = getattr(sums_module, name)
+        monkeypatch.setattr(sums_module, name, lambda *args, real=real: made.append(args) or real(*args))
+    monkeypatch.setattr(np, "unravel_index", lambda *args: made.append(args))
+    for k in (1, 2, 3):
+        for a in (r.zero, r.one, r.p_power(1)):
+            sums_module._root_counts(r, X, k, a)
+    assert not made
+    assert plan().keys() == first.keys() and all(plan()[key] is v for key, v in first.items())
+    monkeypatch.undo()
+
+    dlog_t, off_unit = sums_module._ring_plan(r)
+    assert np.array_equal(dlog_t, decompose_unit_group(r).dlog_matrix.T) and dlog_t.flags.c_contiguous
+    assert np.array_equal(off_unit, np.flatnonzero(~r.unit_mask()))
+    arrays = [dlog_t, off_unit]
+    for units in (1, 2):
+        xs, y, index = sums_module._zero_block(r, 3, units)
+        (oxs, oy, oindex), = digit_solved_blocks(r, 3, units, r.zero, 1 << 30)
+        assert all(map(np.array_equal, xs, oxs)) and np.array_equal(y, oy)
+        assert np.array_equal(index, oindex)
+        arrays += [*xs, y, index]
+    assert not any(x.flags.writeable for x in arrays)
 
 
 def test_solve_tables_stay_within_eight_ring_sizes():
