@@ -77,7 +77,12 @@ def _add_ring_args(sub: argparse.ArgumentParser) -> None:
 # option is a usage error (exit 2) rather than silently dropped
 OPTIONS = {
     "--cap-terms": dict(type=_cap, default=DEFAULT_TERM_CAP, help="term cap per brute-force sum"),
-    "--cap-pairs": dict(type=_cap, default=DEFAULT_PAIR_BUDGET, help="pair budget of the correlation scan"),
+    "--cap-pairs": dict(
+        type=_cap,
+        default=DEFAULT_PAIR_BUDGET,
+        help="pair budget of the correlation scan, counted as N(N-1)/2 * K pair entries:"
+        " more than the scan multiplies, which skips single rows and structural zeros",
+    ),
     "--tol": dict(type=float, default=1e-9, help="agreement tolerance"),
     "--seed": dict(type=int, default=None, help="seed of the randomized suites"),
 }

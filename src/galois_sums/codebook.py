@@ -125,12 +125,14 @@ class EvalReport:
         }
 
 
-def _row_exponents(params: CodebookParams) -> tuple[list, np.ndarray]:
-    """Labels and the (F x m x r) exponent array of the structured rows, in lex order.
+def _coordinate_exponents(params: CodebookParams) -> tuple[list, np.ndarray, np.ndarray]:
+    """Labels of the structured rows in lex order, and the exponent rows each coordinate can hold.
 
     A row's characters are lift(psi0) * section(a_1), then lift(psi_i) *
     section(a_i) for the m - 1 tail factors, in itertools.product order; a
-    product of characters adds exponents mod the generator orders.
+    product of characters adds exponents mod the generator orders.  Row
+    (h, t_1 .. t_{m-1}) of the lex order takes head[h] at coordinate 0 and
+    tail[t_i] at coordinate i: head is q x r, tail q (q - 1) x r.
     """
     ring = params.ring
     orders = decompose_unit_group(ring).order_array
@@ -138,18 +140,23 @@ def _row_exponents(params: CodebookParams) -> tuple[list, np.ndarray]:
     fq = ring.residue_field().elements()
     lifts = lift_exponents(ring, red_chars, 1)
     sects = _section_map(ring, params.section)  # row i: the section at fq[i]
-    head = sects + lifts[params.psi0.index]
-    tail = (lifts[:, None] + sects[None]).reshape(-1, len(orders))
-    shape = (len(head),) + (len(tail),) * (params.m - 1)
-    at = np.unravel_index(np.arange(math.prod(shape)), shape)
-    X = np.stack([head[at[0]]] + [tail[i] for i in at[1:]], axis=1) % orders
+    head = (sects + lifts[params.psi0.index]) % orders
+    tail = (lifts[:, None] + sects[None]).reshape(-1, len(orders)) % orders
     tail_labels = [(tuple(psi), a.coords) for psi in red_chars.tolist() for a in fq]
     labels = [
         ("F", a.coords) + combo
         for a in fq
         for combo in itertools.product(tail_labels, repeat=params.m - 1)
     ]
-    return labels, X
+    return labels, head, tail
+
+
+def _row_exponents(params: CodebookParams) -> tuple[list, np.ndarray]:
+    """Labels and the (F x m x r) exponent array of the structured rows, in lex order."""
+    labels, head, tail = _coordinate_exponents(params)
+    shape = (len(head),) + (len(tail),) * (params.m - 1)
+    at = np.unravel_index(np.arange(math.prod(shape)), shape)
+    return labels, np.stack([head[at[0]]] + [tail[i] for i in at[1:]], axis=1)
 
 
 # the codebook twists a by name, in the order of the CLI's --a-mode choices
@@ -176,6 +183,15 @@ def build_codebook(params: CodebookParams, allow_nonunit_a: bool = False) -> Cod
     zero when some nontrivial character meets a non-unit coordinate, and
     otherwise the single rounded root of unity exp(2 pi i j / L) (one
     cmath evaluation per j) divided by sqrt(support) in float64.
+
+    Coordinate i has one table of X . dlog(x_i) mod L over the exponent rows
+    X it can hold (the q head rows at i = 0, the q (q - 1) tail rows
+    elsewhere), with a dead entry set to m L.  A row's exponents are then the
+    sum of its m table rows: below m (L - 1) + 1 where the entry lives, at
+    least m L where it is dead.  Rows come in blocks of whole prefixes
+    (h, t_1 .. t_{m-2}), the prefix sums broadcast against the last
+    coordinate's table, and every sum is clipped to m L and read from the
+    root table repeated m times with a zero appended.
     """
     ring = params.ring
     if not params.a.is_unit:
@@ -199,25 +215,31 @@ def build_codebook(params: CodebookParams, allow_nonunit_a: bool = False) -> Cod
 
     basis = decompose_unit_group(ring)
     L = basis.lcm_order
-    labels, X = _row_exponents(params)  # X is F x m x r
-    nontrivial = X.any(axis=2)
-    X *= basis.scale
-    # row L is the structural zero
-    roots = np.append(root_table(L), 0j).view(np.float64).reshape(L + 1, 2)
+    dead = m * L
+    # a sum of m table entries stays below m * dead
+    itype = np.int32 if m * dead < 2 ** 31 else np.int64
+    labels, head, tail = _coordinate_exponents(params)
+    tables = []
+    for i, X in enumerate([head] + [tail] * (m - 1)):
+        table = ((X * basis.scale) @ dlog[:, i].T % L).astype(itype)
+        table[X.any(axis=1)[:, None] & on_ideal[None, :, i]] = dead
+        tables.append(table)
+    roots = np.append(np.tile(root_table(L), m), 0j)
 
-    rows = np.zeros((N, K), dtype=np.complex128)
+    rows = np.empty((N, K), dtype=np.complex128)
     parts = rows.view(np.float64).reshape(N, K, 2)
     supports = np.ones(N, dtype=np.int64)
-    for f0 in range(0, f_count, BLOCK):
-        f1 = min(f_count, f0 + BLOCK)
-        expo = np.zeros((f1 - f0, K), dtype=np.int64)
-        dead = np.zeros((f1 - f0, K), dtype=bool)
-        for i in range(m):
-            expo += X[f0:f1, i] @ dlog[:, i].T
-            dead |= nontrivial[f0:f1, i, None] & on_ideal[None, :, i]
-        expo %= L
-        expo[dead] = L
-        support = K - np.count_nonzero(dead, axis=1)
+    last = tables[-1]
+    prefixes = f_count // len(last)
+    step = max(1, BLOCK // len(last))
+    for p0 in range(0, prefixes, step):
+        p1 = min(prefixes, p0 + step)
+        digits = np.unravel_index(np.arange(p0, p1), (len(head),) + (len(tail),) * (m - 2))
+        prefix = sum(table[d] for table, d in zip(tables, digits))
+        expo = (prefix[:, None] + last[None]).reshape(-1, K)
+        np.minimum(expo, dead, out=expo)
+        f0, f1 = p0 * len(last), p1 * len(last)
+        support = K - np.count_nonzero(expo == dead, axis=1)
         if not support.all():
             row = f0 + int(np.argmin(support))
             raise CodebookError(
@@ -225,7 +247,9 @@ def build_codebook(params: CodebookParams, allow_nonunit_a: bool = False) -> Cod
                 "nontrivial character on the maximal ideal"
             )
         supports[f0:f1] = support
-        parts[f0:f1] = roots[expo] / np.sqrt(support)[:, None, None]
+        roots.take(expo, out=rows[f0:f1])
+        parts[f0:f1] /= np.sqrt(support)[:, None, None]
+    rows[f_count:] = 0
     diag = np.arange(K)
     rows[f_count + diag, diag] = 1.0
     labels.extend(("E", j) for j in range(K))
@@ -254,7 +278,8 @@ def _gather(rows: np.ndarray, at: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _upper(mags: np.ndarray, a0: int, c0: int) -> np.ndarray:
     """Mark -1 the pairs c <= a of a tile whose rows start at a0 and columns at c0."""
     if a0 == c0:
-        mags[np.tril_indices(mags.shape[0], m=mags.shape[1])] = -1.0
+        for r in range(len(mags)):
+            mags[r, :r + 1] = -1.0
     return mags
 
 
@@ -315,6 +340,99 @@ def check_pair_budget(N: int, K: int, pair_budget: int) -> None:
         raise TooLarge(f"pair scan exceeds budget: {pairs} pair entries, budget {pair_budget}")
 
 
+def _unit_rows(rows: np.ndarray, at: np.ndarray, cols: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """rows[at][:, cols] with each row divided by its norm (norms[at]) in float64, stored in complex64.
+
+    BLOCK rows at a time are gathered in complex128.
+    """
+    out = np.empty((at.size, cols.size), dtype=np.complex64)
+    for r0 in range(0, at.size, BLOCK):
+        block = _gather(rows, at[r0:r0 + BLOCK], cols)
+        block.view(np.float64)[:] /= norms[at[r0:r0 + BLOCK], None]
+        out[r0:r0 + BLOCK] = block
+    return out
+
+
+def _products(left, right, left_loose, right_loose, la, lb) -> np.ndarray:
+    """left @ right.T, plus left_loose @ right_loose.T at rows la and columns lb."""
+    g = left @ right.T
+    if la.size and lb.size:
+        g[np.ix_(la, lb)] += left_loose @ right_loose.T
+    return g
+
+
+def _row_norms(block: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of block, whose entry magnitudes are mags.
+
+    A sum of squares from 2^-800 up to the largest float is exact to a few
+    rounding errors; a row outside that range is scaled by its largest
+    entry first.
+    """
+    parts = block.view(np.float64)
+    sq = np.einsum("ij,ij->i", parts, parts)
+    norms = np.sqrt(sq)
+    for i in np.flatnonzero(~(sq >= 2.0 ** -800) | (sq == np.inf)):
+        big = mags[i].max()
+        if 0 < big < math.inf:  # a NaN or an infinite norm stays so
+            norms[i] = big * math.sqrt(np.sum((mags[i] / big) ** 2))
+    return norms
+
+
+def screen_margin(K: int) -> float:
+    """delta: rows x, y of K entries screened at magnitude t have
+    |t ||x|| ||y|| - |x y^H|| <= delta ||x|| ||y||, and so has their float64 |x y^H|.
+
+    The screen divides each row by its float64 norm (within K 2^-52 of it)
+    and rounds it to complex64, u = 2^-24: each part moves by at most u of
+    itself, or by 2^-150 below 2^-126.  For unit rows a, b and their
+    roundings a', b', |a' b'^H - a b^H| <= (2u + u^2) sum |a_k||b_k| <=
+    2u + u^2 (Cauchy-Schwarz).  Each part of a' b'^H is a real inner product
+    of 2K terms, plus one addition for the loose columns; summed in any
+    order, with or without fused multiply-adds, it is within
+    gamma_{2K+1} sum |a'_k||b'_k| <= gamma_{2K+1} (1 + u)^2 of its value
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.1 and 3.5; gamma_n = n u / (1 - n u)), and the complex sum
+    within sqrt(2) times that.  The complex64 magnitude adds at most
+    2u (1 + 3u).  So |t - |a b^H|| <= sqrt(2) gamma_{2K+1} (1 + u)^2 + 4u +
+    7u^2, and 2 gamma_{2K+4} exceeds it by more than (K + 1) u, which covers
+    the underflow (below 4K 2^-150), the norms' rounding and the rounding of
+    the screen's comparisons.  The same bound at u = 2^-53 covers the
+    float64 products and is added.  It needs K < 2^21, which any codebook
+    that fits in memory meets.
+    """
+    def gamma(u: float) -> float:
+        n = 2 * K + 4
+        return n * u / (1 - n * u)
+
+    return 2 * gamma(2.0 ** -24) + 2 * gamma(2.0 ** -53)
+
+
+def _screen(t: np.ndarray, at_i: np.ndarray, at_j: np.ndarray, norms: np.ndarray, delta: float, peak: float):
+    """Positions of the rows and the columns of a tile that hold every pair within WITNESS_TIE of the peak.
+
+    t[a, b] is the complex64 magnitude of rows at_i[a] and at_j[b], each
+    divided by its norm; -1 skips a pair.  With ni, nj the norms, the pair's
+    |c_i c_j^H| and its float64 value both lie within delta ni nj of
+    t ni nj (screen_margin).  So the final peak is at least floor, the larger
+    of the peak so far and the tile's largest (t - delta) ni nj, and a pair
+    with (t + delta) ni nj < floor - WITNESS_TIE falls short of it by more
+    than WITNESS_TIE.
+    """
+    ni, nj = norms[at_i], norms[at_j]
+    at = np.argmax(t, axis=1)
+    best = t[np.arange(len(t)), at].astype(np.float64)
+    floor = max(peak, float(((best - delta) * ni * nj[at]).max(initial=0.0)))
+    need = floor - WITNESS_TIE
+    # a superset first, by one float32 comparison at the largest norms, rounded down
+    cut = np.nextafter(np.float32(need / (ni.max() * nj.max()) - delta), np.float32(-np.inf))
+    a, b = np.divmod(np.flatnonzero(t >= cut), t.shape[1])
+    keep = (t[a, b].astype(np.float64) + delta) * ni[a] * nj[b] >= need
+    return (
+        np.flatnonzero(np.bincount(a[keep], minlength=t.shape[0])),
+        np.flatnonzero(np.bincount(b[keep], minlength=t.shape[1])),
+    )
+
+
 def imax_exhaustive(cb: Codebook, pair_budget: int = DEFAULT_PAIR_BUDGET) -> EvalReport:
     """Maximum |c_i c_j^H| over all unordered pairs i < j, with a stable witness.
 
@@ -325,12 +443,22 @@ def imax_exhaustive(cb: Codebook, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Eva
     - Dense pairs: a GEMM over the full columns, which every dense row
       fills, plus a GEMM over the other columns among the dense rows nonzero
       there, added into the same tile.  A column panel of 4 BLOCK dense rows
-      is gathered once and met by the row tiles of BLOCK rows above its end.
+      is gathered once, each row divided by its norm and stored in
+      complex64, and met by the row tiles of BLOCK rows above its end in a
+      complex64 GEMM: the screen.  Only the rows and columns of the tile
+      that hold a pair within the margin of screen_margin of the peak
+      (_screen) are multiplied again from the complex128 rows, BLOCK
+      columns at a time, and offered to the witness, before the next tile.
     - Dense i with single (col, v): |c_i[col] v^*|, skipped for a column
       whose largest dense magnitude times |v| falls short of the dense peak.
     - Two singles: |v w^*| in the same column, 0 otherwise.
     Besides index arrays of O(N + K) entries, the temporaries stay below
-    (80 K + 256 BLOCK) BLOCK bytes.
+    (72 K + 64 BLOCK) BLOCK bytes: a panel takes 32 K BLOCK, and a
+    complex128 block of BLOCK rows 16 K BLOCK.
+
+    Raises CodebookError before any product when an entry is not finite or
+    when the product of two row norms overflows float64: the margin, the
+    float64 products and their fsum below all need finite norms.
 
     Many pairs attain the peak exactly, so an argmax would be picked by
     rounding noise; the witness is instead the lexicographically smallest
@@ -347,8 +475,10 @@ def imax_exhaustive(cb: Codebook, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Eva
     first = np.empty(N, dtype=np.int64)  # column of each row's first nonzero entry
     fill = np.zeros(K, dtype=np.int64)  # dense rows nonzero in each column
     top = np.zeros(K)  # largest dense magnitude in each column
+    norms = np.empty(N)
     for r0 in range(0, N, BLOCK):
         mags = np.abs(rows[r0:r0 + BLOCK])
+        norms[r0:r0 + BLOCK] = _row_norms(rows[r0:r0 + BLOCK], mags)
         nonzero = mags != 0
         filled[r0:r0 + BLOCK] = np.count_nonzero(nonzero, axis=1)
         first[r0:r0 + BLOCK] = np.argmax(nonzero, axis=1)
@@ -357,31 +487,59 @@ def imax_exhaustive(cb: Codebook, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Eva
         nonzero[lone] = False
         fill += np.count_nonzero(nonzero, axis=0)
         np.maximum(top, mags.max(axis=0), out=top)
+    del mags, nonzero
+    largest = np.partition(norms, N - 2)[-2:].tolist()
+    if not math.isfinite(largest[0] * largest[1]):
+        if not np.isfinite(rows).all():
+            raise CodebookError("a row entry is not a finite number")
+        raise CodebookError("the product of two row norms overflows float64")
     dense = np.flatnonzero(filled > 1)
     full = np.flatnonzero(fill == dense.size)
     partial = np.flatnonzero(fill < dense.size)
     # dense positions nonzero in some partial column: more entries than full columns
-    loose = np.flatnonzero(filled[dense] > full.size)
+    loose = filled[dense] > full.size
+    delta = screen_margin(K)
     witness = _Witness()
+
+    def exact(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """|c_i c_j^H| in float64 for dense positions i in ia, j in ib."""
+        right = _gather(rows, dense[ib], full)
+        np.conjugate(right, out=right)
+        la, lb = np.flatnonzero(loose[ia]), np.flatnonzero(loose[ib])
+        right_loose = _gather(rows, dense[ib[lb]], partial)
+        np.conjugate(right_loose, out=right_loose)
+        left_loose = _gather(rows, dense[ia[la]], partial)
+        return np.abs(_products(_gather(rows, dense[ia], full), right, left_loose, right_loose, la, lb))
 
     for b0 in range(0, dense.size, 4 * BLOCK):
         b1 = min(dense.size, b0 + 4 * BLOCK)
-        right = _gather(rows, dense[b0:b1], full)
-        np.conjugate(right, out=right)
-        lb = loose[np.searchsorted(loose, b0):np.searchsorted(loose, b1)]
-        right_loose = _gather(rows, dense[lb], partial)
-        np.conjugate(right_loose, out=right_loose)
+        panel = _unit_rows(rows, dense[b0:b1], full, norms)
+        lb = b0 + np.flatnonzero(loose[b0:b1])
+        panel_loose = _unit_rows(rows, dense[lb], partial, norms)
         for a0 in range(0, b1, BLOCK):
             a1, c0 = min(b1, a0 + BLOCK), max(a0, b0)
-            g = _gather(rows, dense[a0:a1], full) @ right[c0 - b0:].T
-            la = loose[np.searchsorted(loose, a0):np.searchsorted(loose, a1)]
+            la = a0 + np.flatnonzero(loose[a0:a1])
             lc = np.searchsorted(lb, c0)
-            if la.size and lc < lb.size:
-                g[np.ix_(la - a0, lb[lc:] - c0)] += _gather(rows, dense[la], partial) @ right_loose[lc:].T
-            mags = _upper(np.abs(g), a0, c0)
-            del g  # one tile's products alive at a time
-            witness.offer(mags, dense[a0:a1], dense[c0:b1])
-        del right, right_loose, mags  # before the next panel is gathered
+            if a0 < b0:
+                left = _unit_rows(rows, dense[a0:a1], full, norms)
+                left_loose = _unit_rows(rows, dense[la], partial, norms)
+            else:  # the tile's rows lie in the panel
+                left, left_loose = panel[a0 - b0:a1 - b0], panel_loose[lc:lc + la.size]
+            # conj(c_a) c_b^T is the conjugate of c_a c_b^H: the same magnitudes
+            g = _products(
+                np.conjugate(left), panel[c0 - b0:], np.conjugate(left_loose), panel_loose[lc:], la - a0, lb[lc:] - c0
+            )
+            t = _upper(np.abs(g), a0, c0)
+            del g, left, left_loose  # one tile's products alive at a time
+            ka, kb = _screen(t, dense[a0:a1], dense[c0:b1], norms, delta, witness.peak)
+            del t
+            for k0 in range(0, kb.size, BLOCK):
+                ia, ib = a0 + ka, c0 + kb[k0:k0 + BLOCK]
+                mags = exact(ia, ib)
+                if a0 == c0:
+                    mags[ia[:, None] >= ib[None, :]] = -1.0
+                witness.offer(mags, dense[ia], dense[ib])
+        del panel, panel_loose  # before the next panel is gathered
 
     single = np.flatnonzero(filled == 1)
     at = first[single]

@@ -349,6 +349,17 @@ def test_build_matches_per_entry_reference(key, m, k, a_mode):
     assert float(np.max(np.abs(cb.rows - rows))) <= 1e-15
 
 
+def test_q5_build_is_pinned_bit_for_bit():
+    """sha256 of the q = 5 rows' bytes and of the support sizes (n = 2, m = 3, k = 1, a = 1)."""
+    cb = build((5, 2, 1))
+    assert hashlib.sha256(cb.rows.tobytes()).hexdigest() == (
+        "7fe393a4d8ea1b6068f1c90b0079ffbba76a7cb4b4bfe6eb40c2d99e9deb9c47"
+    )
+    assert hashlib.sha256(cb.support_sizes.tobytes()).hexdigest() == (
+        "9c4f12ae1d80308c08e02f8076989fe3261abef59e8037e1096fcf90ffe7e759"
+    )
+
+
 def old_csv(rows):
     buf = io.StringIO()
     for row in rows:
@@ -570,6 +581,16 @@ def scan_variant(name):
     if name == "orthogonal":  # every pair is 0, so every pair ties
         rows = np.array([[0, 0], [1, 0], [0, 1j]], dtype=np.complex128)
         return dataclasses.replace(base, rows=rows, N=3, K=2)
+    if name.startswith("near-tie"):
+        # (11, 12) meets at 1 and (40, 41) at 1 + 1e-9, which complex64 cannot tell apart:
+        # the float64 stage must name the later pair
+        rows = base.rows.copy()
+        rows[12] = rows[11]
+        rows[41] = rows[40] * (1 + 1e-9)
+        scale = {"near-tie": 1.0, "near-tie-1e3": 1e3}[name]
+        return dataclasses.replace(base, rows=rows * scale)
+    if name == "norms-1e-3":  # the margin shrinks with the norms, to 1.3e-11 here
+        return dataclasses.replace(base, rows=base.rows * 1e-3)
     key, m, k, a_mode = {
         "zero-twist": ((3, 2, 1), 3, 1, "zero"),
         "ideal-twist": ((3, 2, 1), 3, 1, "ideal"),
@@ -581,46 +602,68 @@ def scan_variant(name):
 
 
 def assert_scan_matches_gram(cb, monkeypatch, blocks):
-    """Run the scan at each BLOCK, recording every pair it offers to the witness.
+    """Run the scan at each BLOCK, recording every pair it screens and every pair it offers.
 
-    Peak and witness must be those of the whole Gram matrix; every offered
-    pair must be offered once and match its Gram entry; every pair of two
-    dense rows must be offered; a pair left out must fall short of the peak
-    (unless the peak is 0, where every pair ties).
+    Peak and witness must be those of the whole Gram matrix.  Every pair of
+    two dense rows must be screened exactly once, and no other pair, its
+    complex64 magnitude within the stated margin of its Gram entry; every
+    offered pair must be offered once and match its Gram entry (within 1e-12
+    times the larger of 1 and the product of the row norms, as float64
+    rounding grows with the norms); a pair left out must fall short of the
+    peak (unless the peak is 0, where every pair ties).  Returns the report
+    and the offered pairs of the last BLOCK.
     """
     peak, pair = smallest_tied_pair(cb)
     gram = np.abs(cb.rows @ cb.rows.conj().T)
+    norms = np.linalg.norm(cb.rows, axis=1)
+    scale = np.maximum(1.0, np.multiply.outer(norms, norms))
+    margin = codebook_module.screen_margin(cb.K) * np.multiply.outer(norms, norms)
     dense = np.count_nonzero(cb.rows, axis=1) > 1
     upper = np.triu(np.ones((cb.N, cb.N), dtype=bool), 1)
+    dense_pairs = upper & dense[:, None] & dense[None, :]
     real_offer = codebook_module._Witness.offer
+    real_screen = codebook_module._screen
+
+    def pairs(values, at_i, at_j):
+        i = np.broadcast_to(at_i[:, None], values.shape)[values >= 0]
+        j = np.broadcast_to(at_j[None, :], values.shape)[values >= 0]
+        return np.minimum(i, j), np.maximum(i, j), values[values >= 0]
+
     for block in blocks:
         seen = np.full((cb.N, cb.N), np.nan)
+        screened = np.zeros((cb.N, cb.N), dtype=np.int64)
+
+        def screen(t, at_i, at_j, *args):
+            lo, hi, t_ = pairs(t, at_i, at_j)
+            assert np.all(lo < hi)
+            np.add.at(screened, (lo, hi), 1)
+            assert np.all(np.abs(t_ * norms[lo] * norms[hi] - gram[lo, hi]) <= margin[lo, hi])
+            return real_screen(t, at_i, at_j, *args)
 
         def offer(self, mags, at_i, at_j):
-            i = np.broadcast_to(at_i[:, None], mags.shape)[mags >= 0]
-            j = np.broadcast_to(at_j[None, :], mags.shape)[mags >= 0]
-            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            lo, hi, mags_ = pairs(mags, at_i, at_j)
             assert np.all(lo < hi) and np.all(np.isnan(seen[lo, hi]))
-            seen[lo, hi] = mags[mags >= 0]
+            seen[lo, hi] = mags_
             real_offer(self, mags, at_i, at_j)
 
         monkeypatch.setattr(codebook_module, "BLOCK", block)
+        monkeypatch.setattr(codebook_module, "_screen", screen)
         monkeypatch.setattr(codebook_module._Witness, "offer", offer)
         rep = imax_exhaustive(cb)
         assert rep.pair_argmax == pair, block
-        assert abs(rep.imax_measured - peak) <= 1e-12, block
+        assert abs(rep.imax_measured - peak) <= 1e-12 * scale[pair], block
+        assert np.all(screened[dense_pairs] == 1) and not screened[~dense_pairs].any(), block
         offered = upper & ~np.isnan(seen)
-        assert np.all(np.abs(seen[offered] - gram[offered]) <= 1e-12), block
-        assert np.all(offered[upper & dense[:, None] & dense[None, :]]), block
+        assert np.all(np.abs(seen[offered] - gram[offered]) <= 1e-12 * scale[offered]), block
         assert peak <= 1e-12 or np.all(gram[upper & ~offered] < peak - 1e-12), block
-    return rep
+    return rep, offered
 
 
 @pytest.mark.parametrize(
     "name",
     [
         "permuted", "imported", "phases", "duplicate-basis", "zero-row", "spiky-row",
-        "cross-class-tie", "scaled-basis", "orthogonal",
+        "cross-class-tie", "scaled-basis", "orthogonal", "near-tie", "near-tie-1e3", "norms-1e-3",
         "zero-twist", "ideal-twist", "q4", "m4-k2", "m2",
     ],
 )
@@ -631,9 +674,13 @@ def test_scan_matches_the_full_gram(name, monkeypatch):
     and off the diagonal, loose rows on both sides and single columns in
     several chunks all occur.
     """
-    rep = assert_scan_matches_gram(scan_variant(name), monkeypatch, (7, 256))
+    rep, offered = assert_scan_matches_gram(scan_variant(name), monkeypatch, (7, 256))
     if name == "duplicate-basis":
         assert rep.imax_measured == 1.0
+    if name.startswith("near-tie"):  # both pairs pass the screen; float64 decides
+        assert offered[11, 12] and offered[40, 41] and rep.pair_argmax == (40, 41)
+    if name == "q4":  # 29,557 of the 165,600 dense pairs are multiplied again at BLOCK = 256
+        assert offered.sum() < 0.2 * 576 * 575 / 2
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -659,6 +706,52 @@ def test_scan_matches_the_full_gram_on_random_sparse_rows(seed, monkeypatch):
     assert_scan_matches_gram(cb, monkeypatch, (3, 7, 256))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_the_screen_margin_scales_with_the_row_norms(seed, monkeypatch):
+    """Random rows of norm 1e-3 and 1e3: products from 1e-6 to 1e6 meet one screen.
+
+    Rows i < j < h of norm 1e3 are planted equal up to phase and to relative
+    1e-9, below what complex64 resolves: (i, j) meets 1e-3 below 1e6 and
+    (i, h) 1e-3 above it.  The float64 stage must name (i, h) over the
+    lexicographically smaller (i, j), although every margin of a pair of
+    large rows is about 5.
+    """
+    rng = np.random.default_rng(100 + seed)
+    n, k = 60, 20
+    rows = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    rows *= (rng.choice([1e-3, 1e3], n) / np.linalg.norm(rows, axis=1))[:, None]
+    i, j, h = np.sort(rng.choice(n, 3, replace=False))
+    rows[i] *= 1e3 / np.linalg.norm(rows[i])
+    rows[j] = rows[i] * np.exp(0.2j) * (1 - 1e-9)
+    rows[h] = rows[i] * np.exp(0.4j) * (1 + 1e-9)
+    cb = dataclasses.replace(build((3, 2, 1)), rows=rows, N=n, K=k)
+    rep, offered = assert_scan_matches_gram(cb, monkeypatch, (3, 256))
+    assert rep.pair_argmax == (i, h) and offered[i, j]
+
+
+@pytest.mark.parametrize("case", ["nan-row", "inf-entry", "rows-times-1e200"])
+def test_scan_refuses_rows_it_cannot_decide(case, monkeypatch):
+    """A NaN row (which read peak 1.04e-16 at witness (0, 1)), one inf entry (which read peak
+    inf) and rows scaled by 1e200 (whose fsum raised ValueError) raise CodebookError before
+    any product is formed."""
+    cb = build((3, 2, 1))
+    rows = cb.rows.copy()
+    if case == "nan-row":
+        rows[3] = np.nan
+    elif case == "inf-entry":
+        rows[3, 5] = np.inf
+    else:
+        rows *= 1e200
+    message = "overflows" if case == "rows-times-1e200" else "not a finite number"
+
+    def no_products(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(codebook_module, "_products", no_products)
+    with pytest.raises(CodebookError, match=message):
+        imax_exhaustive(dataclasses.replace(cb, rows=rows))
+
+
 def test_reported_peak_is_the_fsum_of_the_witness_pair(monkeypatch):
     """The peak is the witness's inner product summed exactly, whatever the tiling."""
     cb = build((2, 2, 2))
@@ -680,17 +773,18 @@ def test_scan_temporaries_stay_within_the_stated_bound(monkeypatch):
     """Peak traced memory of one scan against its docstring's bound.
 
     Besides index arrays of O(N + K) entries (64 N + 32 K bytes cover them),
-    the temporaries stay below (80 K + 256 BLOCK) BLOCK bytes; 16 kB more
-    covers the interpreter's own objects.  Gathering the full columns of all
-    576 dense rows at once would alone take 1 MB, over the bound.  A codebook
-    of equal rows, where every pair ties at the peak, keeps the bound too:
-    the witness keeps no more than the pairs that can still win.
+    the temporaries stay below (72 K + 64 BLOCK) BLOCK bytes; 16 kB more
+    covers the interpreter's own objects.  Screening all 576 dense rows in
+    one complex64 panel would alone take 516 kB, over the bound.  A codebook
+    of equal rows, where every pair ties at the peak and every pair is
+    multiplied again in float64, keeps the bound too: the witness keeps no
+    more than the pairs that can still win.
     """
     monkeypatch.setattr(codebook_module, "BLOCK", 16)
     cb = build((2, 2, 2))  # N = 768, K = 192, 576 dense rows, 112 full columns
     equal = dataclasses.replace(cb, rows=np.repeat(cb.rows[:1], cb.N, axis=0))
-    bound = (80 * cb.K + 256 * 16) * 16 + 64 * cb.N + 32 * cb.K + 16_000
-    assert bound < 576 * 112 * 16
+    bound = (72 * cb.K + 64 * 16) * 16 + 64 * cb.N + 32 * cb.K + 16_000
+    assert bound < 576 * 112 * 8
     for c in (cb, equal):
         imax_exhaustive(c)
         tracemalloc.start()
