@@ -33,19 +33,15 @@ from .characters import (
     extend_phi,
     section_json,
 )
+from .brute import count_unit_solutions_brute
+from .laws import Expected, canonical_twists, count_unit_solutions, s_cardinality, s_cardinality_qn
 from .sums import (
-    Expected,
     SumValue,
-    canonical_twists,
     canonicalize,
-    count_unit_solutions,
-    count_unit_solutions_brute,
     gauss_sum,
     jacobi,
     jacobi_brute,
     jacobi_expected,
-    s_cardinality,
-    s_cardinality_qn,
     term_tolerance,
     tilde_jacobi_brute,
     tilde_jacobi_classify,

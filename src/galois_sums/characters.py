@@ -79,7 +79,8 @@ def root_table(order: int) -> np.ndarray:
     """Read-only complex128 exp(2 pi i j / order) for j = 0..order-1, one cmath evaluation each.
 
     The one table the summation kernels and the codebook build convert exact
-    exponents with, so equal exponents always give equal floats.
+    exponents with, so equal exponents always give equal floats: a function of
+    the order alone, which all rings share, so it is memoised here, not by ring_table.
     """
     roots = np.array([RootOfUnity(j, order).to_complex() for j in range(order)], dtype=complex)
     roots.flags.writeable = False
@@ -108,28 +109,22 @@ class UnitGroupBasis:
     orders: tuple[int, ...]
     lcm_order: int
     dlog_matrix: np.ndarray = field(repr=False, compare=False)
+    # read-only int64 arrays made with the basis: the orders (reduce exponent arrays), their place
+    # values (exponents @ radix is the enumerate_characters index), L / d_i (e_i to the order L)
+    order_array: np.ndarray = field(init=False, repr=False, compare=False)
+    radix: np.ndarray = field(init=False, repr=False, compare=False)
+    scale: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.order_array = _read_only(np.array(self.orders, dtype=np.int64))
+        places = [math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))]
+        self.radix = _read_only(np.array(places, dtype=np.int64))
+        self.scale = _read_only(self.lcm_order // self.order_array)
 
     @property
     def dlog(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
         """Coordinate tuple of a unit -> its exponent tuple, a view of dlog_matrix."""
         return _DlogView(self.ring)
-
-    @functools.cached_property
-    def radix(self) -> np.ndarray:
-        """Place values of the exponents: exponents @ radix is the enumerate_characters index."""
-        return _read_only(
-            np.array([math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))])
-        )
-
-    @functools.cached_property
-    def order_array(self) -> np.ndarray:
-        """The orders as an int64 array: reduces exponent arrays without converting the tuple."""
-        return _read_only(np.array(self.orders, dtype=np.int64))
-
-    @functools.cached_property
-    def scale(self) -> np.ndarray:
-        """L / d_i, which scales exponent e_i to the common order L."""
-        return _read_only(self.lcm_order // np.array(self.orders, dtype=np.int64))
 
 
 def _powers(ring: GaloisRing, g: np.ndarray, d: int) -> np.ndarray:
@@ -414,6 +409,8 @@ def enumerate_characters(ring: GaloisRing) -> list[MultCharacter]:
 # ---------------------------------------------------------------------------
 # characters as exponent arrays: the last axis of X holds one exponent tuple
 
+DEFAULT_TERM_CAP = 10 ** 7  # the terms one brute-force sum may take unless its caller sets a cap
+
 
 def exponent_array(ring: GaloisRing, X) -> np.ndarray:
     """X as a new int64 array reduced mod the generator orders, one exponent tuple per last axis.
@@ -426,6 +423,20 @@ def exponent_array(ring: GaloisRing, X) -> np.ndarray:
     if X.shape[-1:] != (r,):
         raise ValueError(f"exponent tuples over {ring} need r = {r} entries, got shape {X.shape}")
     return X % basis.order_array
+
+
+def _exponent_tuples(ring: GaloisRing, X) -> np.ndarray:
+    """X as a (C x m x r) exponent_array of m >= 2 characters per tuple; ValueError otherwise."""
+    X = exponent_array(ring, X)
+    if X.ndim != 3 or X.shape[1] < 2:
+        raise ValueError("need at least two characters")
+    return X
+
+
+def _check_k(k: int, m: int) -> int:
+    if not 1 <= k <= m - 1:
+        raise ValueError("need 1 <= k <= m - 1")
+    return k
 
 
 def character_exponents(ring: GaloisRing) -> np.ndarray:

@@ -15,6 +15,7 @@ import os
 import sys
 
 from .characters import (
+    DEFAULT_TERM_CAP,
     SECTIONS,
     MultCharacter,
     character_table_json,
@@ -36,7 +37,6 @@ from .codebook import (
 from .errors import GaloisSumsError, SizeLimit, TooLarge
 from .ring import DEFAULT_ELEMENT_CAP, GaloisRing, RingElement, build_ring
 from .sums import (
-    DEFAULT_TERM_CAP,
     SumValue,
     gauss_sum,
     jacobi,

@@ -22,9 +22,11 @@ from operator import itemgetter
 
 import numpy as np
 
+from .brute import solved_domain
 from .characters import (
     SECTIONS,
     MultCharacter,
+    _check_k,
     _section_map,
     character_exponents,
     decompose_unit_group,
@@ -42,9 +44,9 @@ from .errors import (
     SizeLimit,
     TooLarge,
 )
+from .laws import s_cardinality_qn
 # the primality test lives with the ring's; MR_BOUND is the q from which table2 refuses
 from .ring import MR_BOUND, GaloisRing, RingElement, as_int, is_prime_power  # noqa: F401
-from .sums import _check_k, s_cardinality_qn, solved_domain
 
 DEFAULT_ENTRY_CAP = 10 ** 8
 DEFAULT_PAIR_BUDGET = 10 ** 9
@@ -149,14 +151,6 @@ def _coordinate_exponents(params: CodebookParams) -> tuple[list, np.ndarray, np.
         for combo in itertools.product(tail_labels, repeat=params.m - 1)
     ]
     return labels, head, tail
-
-
-def _row_exponents(params: CodebookParams) -> tuple[list, np.ndarray]:
-    """Labels and the (F x m x r) exponent array of the structured rows, in lex order."""
-    labels, head, tail = _coordinate_exponents(params)
-    shape = (len(head),) + (len(tail),) * (params.m - 1)
-    at = np.unravel_index(np.arange(math.prod(shape)), shape)
-    return labels, np.stack([head[at[0]]] + [tail[i] for i in at[1:]], axis=1)
 
 
 # the codebook twists a by name, in the order of the CLI's --a-mode choices

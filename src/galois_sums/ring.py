@@ -10,8 +10,8 @@ arithmetic, _mulmod and _powmod over ascending coefficient tuples modulo a
 monic h, serves the elements, the modulus search and its validation, and a
 ring holds h as that tuple, Python ints.
 
-The shape is checked once per ring and per modulus search (_check_shape),
-and every modulus coefficient is an integer (as_int).
+The shape is checked once per ring, per build_ring call and per modulus
+search (_check_shape), and every modulus coefficient is an integer (as_int).
 Structural tables are built eagerly and every invariant is checked at build
 time; failures raise InvalidModulus.  The invariants are: the modulus has
 degree s, is monic and has reduced coefficients; x has order p^s - 1 modulo
@@ -30,8 +30,10 @@ teich_lift read one row of it, and the first digit equals x^(q^(n-1)) on
 every element), are built lazily through one memo, ring_table, which keeps
 each table in the ring's _cache and makes array tables read-only.  Each entry
 is a deterministic function of the ring alone, so rings are safe to share
-across threads: a racing recomputation writes the same value.  The
-per-element methods raise RingMismatch on an element of another ring.
+across threads: a racing recomputation writes the same value.  build_ring,
+reduced and from_json return the one ring per key that the process keeps
+(_RINGS).  The per-element methods raise RingMismatch on an element of
+another ring.
 """
 from __future__ import annotations
 
@@ -145,7 +147,7 @@ def _exponent(e) -> int:
 
 
 def _check_shape(p, n, s, element_cap: int | None = None) -> tuple[int, int, int]:
-    """p, n and s as Python ints, checked once per ring and per modulus search.
+    """p, n and s as Python ints, checked once per ring, per build_ring call and per modulus search.
 
     In order: integers (as_int); n, s >= 1; at most element_cap elements (None:
     no cap); p prime, TooLarge from MR_BOUND on.  The cap comes before the
@@ -257,6 +259,30 @@ def find_basic_primitive_poly(p: int, n: int, s: int) -> tuple[int, ...]:
         if h is None:  # pragma: no cover
             raise InvalidModulus(f"no lift of the modulus mod {p * pj} divides x^{q - 1} - 1")
     return h
+
+
+def _ring_key(p, n, s, modulus, element_cap: int) -> tuple:
+    """The key (p, n, s, modulus) of GR(p^n, p^ns): the shape checked (_check_shape), then the
+    modulus, the canonical one when None, as a tuple of Python ints against every invariant."""
+    p, n, s = _check_shape(p, n, s, element_cap)
+    if modulus is None:
+        modulus = find_basic_primitive_poly(p, n, s)
+    try:
+        h = tuple(as_int(c, "a modulus coefficient") for c in modulus)
+    except (TypeError, ValueError) as exc:
+        raise InvalidModulus(f"modulus must be a sequence of integers: {exc}") from None
+    pn, q = p ** n, p ** s
+    if len(h) != s + 1:
+        raise InvalidModulus(f"modulus degree must be {s}")
+    if h[-1] != 1:
+        raise InvalidModulus("modulus must be monic")
+    if any(not (0 <= c < pn) for c in h):
+        raise InvalidModulus(f"coefficients must be reduced mod {pn}")
+    if not _is_primitive([c % p for c in h], p):
+        raise InvalidModulus("reduction mod p is not a primitive polynomial")
+    if not _x_order_divides(q - 1, h, pn):
+        raise InvalidModulus(f"{_poly_text(h)} does not divide x^{q - 1} - 1 mod {pn}")
+    return p, n, s, h
 
 
 def ring_table(fn):
@@ -384,19 +410,16 @@ class GaloisRing:
         modulus: Sequence[int] | None = None,
         element_cap: int = DEFAULT_ELEMENT_CAP,
     ):
-        p, n, s = _check_shape(p, n, s, element_cap)
+        self.key = _ring_key(p, n, s, modulus, element_cap)  # equality, hashing and _check_same
+        p, n, s, self.modulus = self.key  # the modulus: ascending coefficients, Python ints
         self.p, self.n, self.s = p, n, s
         self.q = p ** s
         self.pn = p ** n
         self.element_count = self.q ** n
         self.unit_count = self.q ** n - self.q ** (n - 1)
-        if modulus is None:
-            modulus = find_basic_primitive_poly(p, n, s)
-        self.modulus = self._validate_modulus(modulus)  # ascending coefficients, Python ints
-        self.key = (p, n, s, self.modulus)  # equality, hashing and _check_same
         self._place = tuple(self.pn ** (s - 1 - i) for i in range(s))  # index of coords
         self._log_p = {p ** k: k for k in range(n + 1)}
-        self._cache: dict = {}  # the ring_table memo and the Gauss values of sums
+        self._cache: dict = {}  # the ring_table memo
 
         self.zero = RingElement(self, (0,) * s)
         self.one = RingElement(self, (1,) + (0,) * (s - 1))
@@ -406,24 +429,6 @@ class GaloisRing:
         self._build_frobenius()
 
     # -- construction helpers ------------------------------------------------
-
-    def _validate_modulus(self, modulus) -> tuple[int, ...]:
-        """The modulus as a tuple of Python ints, checked against every invariant."""
-        try:
-            h = tuple(as_int(c, "a modulus coefficient") for c in modulus)
-        except (TypeError, ValueError) as exc:
-            raise InvalidModulus(f"modulus must be a sequence of integers: {exc}") from None
-        if len(h) != self.s + 1:
-            raise InvalidModulus(f"modulus degree must be {self.s}")
-        if h[-1] != 1:
-            raise InvalidModulus("modulus must be monic")
-        if any(not (0 <= c < self.pn) for c in h):
-            raise InvalidModulus(f"coefficients must be reduced mod {self.pn}")
-        if not _is_primitive([c % self.p for c in h], self.p):
-            raise InvalidModulus("reduction mod p is not a primitive polynomial")
-        if not _x_order_divides(self.q - 1, h, self.pn):
-            raise InvalidModulus(f"{_poly_text(h)} does not divide x^{self.q - 1} - 1 mod {self.pn}")
-        return h
 
     def _build_teichmuller(self) -> None:
         powers = [self.one.coords]
@@ -688,7 +693,7 @@ class GaloisRing:
         if not 1 <= k <= self.n - 1:
             raise BadLevel(f"reduction level {k} not in [1, {self.n - 1}]")
         h = tuple(c % self.p ** (self.n - k) for c in self.modulus)
-        return GaloisRing(self.p, self.n - k, self.s, modulus=h)
+        return build_ring(self.p, self.n - k, self.s, modulus=h)
 
     def reduce(self, x: RingElement, k: int) -> RingElement:
         """Coordinate-wise reduction mod p^(n-k) into the quotient ring."""
@@ -711,7 +716,7 @@ class GaloisRing:
 
     @classmethod
     def from_json(cls, data: dict) -> GaloisRing:
-        return cls(data["p"], data["n"], data["s"], modulus=data["modulus"])
+        return build_ring(data["p"], data["n"], data["s"], modulus=data["modulus"])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GaloisRing) and self.key == other.key
@@ -733,6 +738,10 @@ def trace_form(ring: GaloisRing) -> np.ndarray:
     return traces[np.add.outer(np.arange(ring.s), np.arange(ring.s))]
 
 
+# the registry: the one ring per key that build_ring returns, kept for the life of the process
+_RINGS: dict[tuple, GaloisRing] = {}
+
+
 def build_ring(
     p: int,
     n: int,
@@ -740,8 +749,13 @@ def build_ring(
     modulus: Sequence[int] | None = None,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> GaloisRing:
-    """Construct GR(p^n, p^ns), searching for the canonical modulus if omitted.
+    """GR(p^n, p^ns), searching for the canonical modulus if omitted: one ring per key.
 
-    modulus is a sequence of integers, the ascending coefficients of h.
+    modulus is a sequence of integers, the ascending coefficients of h.  The
+    shape, against element_cap, and the modulus are checked before the
+    registry is read; GaloisRing(...) makes a ring outside it.
     """
-    return GaloisRing(p, n, s, modulus=modulus, element_cap=element_cap)
+    key = _ring_key(p, n, s, modulus, element_cap)
+    if key not in _RINGS:
+        _RINGS[key] = GaloisRing(*key, element_cap=element_cap)
+    return _RINGS[key]

@@ -28,13 +28,19 @@ check is paired with a companion check of the corrected quantity:
 """
 from __future__ import annotations
 
-import functools
 import random
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .brute import (
+    count_unit_solutions_brute,
+    gauss_table,
+    jacobi_brute_table,
+    solved_domain,
+    tilde_jacobi_brute_table,
+)
 from .characters import (
     character_exponents,
     character_levels,
@@ -49,22 +55,17 @@ from .codebook import (
     named_twist,
     table2,
 )
-from .ring import GaloisRing, build_ring
-from .sums import (
+from .laws import (
     Expected,
-    agrees_table,
     canonical_twists,
     count_unit_solutions,
-    count_unit_solutions_brute,
     gauss_law,
-    gauss_table,
-    jacobi_brute_table,
     jacobi_expected_table,
     s_cardinality,
-    solved_domain,
-    tilde_jacobi_brute_table,
     tilde_jacobi_classify_table,
 )
+from .ring import GaloisRing, build_ring
+from .sums import agrees_table
 
 
 @dataclass
@@ -101,12 +102,6 @@ class SuiteResult:
         }
 
 
-@functools.cache
-def cached_ring(p: int, n: int, s: int) -> GaloisRing:
-    """build_ring(p, n, s), one ring per shape for the life of the process."""
-    return build_ring(p, n, s)
-
-
 GAUSS_RINGS = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2)]
 SMALL_RINGS = [(3, 2, 1), (2, 2, 2)]
 RECURSION_RINGS = [(3, 3, 1), (2, 3, 2)]
@@ -121,7 +116,7 @@ def verify_gauss_laws(seed: int = 0) -> SuiteResult:
     result = SuiteResult("gauss-laws")
     rng = random.Random(seed)
     for p, n, s in GAUSS_RINGS:
-        ring = cached_ring(p, n, s)
+        ring = build_ring(p, n, s)
         units, levels, values, expected = ring.units(), character_levels(ring).tolist(), [], []
         twists = [t for b in canonical_twists(ring) for t in (b, b * rng.choice(units))]
         for b in twists:
@@ -170,7 +165,7 @@ def verify_jacobi_pairs() -> SuiteResult:
     """All ordered character pairs x all canonical twists, brute vs closed form."""
     result = SuiteResult("jacobi-m2")
     for p, n, s in SMALL_RINGS:
-        ring = cached_ring(p, n, s)
+        ring = build_ring(p, n, s)
         total, _, failures = _jacobi_failures(ring, 2)
         # the message of the last failure in tuple-major, twist-minor order
         worst = max(failures)[2] if failures else ""
@@ -182,7 +177,7 @@ def verify_jacobi_triples() -> SuiteResult:
     """All character triples x all canonical twists; dispatch never unclassified."""
     result = SuiteResult("jacobi-m3")
     for p, n, s in SMALL_RINGS:
-        ring = cached_ring(p, n, s)
+        ring = build_ring(p, n, s)
         total, unclassified, failures = _jacobi_failures(ring, 3)
         failures = [f for f in failures if f[2] != "unclassified"]
         worst = max(failures)[2] if failures else ""
@@ -203,7 +198,7 @@ def verify_recursion() -> SuiteResult:
     result = SuiteResult("recursion")
     m = 2
     for p, n, s in RECURSION_RINGS:
-        ring = cached_ring(p, n, s)
+        ring = build_ring(p, n, s)
         q = ring.q
         exponents = character_exponents(ring)
         for k in (1, 2):
@@ -247,7 +242,7 @@ def verify_counting() -> SuiteResult:
     """Unit-solution counts and mixed-domain cardinalities against enumeration."""
     result = SuiteResult("counting")
     for p, n, s in SMALL_RINGS:
-        ring = cached_ring(p, n, s)
+        ring = build_ring(p, n, s)
         for m in (2, 3):
             for a in [ring.zero, ring.one, ring.p_power(1)]:
                 formula = count_unit_solutions(ring, m, a)
@@ -270,7 +265,7 @@ def verify_counting() -> SuiteResult:
 
 def _build_and_scan(p, n, s, mode):
     """The m = 3, k = 1 codebook at the named twist (codebook.named_twist) and its scan."""
-    ring = cached_ring(p, n, s)
+    ring = build_ring(p, n, s)
     a = named_twist(ring, mode)
     params = CodebookParams(ring=ring, m=3, k=1, a=a)
     with warnings.catch_warnings():
@@ -390,7 +385,7 @@ def verify_tilde_cases(seed: int = 1) -> SuiteResult:
     """
     result = SuiteResult("tilde-cases")
     rng = random.Random(seed)
-    rings = [cached_ring(*t) for t in SMALL_RINGS]
+    rings = [build_ring(*t) for t in SMALL_RINGS]
     char_lists = {r.key: [tuple(e) for e in character_exponents(r).tolist()] for r in rings}
     draws = []
     for _ in range(TILDE_TRIALS):

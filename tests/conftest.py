@@ -1,18 +1,35 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import galois_sums
+import galois_sums.ring as ring_module
 from galois_sums import BadLevel, RootOfUnity, build_ring, decompose_unit_group
+
+# the registry's ring of each key (build_ring keeps one per key for the process)
+ring = build_ring
+
+
+@pytest.fixture
+def fresh_rings():
+    """The ring registry emptied before and after the test: build_ring makes every ring anew,
+    so a memo test sees tables built in it alone, and no later test reads them."""
+    ring_module._RINGS.clear()
+    yield
+    ring_module._RINGS.clear()
 
 
 @lru_cache(maxsize=None)
-def ring(p: int, n: int, s: int):
-    return build_ring(p, n, s)
+def module_tree(name: str) -> ast.Module:
+    """The parsed source of the package module galois_sums.<name>."""
+    return ast.parse((Path(galois_sums.__file__).parent / f"{name}.py").read_text())
 
 
 # per-element reference sets, for checking the array tables against

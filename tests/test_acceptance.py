@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from galois_sums import build_ring, count_unit_solutions, jacobi_brute
 from galois_sums.characters import MultCharacter, project_exponents
-from galois_sums.codebook import _row_exponents
-from galois_sums.sums import count_unit_solutions, jacobi_brute
+from galois_sums.codebook import _coordinate_exponents
 from galois_sums.verify import (
     PEAK_TOL,
     RECURSION_RINGS,
     Check,
     SuiteResult,
     _build_and_scan,
-    cached_ring,
     verify_codebook_attainment,
     verify_counting,
     verify_gauss_laws,
@@ -84,8 +83,10 @@ def _class_law(cb, pair):
     params = cb.params
     ring, m = params.ring, params.m
     i, j = pair
-    _, X = _row_exponents(params)
-    ratio = project_exponents(ring, X[i] - X[j], ring.n - 1)
+    _, head, tail = _coordinate_exponents(params)  # a row's m coordinates in lex order
+    h, *t = np.unravel_index([i, j], (len(head),) + (len(tail),) * (m - 1))
+    X = np.stack([head[h], *(tail[c] for c in t)], axis=1)  # rows i and j, (2 x m x r)
+    ratio = project_exponents(ring, X[0] - X[1], ring.n - 1)
     projected = [MultCharacter(ring.reduced(ring.n - 1), e) for e in ratio.tolist()]
     j_field = jacobi_brute(projected, ring.reduce(params.a, ring.n - 1)).value
     support = count_unit_solutions(ring, m, params.a)
@@ -134,7 +135,7 @@ def test_criterion_4_reduction_scale():
     m = 2
     derived = []
     for key, hand in zip(RECURSION_RINGS, (18, 48)):
-        ring = cached_ring(*key)
+        ring = build_ring(*key)
         q, n = ring.q, ring.n
         trivial = MultCharacter.trivial(ring)
         j_ring = jacobi_brute([trivial] * m, ring.zero).value

@@ -17,6 +17,7 @@ import pytest
 
 from galois_sums import (
     BrokenInvariant,
+    GaloisRing,
     MultCharacter,
     NotAUnit,
     RingMismatch,
@@ -499,7 +500,7 @@ def test_tables_do_not_depend_on_block_sizes(monkeypatch):
     levels = character_levels(fresh).tolist()
     sections = [section_json(fresh, sec) for sec in ("lex-min", "lex-max")]
     monkeypatch.setattr(characters, "CHAR_BLOCK", 5)
-    small = build_ring(2, 3, 2)
+    small = GaloisRing(2, 3, 2)
     assert character_levels(small).tolist() == levels
     assert [section_json(small, sec) for sec in ("lex-min", "lex-max")] == sections
 
@@ -536,7 +537,7 @@ def test_character_table_does_not_enumerate_characters(monkeypatch):
     monkeypatch.setattr(
         characters, "enumerate_characters", lambda r: calls.append(r) or enumerate_all(r)
     )
-    fresh = build_ring(5, 2, 1)
+    fresh = GaloisRing(5, 2, 1)
     character_table_json(fresh)
     assert calls == []
     characters.enumerate_characters(fresh)  # the spy sees a call
@@ -601,7 +602,7 @@ def first_generator_twice(basis):
     return duplicated
 
 
-def test_a_duplicated_generator_fails_the_factor_once_guard(monkeypatch):
+def test_a_duplicated_generator_fails_the_factor_once_guard(monkeypatch, fresh_rings):
     """GR(2^2,2^4): 1 + M is (Z/2)^2, whose basis needs one recursion that returns
     a single generator, so only the outermost basis changes: (xi, g, g), orders (3, 2, 2)."""
     monkeypatch.setattr(characters, "_abelian_basis", first_generator_twice(characters._abelian_basis))

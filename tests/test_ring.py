@@ -20,6 +20,7 @@ from galois_sums import (
     find_basic_primitive_poly,
 )
 from galois_sums.ring import MR_BOUND, _is_primitive
+from galois_sums.verify import SUITES, run_suite
 
 from conftest import ideal, ring, teich_digits_loop, valuation_gcd
 
@@ -211,14 +212,42 @@ def test_modulus_search_is_pinned(key):
 
 
 def test_ring_tables_are_memoised_per_ring_and_read_only():
-    r, twin = build_ring(3, 2, 2), build_ring(3, 2, 2)
+    r, twin = build_ring(3, 2, 2), GaloisRing(3, 2, 2)  # twin: an equal ring outside the registry
     for table in ("elements", "units", "coord_array", "unit_mask", "unit_indices"):
         assert getattr(r, table)() is getattr(r, table)()
         assert getattr(r, table)() is not getattr(twin, table)()
-    assert r.reduced(1) is r.reduced(1) and r.reduced(1) is not twin.reduced(1)
-    assert r.reduced(1) == twin.reduced(1) and r.reduced(0) is r
+    # the quotient ring is the registry's, however the parent was made
+    assert r.reduced(1) is twin.reduced(1) is build_ring(3, 1, 2) and r.reduced(0) is r
     for array in (r.coord_array(), r.unit_mask(), r.unit_indices()):
         assert not array.flags.writeable
+
+
+def test_build_ring_returns_one_ring_per_key(fresh_rings):
+    r = build_ring(3, 2, 1)
+    assert build_ring(3, 2, 1) is r and build_ring(3, 2, 1, modulus=[1, 1]) is r
+    assert GaloisRing.from_json(r.to_json()) is r and build_ring(3, 3, 1).reduced(1) is r
+    assert GaloisRing(3, 2, 1) is not r and GaloisRing(3, 2, 1) == r
+    # a call with the key of a registered ring still checks the cap and the modulus first
+    with pytest.raises(SizeLimit):
+        build_ring(3, 2, 1, element_cap=8)
+    for coeffs, match in [((7, 1), "divide"), ((1.0, 1.0), "integers"), ((1, True), "integers")]:
+        with pytest.raises(InvalidModulus, match=match):
+            build_ring(3, 2, 1, modulus=coeffs)
+    assert build_ring(3, 2, 1) is r
+
+
+def test_every_verify_suite_in_one_process_builds_one_ring_per_key(fresh_rings, monkeypatch):
+    built = []
+    init = GaloisRing.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.key)
+
+    monkeypatch.setattr(GaloisRing, "__init__", counted)
+    for name in SUITES:
+        run_suite(name)
+    assert len(built) == len(set(built)) == 11
 
 
 def test_size_cap():
@@ -452,7 +481,7 @@ def test_digit_table_matches_the_per_digit_loop_everywhere(p, n, s):
         assert r.valuation(x) == valuation_gcd(r, x)
 
 
-def test_digit_table_is_read_only_built_once_in_the_smallest_unsigned_dtype():
+def test_digit_table_is_read_only_built_once_in_the_smallest_unsigned_dtype(fresh_rings):
     r = build_ring(2, 3, 2)  # a fresh ring, so that its table is not built yet
     table = r.teich_digits()
     assert not table.flags.writeable
@@ -526,7 +555,7 @@ def _foreign():
 def test_trace_rejects_an_element_of_another_ring():
     with pytest.raises(RingMismatch):
         ring(2, 5, 3).trace(_foreign())  # used to return 8
-    twin = build_ring(2, 4, 2)  # an equal ring, another object
+    twin = GaloisRing(2, 4, 2)  # an equal ring, another object
     assert twin.trace(_foreign()) == ring(2, 4, 2).trace(_foreign())
 
 

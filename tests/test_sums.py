@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import ast
 import functools
 import hashlib
-import inspect
 import itertools
 import math
 import operator
@@ -18,9 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import galois_sums.brute as brute_module
+import galois_sums.laws as laws_module
 import galois_sums.sums as sums_module
 import galois_sums.verify as verify_module
 from galois_sums import (
+    GaloisRing,
     Expected,
     MultCharacter,
     RingMismatch,
@@ -47,7 +50,7 @@ from galois_sums import characters
 from galois_sums.characters import RootOfUnity, character_exponents, root_table
 from galois_sums.verify import _tuples as verify_tuples
 
-from conftest import additive_value, eval_unit, extended_eval, phase, ring
+from conftest import additive_value, eval_unit, extended_eval, module_tree, phase, ring
 
 
 def brute_gauss(r, chi, b):
@@ -259,11 +262,11 @@ def test_the_coordinate_lift_changes_the_twist_scalar_only_for_vanishing_sums():
                 continue
             k, u = r.valuation(a)
             assert r.scalar(r.p ** k) * r.element(u.coords) == a
-            canon, scalars = sums_module._twist_scalars(r, X, a)
+            canon, scalars = laws_module._twist_scalars(r, X, a)
             if k not in tables:
                 tables[k] = (
-                    sums_module.jacobi_brute_table(r, X, canon),
-                    sums_module.jacobi_expected_table(r, X, canon),
+                    brute_module.jacobi_brute_table(r, X, canon),
+                    laws_module.jacobi_expected_table(r, X, canon),
                 )
             brute, expected = tables[k]
             lift = teichmuller_lift(r, u, k)
@@ -411,7 +414,7 @@ def test_tilde_random_cross_check(key):
 def test_expected_gauss_field_case(f4):
     chars = enumerate_characters(f4)
     nontriv = chars[1]
-    e = sums_module.gauss_law(f4, nontriv.level, f4.one)
+    e = laws_module.gauss_law(f4, nontriv.level, f4.one)
     assert e.kind == "power_of_q" and float(e.exponent) == 0.5
     assert abs(abs(gauss_sum(nontriv, f4.one).value) - 2.0) < 1e-9
 
@@ -534,7 +537,7 @@ def test_brute_sums_independent_of_block_size(monkeypatch):
     """Exact root counts: the values are bit-identical for any block size."""
 
     def sums():
-        z27, gr9 = build_ring(3, 3, 1), build_ring(3, 2, 2)  # fresh Gauss caches
+        z27, gr9 = GaloisRing(3, 3, 1), GaloisRing(3, 2, 2)  # fresh Gauss caches
         c27, c9 = enumerate_characters(z27), enumerate_characters(gr9)
         return [
             jacobi_brute([c27[1], c27[5], c27[7], c27[16]], z27.scalar(3)).value,
@@ -544,7 +547,7 @@ def test_brute_sums_independent_of_block_size(monkeypatch):
         ]
 
     default = sums()
-    monkeypatch.setattr(sums_module, "TERM_BUDGET", 7 * 64)
+    monkeypatch.setattr(brute_module, "TERM_BUDGET", 7 * 64)
     assert sums() == default
 
 
@@ -568,7 +571,7 @@ def test_jacobi_brute_table_is_bitwise_jacobi_brute(key, m):
     tuples = list(itertools.product(enumerate_characters(r), repeat=m))
     X = tuple_exponents(tuples)
     for a in canonical_twists(r):
-        table = sums_module.jacobi_brute_table(r, X, a)
+        table = brute_module.jacobi_brute_table(r, X, a)
         single = [jacobi_brute(list(t), a).value for t in tuples]
         assert table.dtype == np.complex128
         assert np.array_equal(bits(table), bits(single))
@@ -582,7 +585,7 @@ def test_jacobi_brute_table_is_bitwise_jacobi_brute_m4():
     tuples = [[rng.choice(chars) for _ in range(4)] for _ in range(24)]
     X = tuple_exponents(tuples)
     for a in canonical_twists(r):
-        table = sums_module.jacobi_brute_table(r, X, a)
+        table = brute_module.jacobi_brute_table(r, X, a)
         assert np.array_equal(bits(table), bits([jacobi_brute(t, a).value for t in tuples]))
 
 
@@ -590,7 +593,7 @@ def gauss_table_values(r, twists):
     """gauss_table at each twist on ring r, read back through gauss_sum."""
     chars = enumerate_characters(r)
     for b in twists:
-        sums_module.gauss_table(r, b)
+        brute_module.gauss_table(r, b)
     n_cached = cached_gauss_count(r)
     values = [gauss_sum(chi, b).value for b in twists for chi in chars]
     assert cached_gauss_count(r) == n_cached  # all were hits
@@ -599,16 +602,16 @@ def gauss_table_values(r, twists):
 
 def cached_gauss_count(r):
     """Gauss values cached on ring r, over every twist."""
-    return sum(len(v) for key, v in r._cache.items() if key[0] == "gauss")
+    return sum(len(v) for key, v in r._cache.items() if key[0] is brute_module._gauss_values.__wrapped__)
 
 
 def test_gauss_table_is_bitwise_gauss_value():
     def twists(r):  # a unit, an ideal element and zero
         return [r.element((2, 1)), r.scalar(3), r.zero]
 
-    r = build_ring(3, 2, 2)  # fresh: no Gauss value cached
+    r = GaloisRing(3, 2, 2)  # fresh: no Gauss value cached
     table = gauss_table_values(r, twists(r))
-    fresh = build_ring(3, 2, 2)
+    fresh = GaloisRing(3, 2, 2)
     chars = enumerate_characters(fresh)
     single = [gauss_sum(chi, b).value for b in twists(fresh) for chi in chars]
     assert np.array_equal(bits(table), bits(single))
@@ -616,12 +619,13 @@ def test_gauss_table_is_bitwise_gauss_value():
         assert abs(value - brute_gauss(r, chi, b)) <= term_tolerance(r.unit_count)
 
 
-def test_gauss_sum_fills_only_its_own_entry():
+def test_gauss_sum_fills_only_its_own_entry(fresh_rings):
     r = build_ring(2, 2, 2)
     chi = enumerate_characters(r)[5]
     gauss_sum(chi, r.one)
-    gauss = {key: list(v) for key, v in r._cache.items() if key[0] == "gauss"}
-    assert gauss == {("gauss", r.one.coords): [chi.index]}
+    fn = brute_module._gauss_values.__wrapped__
+    gauss = {key[1:]: list(v) for key, v in r._cache.items() if key[0] is fn}
+    assert gauss == {(r.one.coords,): [chi.index]}
 
 
 @pytest.mark.parametrize("key, m, k", [((3, 2, 1), 3, 1), ((2, 2, 2), 3, 2), ((3, 2, 1), 4, 2)])
@@ -635,10 +639,10 @@ def test_root_counts_mixed_domain(key, m, k):
     X = tuple_exponents(tuples)
     a = r.element((1,) * r.s)
     total = r.unit_count ** k * r.element_count ** (m - 1 - k)
-    counts = sums_module._root_counts(r, X, k, a)
+    counts = brute_module._root_counts(r, X, k, a)
     assert counts.shape[0] == len(tuples) and counts.dtype == np.int64
     assert counts[0].sum() == total  # the all-trivial tuple counts every row
-    values = sums_module._complex_rows(counts)
+    values = brute_module._complex_rows(counts)
     single = [tilde_jacobi_brute(t, k, a).value for t in tuples]
     assert np.array_equal(bits(values), bits(single))
     for t, value in zip(tuples[:6], values):
@@ -649,19 +653,19 @@ def test_root_counts_mixed_domain(key, m, k):
 
 def test_tables_independent_of_block_sizes(monkeypatch):
     def tables():
-        z27, gr9 = build_ring(3, 3, 1), build_ring(3, 2, 2)
+        z27, gr9 = GaloisRing(3, 3, 1), GaloisRing(3, 2, 2)
         c27 = enumerate_characters(z27)
         X = tuple_exponents(itertools.product(c27[:5], repeat=3))
-        tilde = sums_module._root_counts(z27, X, 1, z27.one)
+        tilde = brute_module._root_counts(z27, X, 1, z27.one)
         twists = [gr9.element((4, 7)), gr9.scalar(3)]
         return [
-            sums_module.jacobi_brute_table(z27, X, z27.scalar(3)),
-            sums_module._complex_rows(tilde),
+            brute_module.jacobi_brute_table(z27, X, z27.scalar(3)),
+            brute_module._complex_rows(tilde),
             gauss_table_values(gr9, twists),
         ]
 
     default = tables()
-    monkeypatch.setattr(sums_module, "TERM_BUDGET", 7 * 3)
+    monkeypatch.setattr(brute_module, "TERM_BUDGET", 7 * 3)
     for got, want in zip(tables(), default):
         assert np.array_equal(bits(got), bits(want))
 
@@ -673,12 +677,12 @@ def test_jacobi_brute_table_cap_before_allocation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the domain was enumerated")
 
-    monkeypatch.setattr(sums_module, "_root_counts", refuse)
-    monkeypatch.setattr(sums_module, "solved_domain", refuse)
+    monkeypatch.setattr(brute_module, "_root_counts", refuse)
+    monkeypatch.setattr(brute_module, "solved_domain", refuse)
     with pytest.raises(TooLarge):
-        sums_module.jacobi_brute_table(r, X, r.one, cap=r.unit_count ** 2 - 1)
+        brute_module.jacobi_brute_table(r, X, r.one, cap=r.unit_count ** 2 - 1)
     with pytest.raises(TooLarge):  # 12^19 terms per sum
-        sums_module.jacobi_brute_table(r, np.zeros((1, 20, X.shape[2]), dtype=np.int64), r.one)
+        brute_module.jacobi_brute_table(r, np.zeros((1, 20, X.shape[2]), dtype=np.int64), r.one)
 
 
 # ---------------------------------------------------------------------------
@@ -748,15 +752,15 @@ def test_kernel_matches_per_term_references(monkeypatch, key, sizes):
     gauss = rng.sample(chars, min(4, len(chars)))
 
     def values():
-        fresh = build_ring(*key)  # no cached Gauss value
+        fresh = GaloisRing(*key)  # no cached Gauss value
         out = []
         for m, k, name in cases:
             X = tuple_exponents(kernel_tuples(r, m, random.Random(m * 10 + k)))
             a = fresh.element(twists[name].coords)
             if k == m:
-                out.append(sums_module.jacobi_brute_table(fresh, X, a))
+                out.append(brute_module.jacobi_brute_table(fresh, X, a))
             else:
-                out.append(sums_module.tilde_jacobi_brute_table(fresh, X, k, a))
+                out.append(brute_module.tilde_jacobi_brute_table(fresh, X, k, a))
         for b in twists.values():
             b = fresh.element(b.coords)
             out.append([gauss_sum(MultCharacter(fresh, c.exponents), b).value for c in gauss])
@@ -764,7 +768,7 @@ def test_kernel_matches_per_term_references(monkeypatch, key, sizes):
 
     if sizes is not None:
         default = values()
-        monkeypatch.setattr(sums_module, "TERM_BUDGET", sizes[0] * sizes[1])
+        monkeypatch.setattr(brute_module, "TERM_BUDGET", sizes[0] * sizes[1])
     got = values()
     if sizes is not None:
         for g, d in zip(got, default):
@@ -788,13 +792,13 @@ def test_kernel_reduces_exponents_mod_the_generator_orders(z9):
     """
     orders = decompose_unit_group(z9).orders
     X = np.array([[orders] * 3, [(0,) * len(orders)] * 3], dtype=np.int64)
-    tilde = sums_module.tilde_jacobi_brute_table(z9, X, 1, z9.one)
+    tilde = brute_module.tilde_jacobi_brute_table(z9, X, 1, z9.one)
     assert tilde.tolist() == [54, 54] == [s_cardinality(z9, 3, 1)] * 2
-    assert sums_module.tilde_jacobi_classify_table(z9, X[:1], 1, z9.one)[0].integer == 54
+    assert laws_module.tilde_jacobi_classify_table(z9, X[:1], 1, z9.one)[0].integer == 54
     for a in canonical_twists(z9):
-        jac = sums_module.jacobi_brute_table(z9, X, a)
+        jac = brute_module.jacobi_brute_table(z9, X, a)
         assert np.array_equal(bits(jac[:1]), bits(jac[1:]))
-    gauss = sums_module._root_counts(z9, X[:, :2], 1, z9.zero, z9.one)  # the Gauss form
+    gauss = brute_module._root_counts(z9, X[:, :2], 1, z9.zero, z9.one)  # the Gauss form
     assert np.array_equal(gauss[0], gauss[1])
 
 
@@ -809,16 +813,16 @@ def test_kernel_temporaries_stay_within_the_stated_bound(monkeypatch):
     TERM_BUDGET terms too: its 1728 terms run as 2 blocks, where
     blocks of 256 terms would take 7, and stay within the same bound.
     """
-    monkeypatch.setattr(sums_module, "TERM_BUDGET", 256 * 4)
+    monkeypatch.setattr(brute_module, "TERM_BUDGET", 256 * 4)
     r = ring(2, 2, 2)  # |R| = 16, 12 units, M = L = 6
     M, size = decompose_unit_group(r).lcm_order, r.element_count
     for X in (sampled_tuples(r, 4, 120, 21), sampled_tuples(r, 4, 1, 22)):
         chunk = min(len(X), max(1, 256 * 4 // size))
         bound = (4 + 8) * max(size, 256 * 4) + 2 * chunk * 4 * M
-        sums_module._root_counts(r, X, 4, r.one)  # tables built, caches warm
+        brute_module._root_counts(r, X, 4, r.one)  # tables built, caches warm
         tracemalloc.start()
         try:
-            counts = sums_module._root_counts(r, X, 4, r.one)
+            counts = brute_module._root_counts(r, X, 4, r.one)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -837,7 +841,7 @@ def test_kernel_temporaries_stay_within_the_stated_bound(monkeypatch):
 
         real = np.bincount
         monkeypatch.setattr(np, "bincount", bincount)
-        assert np.array_equal(sums_module._root_counts(r, X, 4, r.one), counts)
+        assert np.array_equal(brute_module._root_counts(r, X, 4, r.one), counts)
         monkeypatch.setattr(np, "bincount", real)
         assert lengths and max(lengths) <= (4 + 1) * chunk * 4 * M
         assert len(X) == 1 or max(lengths) == chunk * 4 * M + 1
@@ -852,7 +856,7 @@ def test_kernel_blocks_count_terms_not_tuples(monkeypatch):
     takes TERM_BUDGET // 64 domain rows at a time, as many terms as the
     single sum's one block may hold.
     """
-    most = sums_module.TERM_BUDGET
+    most = brute_module.TERM_BUDGET
     r = ring(2, 4, 2)
     chars = enumerate_characters(r)
     rows = []
@@ -862,14 +866,14 @@ def test_kernel_blocks_count_terms_not_tuples(monkeypatch):
             rows.append(index.size)
             yield xs, y, index
 
-    real = sums_module._solved_blocks
-    monkeypatch.setattr(sums_module, "_solved_blocks", counted)
+    real = brute_module._solved_blocks
+    monkeypatch.setattr(brute_module, "_solved_blocks", counted)
     sv = jacobi_brute([chars[5], chars[77], chars[100]], r.scalar(3))
     assert sv.terms == 36_864 and rows == [36_864]
 
     rows.clear()
     X = sampled_tuples(r, 3, 64, 23)
-    sums_module.jacobi_brute_table(r, X, r.scalar(3))
+    brute_module.jacobi_brute_table(r, X, r.scalar(3))
     assert len(rows) > 1 and sum(rows) == 36_864
     assert max(rows) * len(X) <= most
 
@@ -920,7 +924,7 @@ def test_packed_solve_matches_the_digit_solve(key):
     rng = random.Random(repr(key))
     x = np.arange(r.element_count)
     want = r.index_of((r.coord_array()[:, None, :] - r.coord_array()[None, :, :]) % r.pn)
-    assert np.array_equal(sums_module._minus(sums_module._solve_codes(r), x[:, None], x), want)
+    assert np.array_equal(brute_module._minus(brute_module._solve_codes(r), x[:, None], x), want)
     for m in (2, 3, 4):
         for k in range(1, m + 1):
             units = min(k, m - 1)
@@ -928,7 +932,7 @@ def test_packed_solve_matches_the_digit_solve(key):
                 continue
             for a in solve_twists(r, rng):
                 for budget in (5, 4096):
-                    got = list(sums_module._solved_blocks(r, m, k, a, budget))
+                    got = list(brute_module._solved_blocks(r, m, k, a, budget))
                     oracle = list(digit_solved_blocks(r, m, k, a, budget))
                     assert len(got) == len(oracle)
                     for (xs, y, index), (oxs, oy, oindex) in zip(got, oracle):
@@ -943,7 +947,7 @@ def test_solved_domain_matches_ring_subtraction(key):
     els = r.elements()
     for m, k in [(2, 1), (2, 2), (3, 1), (3, 3)]:
         for a in solve_twists(r, rng):
-            domain = sums_module.solved_domain(r, m, k, a)
+            domain = brute_module.solved_domain(r, m, k, a)
             head = min(k, m - 1)
             free = itertools.product(*([r.units()] * head + [els] * (m - 1 - head)))
             want = []
@@ -992,7 +996,7 @@ def test_kernel_counts_match_the_direct_solve(monkeypatch, key, budget):
     """
     r = ring(*key)
     if budget is not None:
-        monkeypatch.setattr(sums_module, "TERM_BUDGET", budget)
+        monkeypatch.setattr(brute_module, "TERM_BUDGET", budget)
     rng = random.Random(repr(key))
     ideal = [x for x in r.elements() if not x.is_unit]
     twists = solve_twists(r, rng) + [rng.choice(ideal)]
@@ -1006,31 +1010,31 @@ def test_kernel_counts_match_the_direct_solve(monkeypatch, key, budget):
                 X = sampled_tuples(r, m, count, cases)
                 X[0] = 0  # the all-trivial tuple counts every kept row
                 a = twists[cases % len(twists)]
-                got = sums_module._root_counts(r, X, k, a)
+                got = brute_module._root_counts(r, X, k, a)
                 assert np.array_equal(got, direct_root_counts(r, X, k, a)), (m, k, count, a)
                 cases += 1
     assert cases
 
 
-def test_the_twist_free_solve_is_memoised_per_m_and_units(monkeypatch):
+def test_the_twist_free_solve_is_memoised_per_m_and_units(monkeypatch, fresh_rings):
     """One read-only entry per (ring, m, units): k = m - 1 and k = m share it,
     and a domain past TERM_BUDGET is streamed without an entry."""
     r = build_ring(2, 2, 2)  # fresh cache; 12 units of 16 elements
     X3, X4 = sampled_tuples(r, 3, 5, 1), sampled_tuples(r, 4, 5, 2)
 
     def memo():
-        fn = sums_module._solved_at_zero.__wrapped__
+        fn = brute_module._solved_at_zero.__wrapped__
         return {key[1:]: v for key, v in r._cache.items() if key[0] is fn}
 
     for k in (2, 3):
-        sums_module._root_counts(r, X3, k, r.one)
-    sums_module._root_counts(r, X3, 1, r.zero)
+        brute_module._root_counts(r, X3, k, r.one)
+    brute_module._root_counts(r, X3, 1, r.zero)
     entries = memo()
     assert set(entries) == {(3, 2), (3, 1)}
     assert entries[(3, 2)].shape == (12, 12) and entries[(3, 1)].shape == (12, 16)
     assert not any(v.flags.writeable for v in entries.values())
-    monkeypatch.setattr(sums_module, "TERM_BUDGET", 12 ** 3 - 1)  # m = 4, k = 4: 1,728 terms
-    counts = sums_module._root_counts(r, X4, 4, r.one)
+    monkeypatch.setattr(brute_module, "TERM_BUDGET", 12 ** 3 - 1)  # m = 4, k = 4: 1,728 terms
+    counts = brute_module._root_counts(r, X4, 4, r.one)
     assert set(memo()) == {(3, 2), (3, 1)}
     assert np.array_equal(counts, direct_root_counts(r, X4, 4, r.one))
 
@@ -1070,9 +1074,9 @@ def test_single_rows_equal_their_batch_rows_and_the_direct_solve(key, m, k):
     batch = sampled_tuples(r, m, 64, repr(key))
     batch[0] = 0
     for i, a in enumerate(valuation_twists(r, random.Random(m * 10 + k)), start=1):
-        table = sums_module._root_counts(r, batch, k, a)
+        table = brute_module._root_counts(r, batch, k, a)
         for c in (0, i):
-            single = sums_module._root_counts(r, batch[c : c + 1], k, a)
+            single = brute_module._root_counts(r, batch[c : c + 1], k, a)
             assert np.array_equal(single, table[c : c + 1]), (a, c)
             assert np.array_equal(single, direct_root_counts(r, batch[c : c + 1], k, a)), (a, c)
 
@@ -1083,45 +1087,45 @@ def test_single_gauss_rows_equal_their_batch_rows_and_the_direct_sum(key):
     X = np.zeros((64, 2, len(decompose_unit_group(r).orders)), dtype=np.int64)
     X[:, 0] = sampled_tuples(r, 1, 64, repr(key))[:, 0]
     for i, b in enumerate(valuation_twists(r, random.Random(repr(key)))):
-        table = sums_module._root_counts(r, X, 1, r.zero, b)
-        single = sums_module._root_counts(r, X[i : i + 1], 1, r.zero, b)
+        table = brute_module._root_counts(r, X, 1, r.zero, b)
+        single = brute_module._root_counts(r, X[i : i + 1], 1, r.zero, b)
         assert np.array_equal(single, table[i : i + 1]), b
         assert np.array_equal(single[0], direct_gauss_counts(r, X[i, 0], b)), b
 
 
-def test_the_kernel_plan_is_built_once_per_key_and_read_only(monkeypatch):
+def test_the_kernel_plan_is_built_once_per_key_and_read_only(monkeypatch, fresh_rings):
     """Per ring the dlog transpose and the non-units, per (m, units) the one
     block at a = 0; a warm C = 1 call that fits one block builds no block."""
     r = build_ring(2, 3, 2)  # fresh cache; 48 units of 64 elements
     X = sampled_tuples(r, 3, 1, 4)
-    plan_fns = (sums_module._ring_plan.__wrapped__, sums_module._zero_block.__wrapped__)
+    plan_fns = (brute_module._ring_plan.__wrapped__, brute_module._zero_block.__wrapped__)
 
     def plan():
         return {key: v for key, v in r._cache.items() if key[0] in plan_fns}
 
     for k in (1, 2, 3):
-        sums_module._root_counts(r, X, k, r.one)
+        brute_module._root_counts(r, X, k, r.one)
     first = plan()
     assert {key[1:] for key in first} == {(), (3, 1), (3, 2)}
 
     made = []
     for name in ("_streamed_blocks", "_free_axes"):
-        real = getattr(sums_module, name)
-        monkeypatch.setattr(sums_module, name, lambda *args, real=real: made.append(args) or real(*args))
+        real = getattr(brute_module, name)
+        monkeypatch.setattr(brute_module, name, lambda *args, real=real: made.append(args) or real(*args))
     monkeypatch.setattr(np, "unravel_index", lambda *args: made.append(args))
     for k in (1, 2, 3):
         for a in (r.zero, r.one, r.p_power(1)):
-            sums_module._root_counts(r, X, k, a)
+            brute_module._root_counts(r, X, k, a)
     assert not made
     assert plan().keys() == first.keys() and all(plan()[key] is v for key, v in first.items())
     monkeypatch.undo()
 
-    dlog_t, off_unit = sums_module._ring_plan(r)
+    dlog_t, off_unit = brute_module._ring_plan(r)
     assert np.array_equal(dlog_t, decompose_unit_group(r).dlog_matrix.T) and dlog_t.flags.c_contiguous
     assert np.array_equal(off_unit, np.flatnonzero(~r.unit_mask()))
     arrays = [dlog_t, off_unit]
     for units in (1, 2):
-        xs, y, index = sums_module._zero_block(r, 3, units)
+        xs, y, index = brute_module._zero_block(r, 3, units)
         (oxs, oy, oindex), = digit_solved_blocks(r, 3, units, r.zero, 1 << 30)
         assert all(map(np.array_equal, xs, oxs)) and np.array_equal(y, oy)
         assert np.array_equal(index, oindex)
@@ -1132,10 +1136,10 @@ def test_the_kernel_plan_is_built_once_per_key_and_read_only(monkeypatch):
 def test_solve_tables_stay_within_eight_ring_sizes():
     for key in SOLVE_RINGS:
         r = ring(*key)
-        groups = sums_module._solve_codes(r)
+        groups = brute_module._solve_codes(r)
         assert len(groups) == (1 if r.s <= 3 else 2), key
         assert all(len(table) <= 8 * r.element_count for _, _, table in groups), key
-        assert sums_module._solve_codes(r) is groups  # cached per ring
+        assert brute_module._solve_codes(r) is groups  # cached per ring
 
 
 def loop_complex_rows(counts):
@@ -1162,11 +1166,11 @@ def test_complex_rows_is_bitwise_the_bin_loop():
     cases.append(np.array([[9, 0, 0, 9, 0, 0], [0, 0, 4, 0, 0, 4]]))
     for counts in cases:
         counts = np.asarray(counts, dtype=np.int64)
-        got = sums_module._complex_rows(counts)
+        got = brute_module._complex_rows(counts)
         assert isinstance(got, list) and len(got) == len(counts)
         assert np.array_equal(bits(got), bits(loop_complex_rows(counts)))
     for exact_zero in ([[7, 7]], [[9, 0, 0, 9, 0, 0]], [[0, 0, 0]]):
-        assert bits(sums_module._complex_rows(np.array(exact_zero))).tolist() == [0, 0]  # +0j
+        assert bits(brute_module._complex_rows(np.array(exact_zero))).tolist() == [0, 0]  # +0j
 
 
 def brute_value_digest():
@@ -1178,16 +1182,16 @@ def brute_value_digest():
         ((2, 2, 2), 3), ((3, 2, 1), 3), ((2, 3, 1), 4), ((5, 1, 2), 2), ((2, 2, 3), 2),
         ((7, 1, 1), 3), ((2, 1, 4), 3), ((3, 3, 1), 4), ((2, 4, 2), 2),
     ]:
-        r = build_ring(*key)  # fresh: no Gauss value cached
+        r = GaloisRing(*key)  # fresh: no Gauss value cached
         chars = enumerate_characters(r)
         rng = random.Random(m)
         X = tuple_exponents([[rng.choice(chars) for _ in range(m)] for _ in range(30)])
         rng = random.Random(repr(key))
         for a in canonical_twists(r) + [rng.choice(r.units()), rng.choice(r.elements())]:
-            h.update(bits(sums_module.jacobi_brute_table(r, X, a)).tobytes())
+            h.update(bits(brute_module.jacobi_brute_table(r, X, a)).tobytes())
             for k in range(1, m):
-                h.update(bits(sums_module.tilde_jacobi_brute_table(r, X, k, a)).tobytes())
-            sums_module.gauss_table(r, a)
+                h.update(bits(brute_module.tilde_jacobi_brute_table(r, X, k, a)).tobytes())
+            brute_module.gauss_table(r, a)
             h.update(bits([gauss_sum(chi, a).value for chi in chars]).tobytes())
     return h.hexdigest()[:16]
 
@@ -1202,7 +1206,7 @@ def test_gauss_quotient_vanishing_denominator_under_python_O():
     # G(chi, lambda_0) = 0 for nontrivial chi, so the quotient has no value
     code = (
         "from galois_sums import BrokenInvariant, build_ring, enumerate_characters, gauss_sum\n"
-        "from galois_sums.sums import _gauss_quotient\n"
+        "from galois_sums.laws import _gauss_quotient\n"
         "z9 = build_ring(3, 2, 1)\n"
         "chi = enumerate_characters(z9)[1]\n"
         "g = gauss_sum(chi, z9.one).value\n"
@@ -1265,7 +1269,7 @@ def mismatch_tuples(z27):
 def test_expected_table_is_bitwise_single_calls(case):
     r, X = table_cases()[case]
     for a in canonical_twists(r):
-        table = sums_module.jacobi_expected_table(r, X, a)
+        table = laws_module.jacobi_expected_table(r, X, a)
         assert len(table) == len(X)
         for row, e in zip(X.tolist(), table):
             single = jacobi_expected([MultCharacter(r, exps) for exps in row], a)
@@ -1284,7 +1288,7 @@ def digest_of(expectations):
 
 def twist_major(r, X):
     """The expectations of X at every canonical twist: tuple-major, twist-minor."""
-    tables = [sums_module.jacobi_expected_table(r, X, a) for a in canonical_twists(r)]
+    tables = [laws_module.jacobi_expected_table(r, X, a) for a in canonical_twists(r)]
     return [e for row in zip(*tables) for e in row]
 
 
@@ -1326,7 +1330,7 @@ def tilde_draw_expectations(seed=1, trials=500):
     for trial in domains.values():
         r, k, _, a = draws[trial[0]]
         X = np.array([draws[i][2] for i in trial])
-        for i, e in zip(trial, sums_module.tilde_jacobi_classify_table(r, X, k, a)):
+        for i, e in zip(trial, laws_module.tilde_jacobi_classify_table(r, X, k, a)):
             out[i] = e
     return out
 
@@ -1367,9 +1371,9 @@ def test_dispatch_expectations_are_pinned(case, count, digest):
 def test_level_mismatch_zero_fires_and_brute_force_agrees(z27):
     X = mismatch_tuples(z27)
     p = z27.p_power(1)
-    table = sums_module.jacobi_expected_table(z27, X, p)
+    table = laws_module.jacobi_expected_table(z27, X, p)
     assert {e.lemma for e in table} == {"level-mismatch-zero"}
-    brute = sums_module.jacobi_brute_table(z27, X, p)
+    brute = brute_module.jacobi_brute_table(z27, X, p)
     assert np.abs(brute).max() <= term_tolerance(z27.unit_count)
     for u in (z27.one, z27.scalar(2), z27.scalar(5)):
         for row in X.tolist()[::5]:
@@ -1377,19 +1381,35 @@ def test_level_mismatch_zero_fires_and_brute_force_agrees(z27):
             assert sv.expected.lemma == "level-mismatch-zero" and sv.agrees(z27.q)
 
 
+def dispatch_lemmas() -> set[str]:
+    """The lemma strings (hyphenated lowercase words) of jacobi_expected_table and of every
+    function or class of laws.py that it names, directly or through another."""
+    tree = module_tree("laws")
+    defs = {d.name: d for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = set(), ["jacobi_expected_table"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs]
+    return {
+        node.value
+        for name in reached
+        for node in ast.walk(defs[name])
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and re.fullmatch(r"[a-z]+(?:-[a-z]+)+", node.value)
+    }
+
+
 def test_every_dispatch_lemma_fires(z27):
     """The lemmas the table returns over the table-test inputs and the Z/27
     level-mismatch pairs include every lemma string of the dispatch."""
-    source = "".join(
-        inspect.getsource(f)
-        for f in (sums_module.jacobi_expected_table, sums_module._jacobi_class)
-    )
-    lemmas = set(re.findall(r'"([a-z]+(?:-[a-z]+)+)"', source))
+    lemmas = dispatch_lemmas()
     assert len(lemmas) == 16
     fired = set()
     for r, X in table_cases() + [(z27, mismatch_tuples(z27))]:
         for a in canonical_twists(r):
-            fired |= {e.lemma for e in sums_module.jacobi_expected_table(r, X, a)}
+            fired |= {e.lemma for e in laws_module.jacobi_expected_table(r, X, a)}
     assert lemmas <= fired, sorted(lemmas - fired)
 
 
@@ -1402,10 +1422,10 @@ def test_mixed_domain_tables_are_bitwise_single_calls(key):
         X[:3] = 0  # all trivial: the free-block count
         for a in rng.sample(r.elements(), 4) + [r.zero]:
             tuples = [[MultCharacter(r, exps) for exps in row] for row in X.tolist()]
-            brute = sums_module.tilde_jacobi_brute_table(r, X, k, a)
+            brute = brute_module.tilde_jacobi_brute_table(r, X, k, a)
             single = [tilde_jacobi_brute(t, k, a).value for t in tuples]
             assert np.array_equal(bits(brute), bits(single))
-            classified = sums_module.tilde_jacobi_classify_table(r, X, k, a)
+            classified = laws_module.tilde_jacobi_classify_table(r, X, k, a)
             for t, e in zip(tuples, classified):
                 assert expected_fields(e) == expected_fields(tilde_jacobi_classify(t, k, a))
 
@@ -1413,14 +1433,14 @@ def test_mixed_domain_tables_are_bitwise_single_calls(key):
 def test_expected_table_rejects_bad_input(z9):
     X = all_tuples(z9, 2)
     with pytest.raises(ValueError, match="not canonical"):
-        sums_module.jacobi_expected_table(z9, X, z9.scalar(2))
+        laws_module.jacobi_expected_table(z9, X, z9.scalar(2))
     with pytest.raises(ValueError, match="two characters"):
-        sums_module.jacobi_expected_table(z9, X[:, :1], z9.one)
+        laws_module.jacobi_expected_table(z9, X[:, :1], z9.one)
     with pytest.raises(RingMismatch):
-        sums_module.jacobi_expected_table(z9, X, ring(2, 2, 2).one)
-    assert sums_module.jacobi_expected_table(z9, X[:0], z9.one) == []
+        laws_module.jacobi_expected_table(z9, X, ring(2, 2, 2).one)
+    assert laws_module.jacobi_expected_table(z9, X[:0], z9.one) == []
     with pytest.raises(ValueError, match="r = 2 entries"):
-        sums_module.jacobi_expected_table(z9, np.zeros((3, 2, 3), dtype=np.int64), z9.one)
+        laws_module.jacobi_expected_table(z9, np.zeros((3, 2, 3), dtype=np.int64), z9.one)
 
 
 def assert_rejects_bad_input(z9, table):
@@ -1440,8 +1460,8 @@ def assert_rejects_bad_input(z9, table):
 def test_brute_tables_reject_bad_input(z9, k):
     def table(X, a=z9.one):
         if k is None:
-            return sums_module.jacobi_brute_table(z9, X, a)
-        return sums_module.tilde_jacobi_brute_table(z9, X, k, a)
+            return brute_module.jacobi_brute_table(z9, X, a)
+        return brute_module.tilde_jacobi_brute_table(z9, X, k, a)
 
     X = all_tuples(z9, 2)
     empty = table(X[:0])
@@ -1452,7 +1472,7 @@ def test_brute_tables_reject_bad_input(z9, k):
 
 def test_classify_table_rejects_bad_input_as_the_brute_tables_do(z9):
     def table(X, a=z9.one):
-        return sums_module.tilde_jacobi_classify_table(z9, X, 1, a)
+        return laws_module.tilde_jacobi_classify_table(z9, X, 1, a)
 
     assert table(all_tuples(z9, 2)[:0]) == [] and table([]) == []
     assert_rejects_bad_input(z9, table)
@@ -1465,9 +1485,9 @@ def test_canonical_twists_are_cached_copies(z27):
     assert [t.coords for t in twists] == [(0,), (1,), (3,), (9,)]
     twists.append(z27.scalar(2))
     assert len(canonical_twists(z27)) == 4
-    assert all(sums_module.is_canonical(t) for t in canonical_twists(z27))
-    assert not sums_module.is_canonical(z27.scalar(2))
-    assert not sums_module.is_canonical(z27.scalar(6))
+    assert all(laws_module.is_canonical(t) for t in canonical_twists(z27))
+    assert not laws_module.is_canonical(z27.scalar(2))
+    assert not laws_module.is_canonical(z27.scalar(6))
 
 
 # ---------------------------------------------------------------------------
@@ -1507,18 +1527,18 @@ def test_agrees_table_is_the_row_rule():
     r = ring(2, 2, 2)
     X = all_tuples(r, 3)
     for a in canonical_twists(r):
-        brute = sums_module.jacobi_brute_table(r, X, a)
-        expected = sums_module.jacobi_expected_table(r, X, a)
+        brute = brute_module.jacobi_brute_table(r, X, a)
+        expected = laws_module.jacobi_expected_table(r, X, a)
         for t in (1e-6, 1e-14):  # the second makes rows disagree by rounding
             want = [row_agrees(v, e, r.q, t) for v, e in zip(brute.tolist(), expected)]
             assert sums_module.agrees_table(brute, expected, r.q, t).tolist() == want
 
 
 def test_a_moved_brute_value_turns_exactly_its_row_red(monkeypatch):
-    r = verify_module.cached_ring(2, 2, 2)
+    r = build_ring(2, 2, 2)
     twist = canonical_twists(r)[1]
     X = verify_tuples(character_exponents(r), 3)
-    expected = sums_module.jacobi_expected_table(r, X, twist)
+    expected = laws_module.jacobi_expected_table(r, X, twist)
     row = next(c for c, e in enumerate(expected) if e.kind == "power_of_q" and e.value is not None)
     real = verify_module.jacobi_brute_table
 

@@ -8,7 +8,7 @@ caught moves it in the pin and records why.
 
 Rings memoise what the suites read (Gauss values, solved domains, the kernel
 plan, class tables), so a mutation run on a ring built earlier would read
-clean values.  Each run therefore clears verify.cached_ring before and after
+clean values.  Each run therefore empties the ring registry before and after
 it, and the suites build fresh rings.
 
 Two mutations survive today:
@@ -26,8 +26,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import galois_sums.brute as brute_module
 import galois_sums.characters as characters_module
 import galois_sums.codebook as codebook_module
+import galois_sums.laws as laws_module
+import galois_sums.ring as ring_module
 import galois_sums.sums as sums_module
 import galois_sums.verify as verify_module
 from galois_sums.characters import RootOfUnity
@@ -35,7 +38,7 @@ from galois_sums.characters import RootOfUnity
 
 def failing_checks() -> dict[str, set[str] | str]:
     """Per suite of verify, on fresh rings: its failing checks' labels, or the error it raised."""
-    verify_module.cached_ring.cache_clear()
+    ring_module._RINGS.clear()
     out = {}
     try:
         for name in verify_module.SUITES:
@@ -44,7 +47,7 @@ def failing_checks() -> dict[str, set[str] | str]:
             except Exception as exc:  # a suite that raises is caught too
                 out[name] = type(exc).__name__
     finally:
-        verify_module.cached_ring.cache_clear()
+        ring_module._RINGS.clear()
     return out
 
 
@@ -103,21 +106,28 @@ def twist_scalars_conjugated(real):
     return scalars
 
 
-# name: ((module, attribute) pairs the mutation replaces, the mutation)
+# name: ((module, attribute) pairs the mutation replaces, the mutation): every module
+# that binds the name, so each caller reads the mutation
 MUTATIONS = {
-    "M1-conjugated-rows": ([(sums_module, "_complex_rows")], conjugated_rows),
-    "M2-gauss-at-minus-b": ([(sums_module, "_gauss_fill")], gauss_at_minus_b),
-    "M3-counts-at-minus-a": ([(sums_module, "_root_counts")], counts_at_minus_a),
-    "one-count-moved": ([(sums_module, "_root_counts")], one_count_moved),
+    "M1-conjugated-rows": ([(brute_module, "_complex_rows")], conjugated_rows),
+    "M2-gauss-at-minus-b": (
+        [(m, "_gauss_fill") for m in (brute_module, laws_module, sums_module)],
+        gauss_at_minus_b,
+    ),
+    "M3-counts-at-minus-a": ([(brute_module, "_root_counts")], counts_at_minus_a),
+    "one-count-moved": ([(brute_module, "_root_counts")], one_count_moved),
     "section-shifted": (
         [(characters_module, "_section_map"), (codebook_module, "_section_map")],
         section_shifted,
     ),
     "level-off-by-one": (
-        [(m, "character_levels") for m in (characters_module, sums_module, verify_module)],
+        [(m, "character_levels") for m in (characters_module, laws_module, verify_module)],
         last_level_lowered,
     ),
-    "twist-scalars-conjugated": ([(sums_module, "_twist_scalars")], twist_scalars_conjugated),
+    "twist-scalars-conjugated": (
+        [(m, "_twist_scalars") for m in (laws_module, sums_module)],
+        twist_scalars_conjugated,
+    ),
 }
 
 RED = "red"
